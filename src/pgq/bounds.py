@@ -27,6 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, floor, isqrt
 
+from .errors import InternalInconsistencyError
 from .params import FAIL, PASS, GQParams, SrgParams, Verdict
 
 #: Descriptive tag for each term of the four-term bound, in order.
@@ -113,11 +114,29 @@ def claw_bound_terms(t: int, choice: BoundChoice) -> BoundResult:
         raise ValueError(f"require theta >= t+2 = {t + 2}, got {theta!r}")
     if not isinstance(beta, int) or not 2 <= beta <= t + 1:
         raise ValueError(f"require 2 <= beta <= t+1 = {t + 1}, got {beta!r}")
-    term1 = Fraction(t, theta - t) * comb(theta + 1, 2)
-    term2 = Fraction(t * (2 * theta - 1))
-    term3 = Fraction(comb(beta, 2) * t)
-    term4 = Fraction((t + 1) ** 2 * theta, comb(beta, 2))
+    term1, term2 = _theta_terms(t, theta)
+    term3, term4 = _beta_terms(t, theta, beta)
     return BoundResult(term1, term2, term3, term4, max(term1, term2, term3, term4))
+
+
+def _theta_terms(t: int, theta: int) -> tuple[Fraction, Fraction]:
+    """term1 and term2, which do not depend on beta."""
+    return Fraction(t, theta - t) * comb(theta + 1, 2), Fraction(t * (2 * theta - 1))
+
+
+def _beta_terms(t: int, theta: int, beta: int) -> tuple[Fraction, Fraction]:
+    """term3 (increasing in beta) and term4 (decreasing in beta)."""
+    pairs = comb(beta, 2)
+    return Fraction(pairs * t), Fraction((t + 1) ** 2 * theta, pairs)
+
+
+def _smallest_beta(pairs: int) -> int:
+    """Smallest beta >= 2 with C(beta, 2) >= pairs, by integer square root."""
+    # C(beta, 2) >= pairs  <=>  (2 beta - 1)^2 >= 8 pairs + 1.
+    root = isqrt(8 * pairs + 1)
+    if root * root < 8 * pairs + 1:
+        root += 1
+    return max(2, (root + 2) // 2)
 
 
 def quadratic_claw_bound(t: int) -> int:
@@ -164,23 +183,49 @@ class OptimalBound:
 def optimal_claw_bound(t: int) -> OptimalBound:
     """Minimize the four-term bound over theta in [t+2, 4t], beta in [2, t+1].
 
-    The sweep is exhaustive over that rectangle; ties go to the smallest
-    theta, then the smallest beta.  Capping theta at 4t loses nothing:
-    for theta > 4t the second term alone is t(2*theta - 1) >= t(8t + 1),
-    which exceeds the maximum already achieved inside the cap (at most
-    t*floor(8t/3 + 1) for t >= 3 via quadratic_bound_witness, and 14 at
-    t = 2), so no larger theta can lower the minimum.
+    Ties go to the smallest theta, then the smallest beta.  For a fixed
+    theta, term1 and term2 are constants, term3 increases with beta and
+    term4 decreases, so max(term3, term4) is smallest at the crossover
+    beta* (the smallest beta with term3 >= term4, i.e.
+    C(beta,2)^2 t >= (t+1)^2 theta) or at beta* - 1; both are found by
+    integer square roots, so each theta costs O(1) exact operations.
+
+    Capping theta at 4t loses nothing: for theta > 4t the second term
+    alone is t(2*theta - 1) >= t(8t + 1), which exceeds the maximum
+    already achieved inside the cap (at most t*floor(8t/3 + 1) for t >= 3
+    via quadratic_bound_witness, and 14 at t = 2).  For the same reason
+    the loop stops at the first theta with t(2*theta - 1) >= the best
+    value so far: term2 grows with theta, so no later theta can win.
     """
     _require_t(t)
-    best: tuple[Fraction, BoundChoice, BoundResult] | None = None
+    weight = (t + 1) ** 2
+    best: tuple[Fraction, int] | None = None
     for theta in range(t + 2, 4 * t + 1):
-        for beta in range(2, t + 2):
-            choice = BoundChoice(theta, beta)
-            result = claw_bound_terms(t, choice)
-            if best is None or result.bound < best[0]:
-                best = (result.bound, choice, result)
-    assert best is not None
-    exact, choice, result = best
+        term1, term2 = _theta_terms(t, theta)
+        if best is not None and term2 >= best[0]:
+            break
+        # Smallest C(beta, 2) with C(beta, 2)^2 t >= weight * theta.
+        pairs = isqrt(-(-weight * theta // t) - 1) + 1
+        crossover = min(_smallest_beta(pairs), t + 1)
+        value = max(term1, term2, min(
+            max(_beta_terms(t, theta, beta)) for beta in (max(crossover - 1, 2), crossover)
+        ))
+        if best is None or value < best[0]:
+            best = (value, theta)
+    if best is None:
+        raise InternalInconsistencyError(f"empty (theta, beta) range at t={t}")
+    exact, theta = best
+    # The smallest beta reaching the minimum is the smallest one whose
+    # term4 is <= it: on a plateau where term1 or term2 dominates, that is
+    # below the crossover.
+    pairs = -(-weight * theta * exact.denominator // exact.numerator)
+    choice = BoundChoice(theta, _smallest_beta(pairs))
+    result = claw_bound_terms(t, choice)
+    if result.bound != exact:
+        raise InternalInconsistencyError(
+            f"t={t}: bound {result.bound} at (theta={choice.theta}, beta={choice.beta})"
+            f" differs from the minimum {exact}"
+        )
     return OptimalBound(floor(exact), exact, choice, result)
 
 

@@ -178,11 +178,16 @@ def _cmd_bound(args) -> int:
     return EXIT_OK
 
 
-def _graph_params(args, g) -> GQParams:
+def _explicit_params(args) -> GQParams | None:
     if (args.s is None) != (args.t is None):
         raise UsageError("--s and --t must be given together")
-    if args.s is not None:
-        return GQParams(args.s, args.t)
+    return None if args.s is None else GQParams(args.s, args.t)
+
+
+def _graph_params(args, g) -> GQParams:
+    p = _explicit_params(args)
+    if p is not None:
+        return p
     check = verify_srg(g)
     if not check.ok:
         raise PgqError(f"graph is not strongly regular: {check.failure}")
@@ -203,10 +208,9 @@ def _cmd_graph(args) -> int:
             return EXIT_NEGATIVE
         q = check.params
         payload = {"srg": True, "v": q.v, "k": q.k, "lambda": q.lam, "mu": q.mu}
-        if args.s is not None or args.t is not None:
-            if (args.s is None) != (args.t is None):
-                raise UsageError("--s and --t must be given together")
-            expected = derive_srg(GQParams(args.s, args.t))
+        p = _explicit_params(args)
+        if p is not None:
+            expected = derive_srg(p)
             payload["matches_params"] = q == expected
             sys.stdout.write(_json(payload))
             return EXIT_OK if q == expected else EXIT_NEGATIVE
@@ -224,6 +228,8 @@ def _cmd_graph(args) -> int:
                 "ok": check.ok,
             }))
             return EXIT_OK if check.ok else EXIT_NEGATIVE
+        if g.n == 0:
+            raise PgqError("empty graph")
         claws = sorted(claw_number(g, x) for x in range(g.n))
         hist: dict[str, int] = {}
         for r in claws:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import DomainError, FormatError
+from .errors import DomainError, FormatError, InternalInconsistencyError
 from .params import GQParams, SrgParams, derive_srg
 
 
@@ -228,7 +228,10 @@ def verify_srg(g: Graph) -> SrgCheck:
                     return SrgCheck(
                         None, f"non-adjacent pair ({u}, {v}) has {c} common neighbors, expected {mu}"
                     )
-    assert lam is not None and mu is not None  # non-complete and connected
+    if lam is None or mu is None:
+        raise InternalInconsistencyError(
+            f"connected non-complete graph on {g.n} vertices lacks an adjacent or a non-adjacent pair"
+        )
     return SrgCheck(SrgParams(g.n, k, lam, mu))
 
 

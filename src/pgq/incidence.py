@@ -287,7 +287,8 @@ def gen_symplectic_w3() -> Graph:
                     nz = next((x for x in vec if x), 0)
                     if nz == 1:
                         points.append(vec)
-    assert len(points) == 40
+    if len(points) != 40:
+        raise InternalInconsistencyError(f"found {len(points)} projective points, expected 40")
 
     def form(x, y):
         return (x[0] * y[1] - x[1] * y[0] + x[2] * y[3] - x[3] * y[2]) % 3

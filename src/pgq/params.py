@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import InternalInconsistencyError
+
 PASS = "pass"
 FAIL = "fail"
 NA = "na"
@@ -138,7 +140,8 @@ def derive_srg(p: GQParams) -> SrgParams:
     """SRG parameters ((s+1)(st+1), s(t+1), s-1, t+1) of a (P)GQ(s,t)."""
     q = SrgParams(p.v, p.k, p.lam, p.mu)
     # Forced algebraically; a failure here would be a bug, not bad input.
-    assert q.counting_identity_holds
+    if not q.counting_identity_holds:
+        raise InternalInconsistencyError(f"counting identity fails for srg{q.as_tuple()}")
     return q
 
 
@@ -160,8 +163,9 @@ def spectrum_of(p: GQParams) -> Spectrum:
     mult_pos = Fraction(s * t * (s + 1) * (t + 1), s + t)
     mult_neg = Fraction(p.v - 1) - mult_pos
     spec = Spectrum(s - 1, -(t + 1), mult_pos, mult_neg)
-    assert spec.mult_pos + spec.mult_neg == p.v - 1
-    assert p.k + spec.mult_pos * spec.theta_pos + spec.mult_neg * spec.theta_neg == 0
+    if (spec.mult_pos + spec.mult_neg != p.v - 1
+            or p.k + spec.mult_pos * spec.theta_pos + spec.mult_neg * spec.theta_neg != 0):
+        raise InternalInconsistencyError(f"inconsistent spectrum for (s={s}, t={t}): {spec}")
     return spec
 
 

@@ -1,12 +1,15 @@
 """Parameter-space scan: apply every feasibility condition to each (s, t)
 of PGQ form and collect the sets eliminated by the four-term bound alone.
 
-For each t the scan walks s from 2 up to Neumaier's bound (anything
-larger is already ruled out by prior conditions and is not interesting
-output).  A parameter set lands in the headline table exactly when it
-passes the classical conditions (Krein, multiplicity integrality,
-Neumaier) and is excluded both as a GQ (s > t^2) and as a pseudo-GQ
-(s > the optimized four-term bound).
+A parameter set lands in the headline table exactly when it passes the
+classical conditions (Krein, multiplicity integrality, Neumaier) and is
+excluded both as a GQ (s > t^2) and as a pseudo-GQ (s > the optimized
+four-term bound).  Number theory narrows the search to few candidates:
+for s > t^2 the Krein condition t <= s^2 holds, and since s = -t
+(mod s+t), (s+t) | s(s+1)t(t+1) holds iff (s+t) | t^2(t^2-1).  So the
+candidates at t are d - t for the divisors d of t^2(t^2-1) with
+max(t^2, four-term threshold) < d - t <= Neumaier's bound, and the scan
+runs the full pipeline on those alone.
 
 The scan is a pure function of its range: rows come out ordered by
 (t, s) ascending and two runs produce byte-identical output.
@@ -66,7 +69,7 @@ class FeasibilityReport:
 
 @dataclass(frozen=True)
 class ScanRange:
-    """Range of t to scan; s runs over [2, neumaier_bound(t)] per t."""
+    """Range of t to scan; s runs over the candidates of multiplicity_divisors(t)."""
 
     t_min: int
     t_max: int
@@ -127,15 +130,42 @@ def check_one(p: GQParams) -> FeasibilityReport:
     return FeasibilityReport(p, q, tuple(verdicts), classification)
 
 
+def _factorize(n: int, exponents: dict[int, int]) -> None:
+    """Add the prime exponents of n >= 1 to exponents, by trial division."""
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            exponents[p] = exponents.get(p, 0) + 1
+            n //= p
+        p += 1
+    if n > 1:
+        exponents[n] = exponents.get(n, 0) + 1
+
+
+def multiplicity_divisors(t: int) -> list[int]:
+    """All divisors of t^2(t^2-1), ascending: the values s+t can take when
+    s > t^2 and the eigenvalue multiplicities are integers."""
+    exponents: dict[int, int] = {}
+    for factor in (t, t, t - 1, t + 1):
+        _factorize(factor, exponents)
+    divisors = [1]
+    for p, e in exponents.items():
+        divisors = [d * p**i for d in divisors for i in range(e + 1)]
+    return sorted(divisors)
+
+
 def scan(rng: ScanRange) -> list[FeasibilityReport]:
     """All parameter sets in range eliminated by the four-term bound but by
     nothing older, ordered by (t, s) ascending."""
     rows = []
     for t in range(rng.t_min, rng.t_max + 1):
-        for s in range(2, neumaier_bound(t) + 1):
-            report = check_one(GQParams(s, t))
-            if report.classification == RULED_OUT_NEW:
-                rows.append(report)
+        low = max(t * t, optimal_claw_bound(t).threshold)
+        high = neumaier_bound(t)
+        for d in multiplicity_divisors(t):
+            if low < d - t <= high:
+                report = check_one(GQParams(d - t, t))
+                if report.classification == RULED_OUT_NEW:
+                    rows.append(report)
     return rows
 
 

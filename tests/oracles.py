@@ -1,10 +1,27 @@
 """Independent brute-force oracles used to pin expected values.
 
-These deliberately avoid the library's bitset branch-and-bound paths:
-graphs are plain edge sets and searches are exhaustive enumerations.
+These deliberately avoid the library's bitset branch-and-bound paths and
+its divisor-based scan: graphs are plain edge sets and searches are
+exhaustive enumerations.
 """
 
 from itertools import combinations
+
+from pgq.bounds import neumaier_bound
+from pgq.params import GQParams
+from pgq.scan import RULED_OUT_NEW, check_one
+
+
+def exhaustive_scan(t_min, t_max):
+    """The scan by brute force: the full pipeline on every s from 2 up to
+    Neumaier's bound, keeping the rows ruled out by the new bound alone."""
+    rows = []
+    for t in range(t_min, t_max + 1):
+        for s in range(2, neumaier_bound(t) + 1):
+            report = check_one(GQParams(s, t))
+            if report.classification == RULED_OUT_NEW:
+                rows.append(report)
+    return rows
 
 
 def edge_set(graph):

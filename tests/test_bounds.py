@@ -1,5 +1,6 @@
 """Bound arithmetic: Neumaier's cubic bound, the four-term bound, the
-quadratic closed form, and the exhaustive (theta, beta) optimization."""
+quadratic closed form, and the (theta, beta) optimization against an
+exhaustive sweep."""
 
 from fractions import Fraction
 from math import floor
@@ -16,12 +17,15 @@ from pgq.bounds import (
     quadratic_bound_witness,
     quadratic_claw_bound,
 )
+from pgq.errors import InternalInconsistencyError
 from pgq.params import GQParams, SrgParams, derive_srg
 
 
 def sweep_oracle(t, theta_cap):
-    """Naive reference minimization of the four-term maximum, sweeping
-    theta all the way to theta_cap (beyond the library's 4t cap)."""
+    """Naive reference minimization of the four-term maximum over every
+    (theta, beta) with theta up to theta_cap (4t is the library's cap).
+    Returns (value, theta, beta, terms), ties to the smallest theta, then
+    the smallest beta."""
     best = None
     for theta in range(t + 2, theta_cap + 1):
         t1 = Fraction(t, theta - t) * (theta + 1) * theta / 2
@@ -32,7 +36,7 @@ def sweep_oracle(t, theta_cap):
             t4 = Fraction((t + 1) ** 2 * theta, c2)
             value = max(t1, t2, t3, t4)
             if best is None or value < best[0]:
-                best = (value, theta, beta)
+                best = (value, theta, beta, (t1, t2, t3, t4))
     return best
 
 
@@ -98,19 +102,44 @@ def test_optimal_bound_matches_uncapped_oracle():
     # Sweeping theta to 8t finds nothing better: the 4t cap is sound.
     for t in range(2, 26):
         opt = optimal_claw_bound(t)
-        value, theta, beta = sweep_oracle(t, 8 * t)
+        value, theta, beta, _ = sweep_oracle(t, 8 * t)
         assert opt.exact == value
         assert (opt.choice.theta, opt.choice.beta) == (theta, beta)
         assert opt.threshold == floor(value)
 
 
+def test_optimal_bound_matches_rectangle_sweep():
+    # The per-theta crossover agrees with the exhaustive sweep over the
+    # same rectangle, including the tie-break and the reported terms.
+    for t in range(2, 61):
+        opt = optimal_claw_bound(t)
+        value, theta, beta, terms = sweep_oracle(t, 4 * t)
+        assert (opt.exact, opt.choice, opt.terms.terms) == (
+            value, BoundChoice(theta, beta), terms
+        ), t
+
+
+def test_optimal_bound_checks_its_winner(monkeypatch):
+    # The terms recomputed at the chosen (theta, beta) must reproduce the
+    # minimum; a disagreement is reported as a bug, also under python -O.
+    real = claw_bound_terms
+
+    def off_by_one(t, choice):
+        result = real(t, choice)
+        return type(result)(*result.terms, result.bound + 1)
+
+    monkeypatch.setattr("pgq.bounds.claw_bound_terms", off_by_one)
+    with pytest.raises(InternalInconsistencyError):
+        optimal_claw_bound.__wrapped__(7)
+
+
 def test_optimal_equals_quadratic_closed_form():
     # The closed form is the tightest value of the four-term bound for
     # every t >= 3; a counterexample must surface here with its witness.
-    for t in range(3, 51):
+    for t in [*range(3, 201), 1000, 4096, 10000]:
         opt = optimal_claw_bound(t)
         assert opt.threshold == quadratic_claw_bound(t), (
-            f"t={t}: sweep gives {opt.threshold} at "
+            f"t={t}: optimizer gives {opt.threshold} at "
             f"(theta={opt.choice.theta}, beta={opt.choice.beta}), "
             f"closed form gives {quadratic_claw_bound(t)}"
         )

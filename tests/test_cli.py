@@ -161,6 +161,13 @@ def test_graph_claw(capsys, shrikhande_file):
     assert data["threshold"] == 2 and data["ok"] is True
 
 
+@pytest.mark.parametrize("action", ["verify", "claw", "extract-gq"])
+def test_graph_empty_graph_is_input_error(capsys, monkeypatch, action):
+    monkeypatch.setattr("sys.stdin", io.StringIO("pgqgraph 1\n0 0\n"))
+    code, out, err = run(capsys, "graph", action, "-")
+    assert (code, out, err) == (2, "", "error: empty graph\n")
+
+
 def test_graph_extract_gq(capsys, rook_file):
     code, out, _ = run(capsys, "graph", "extract-gq", rook_file, "--s", "3", "--t", "1")
     assert code == 0

@@ -4,7 +4,7 @@ numbers, clique partitions and covers."""
 import pytest
 from hypothesis import given, strategies as st
 
-from pgq.errors import DomainError, FormatError
+from pgq.errors import DomainError, FormatError, InternalInconsistencyError
 from pgq.graph import (
     CliqueCover,
     Graph,
@@ -134,6 +134,14 @@ def test_verify_srg_failures():
     assert not hexagon.ok and "non-adjacent pair" in hexagon.failure
     with pytest.raises(ValueError):
         verify_srg(Graph(0, []))
+
+
+def test_verify_srg_missing_pair_type_is_internal_error(monkeypatch):
+    # A connected non-complete graph has both an adjacent and a
+    # non-adjacent pair; force the connectivity check to lie.
+    monkeypatch.setattr("pgq.graph._connected", lambda g: True)
+    with pytest.raises(InternalInconsistencyError):
+        verify_srg(Graph(3, []))
 
 
 def test_verify_srg_first_witness_is_deterministic():

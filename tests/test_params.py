@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from pgq.errors import InternalInconsistencyError
 from pgq.params import (
     GQParams,
     SrgParams,
@@ -114,6 +115,17 @@ def test_spectrum_invariants_and_divisibility_crosscheck():
             assert spec.mult_pos + spec.mult_neg == p.v - 1
             assert p.k + spec.mult_pos * spec.theta_pos + spec.mult_neg * spec.theta_neg == 0
             assert multiplicity_integrality(p).ok == (spec.mult_pos.denominator == 1)
+
+
+def test_broken_invariants_raise_internal_error(monkeypatch):
+    # These identities hold algebraically; if one ever fails it is a bug,
+    # reported by an exception that python -O does not strip.
+    monkeypatch.setattr(SrgParams, "counting_identity_holds", property(lambda q: False))
+    with pytest.raises(InternalInconsistencyError):
+        derive_srg(GQParams(2, 2))
+    monkeypatch.setattr(GQParams, "v", property(lambda p: 16))
+    with pytest.raises(InternalInconsistencyError):
+        spectrum_of(GQParams(2, 2))
 
 
 @given(st.integers(2, 10**4), st.integers(2, 10**4))

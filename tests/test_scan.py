@@ -1,6 +1,7 @@
 """Parameter-space scan: classification pipeline, ordering, emission."""
 
 import json
+from math import isqrt
 
 import pytest
 
@@ -19,8 +20,11 @@ from pgq.scan import (
     emit,
     emit_csv,
     emit_json,
+    multiplicity_divisors,
     scan,
 )
+
+from oracles import exhaustive_scan
 
 
 @pytest.mark.parametrize(
@@ -97,6 +101,23 @@ def test_scan_deterministic_and_monotone():
     assert emit_csv(full) == emit_csv(scan(ScanRange(2, 10)))
     partial = scan(ScanRange(2, 8))
     assert partial == [r for r in full if r.params.t <= 8]
+
+
+def test_scan_matches_exhaustive_oracle():
+    # Every s up to Neumaier's bound through the full pipeline, against
+    # the divisor candidates only: the emitted bytes must be identical.
+    rows = scan(ScanRange(2, 40))
+    oracle = exhaustive_scan(2, 40)
+    assert emit_csv(rows) == emit_csv(oracle)
+    assert emit_json(rows) == emit_json(oracle)
+
+
+def test_multiplicity_divisors_match_brute_force():
+    for t in range(2, 301):
+        n = t * t * (t * t - 1)
+        small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+        expected = sorted(set(small + [n // d for d in small]))
+        assert multiplicity_divisors(t) == expected, t
 
 
 def test_scan_range_validation():
