@@ -28,7 +28,7 @@ from functools import lru_cache
 from math import comb, floor, isqrt
 
 from .errors import InternalInconsistencyError
-from .params import FAIL, PASS, GQParams, SrgParams, Verdict
+from .params import FAIL, PASS, SrgParams, Verdict
 
 #: Descriptive tag for each term of the four-term bound, in order.
 TERM_TAGS = (
@@ -227,54 +227,3 @@ def optimal_claw_bound(t: int) -> OptimalBound:
             f" differs from the minimum {exact}"
         )
     return OptimalBound(floor(exact), exact, choice, result)
-
-
-@dataclass(frozen=True)
-class RuleOut:
-    """Composite nonexistence verdict for one (s, t).
-
-    ruled_out is True iff both a genuine GQ and a pseudo-GQ are excluded:
-    s > t^2 and s > the optimal four-term bound.
-    """
-
-    ruled_out: bool
-    gq_excluded: bool
-    pgq_excluded: bool
-    threshold: int
-    reasons: tuple[str, ...]
-
-    def __bool__(self) -> bool:
-        return self.ruled_out
-
-
-def pgq_ruled_out(p: GQParams) -> RuleOut:
-    """Decide whether no srg with parameters derive_srg(p) can exist,
-    combining the duality bound (GQ side) with the optimized four-term
-    bound (PGQ side)."""
-    if p.is_trivial:
-        raise ValueError("rule-out verdict requires s >= 2 and t >= 2")
-    s, t = p.s, p.t
-    opt = optimal_claw_bound(t)
-    gq_excluded = s > t * t
-    pgq_excluded = s > opt.threshold
-    reasons = []
-    if gq_excluded:
-        reasons.append(f"s={s} > t^2={t * t}: no generalized quadrangle")
-    else:
-        reasons.append(f"s={s} <= t^2={t * t}: a generalized quadrangle is not excluded")
-    if pgq_excluded:
-        reasons.append(
-            f"s={s} > {opt.threshold} (four-term bound at theta={opt.choice.theta},"
-            f" beta={opt.choice.beta}): no pseudo-GQ"
-        )
-    else:
-        reasons.append(
-            f"s={s} <= {opt.threshold} (four-term bound): a pseudo-GQ is not excluded"
-        )
-    return RuleOut(
-        ruled_out=gq_excluded and pgq_excluded,
-        gq_excluded=gq_excluded,
-        pgq_excluded=pgq_excluded,
-        threshold=opt.threshold,
-        reasons=tuple(reasons),
-    )

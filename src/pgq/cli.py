@@ -29,7 +29,13 @@ from .bounds import (
     quadratic_claw_bound,
 )
 from .errors import PgqError
-from .graph import claw_lower_bound_check, claw_number, parse_pgqgraph, verify_srg, write_pgqgraph
+from .graph import (
+    _claw_histogram,
+    claw_lower_bound_check,
+    parse_pgqgraph,
+    verify_srg,
+    write_pgqgraph,
+)
 from .incidence import (
     collinearity_graph,
     dual,
@@ -217,25 +223,19 @@ def _cmd_graph(args) -> int:
         sys.stdout.write(_json(payload))
         return EXIT_OK
     if args.action == "claw":
-        if args.s is not None or args.t is not None:
-            p = _graph_params(args, g)
-            check = claw_lower_bound_check(g, p)
-            sys.stdout.write(_json({
-                "histogram": {str(r): c for r, c in check.histogram.items()},
-                "min": check.minimum,
-                "max": max(check.histogram),
-                "threshold": check.threshold,
-                "ok": check.ok,
-            }))
-            return EXIT_OK if check.ok else EXIT_NEGATIVE
-        if g.n == 0:
-            raise PgqError("empty graph")
-        claws = sorted(claw_number(g, x) for x in range(g.n))
-        hist: dict[str, int] = {}
-        for r in claws:
-            hist[str(r)] = hist.get(str(r), 0) + 1
-        sys.stdout.write(_json({"histogram": hist, "min": claws[0], "max": claws[-1]}))
-        return EXIT_OK
+        if args.s is None and args.t is None:
+            hist, extra, code = _claw_histogram(g), {}, EXIT_OK
+        else:
+            check = claw_lower_bound_check(g, _graph_params(args, g))
+            hist, extra = check.histogram, {"threshold": check.threshold, "ok": check.ok}
+            code = EXIT_OK if check.ok else EXIT_NEGATIVE
+        sys.stdout.write(_json({
+            "histogram": {str(r): c for r, c in hist.items()},
+            "min": min(hist),
+            "max": max(hist),
+            **extra,
+        }))
+        return code
     # extract-gq
     p = _graph_params(args, g)
     result = extract_gq(g, p)

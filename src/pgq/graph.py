@@ -419,13 +419,20 @@ def verify_clique_cover(g: Graph, cover: CliqueCover) -> CoverCheck:
     return CoverCheck(True, tuple(diagonal))
 
 
+def _claw_histogram(g: Graph) -> dict[int, int]:
+    """Claw number -> vertex count over all of g, ascending by claw number."""
+    if g.n == 0:
+        raise ValueError("empty graph")
+    return dict(sorted(Counter(claw_number(g, x) for x in range(g.n)).items()))
+
+
 def claw_lower_bound_check(g: Graph, p: GQParams) -> ClawCheck:
     """Census of claw numbers against the structural lower bound t+1 that
     every srg of PGQ form satisfies."""
     _require_matching_srg(g, p)
-    hist = Counter(claw_number(g, x) for x in range(g.n))
+    hist = _claw_histogram(g)
     minimum = min(hist)
-    return ClawCheck(minimum >= p.t + 1, dict(sorted(hist.items())), minimum, p.t + 1)
+    return ClawCheck(minimum >= p.t + 1, hist, minimum, p.t + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -479,3 +486,6 @@ def parse_pgqgraph(text: str) -> Graph:
         return Graph(n, edges)
     except ValueError as exc:
         raise FormatError(str(exc)) from None
+    except (OverflowError, MemoryError):
+        # n rows cannot be indexed or allocated; refused before any work.
+        raise FormatError(f"line 2: vertex count {n} is too large") from None

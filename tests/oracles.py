@@ -8,6 +8,7 @@ exhaustive enumerations.
 from itertools import combinations
 
 from pgq.bounds import neumaier_bound
+from pgq.graph import Graph
 from pgq.params import GQParams
 from pgq.scan import RULED_OUT_NEW, check_one
 
@@ -85,3 +86,39 @@ def local_coclique_oracle(graph, x) -> int:
             if graph.has_edge(u, v):
                 edges.add(frozenset((index[u], index[v])))
     return brute_max_coclique(len(nbrs), edges)
+
+
+def census_witness(graph, t):
+    """The all-vertex claw census: the smallest vertex whose claw number
+    exceeds t+1, with that claw number, or None if there is none.  Every
+    claw number is computed, by brute enumeration."""
+    claws = [local_coclique_oracle(graph, x) for x in range(graph.n)]
+    return next(((x, phi) for x, phi in enumerate(claws) if phi > t + 1), None)
+
+
+def relabel(graph, perm):
+    """The graph with vertex v renamed perm[v]."""
+    return Graph(graph.n, [(perm[u], perm[v]) for u, v in graph.edges()])
+
+
+def godsil_mckay_switch(graph, subset):
+    """Godsil-McKay switching on the vertex set D = subset.
+
+    D must induce a regular graph, and every vertex outside D must be
+    adjacent to none, half or all of D; the vertices adjacent to half of D
+    swap their adjacency to D.  The result is cospectral with the input,
+    and an srg with the same parameters when the input is an srg.
+    """
+    d = set(subset)
+    edges = edge_set(graph)
+    hits = [sum(frozenset((v, w)) in edges for w in d) for v in range(graph.n)]
+    if len(d) % 2 or len({hits[v] for v in d}) != 1:
+        raise ValueError(f"{sorted(d)} does not induce a regular graph of even order")
+    for v in range(graph.n):
+        if v in d:
+            continue
+        if hits[v] not in (0, len(d) // 2, len(d)):
+            raise ValueError(f"vertex {v} is adjacent to {hits[v]} of {len(d)} switching vertices")
+        if hits[v] == len(d) // 2:
+            edges ^= {frozenset((v, w)) for w in d}
+    return Graph(graph.n, [tuple(sorted(e)) for e in edges])

@@ -13,7 +13,6 @@ from pgq.bounds import (
     claw_inequality_check,
     neumaier_bound,
     optimal_claw_bound,
-    pgq_ruled_out,
     quadratic_bound_witness,
     quadratic_claw_bound,
 )
@@ -173,18 +172,3 @@ def test_claw_inequality_reproduces_first_term():
             assert claw_inequality_check(q_ok, theta + 1).ok
             q_bad = derive_srg(GQParams(at_most + 1, t))
             assert not claw_inequality_check(q_bad, theta + 1).ok
-
-
-def test_pgq_ruled_out_examples():
-    assert pgq_ruled_out(GQParams(56, 4)).ruled_out
-    assert pgq_ruled_out(GQParams(650, 10)).ruled_out
-    # Boundary: the bound states s <= 44 as the necessary condition, so
-    # equality survives.
-    boundary = pgq_ruled_out(GQParams(44, 4))
-    assert not boundary.ruled_out
-    assert boundary.gq_excluded and not boundary.pgq_excluded
-    # GQ side open: s <= t^2.
-    open_gq = pgq_ruled_out(GQParams(4, 2))
-    assert not open_gq.ruled_out and not open_gq.gq_excluded
-    with pytest.raises(ValueError):
-        pgq_ruled_out(GQParams(3, 1))

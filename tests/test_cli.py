@@ -2,9 +2,14 @@
 
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
 
 import pytest
 
+import pgq
 from pgq.cli import main
 from pgq.graph import parse_pgqgraph, write_pgqgraph
 from pgq.incidence import (
@@ -168,6 +173,15 @@ def test_graph_empty_graph_is_input_error(capsys, monkeypatch, action):
     assert (code, out, err) == (2, "", "error: empty graph\n")
 
 
+@pytest.mark.parametrize("n", ["100000000000000000000", "1000000000000000"])
+def test_graph_huge_vertex_count_is_input_error(capsys, monkeypatch, n):
+    # The first count cannot index a list; the second asks for 8 PB of rows,
+    # which the allocator refuses at once.
+    monkeypatch.setattr("sys.stdin", io.StringIO(f"pgqgraph 1\n{n} 0\n"))
+    code, out, err = run(capsys, "graph", "verify", "-")
+    assert (code, out, err) == (2, "", f"error: line 2: vertex count {n} is too large\n")
+
+
 def test_graph_extract_gq(capsys, rook_file):
     code, out, _ = run(capsys, "graph", "extract-gq", rook_file, "--s", "3", "--t", "1")
     assert code == 0
@@ -268,6 +282,48 @@ def test_inc_dual_and_collinearity(capsys, gq22_file):
     assert code == 0
     g = parse_pgqgraph(out)
     assert g == gen_kneser_6_2()
+
+
+ADDRESS_SPACE_CAP = 512 * 2**20
+
+
+def run_capped(stdin, *argv):
+    """`python -m pgq.cli ARGV` in a child whose address space is capped, so
+    an allocation that grows with a declared count fails the test instead of
+    exhausting the machine."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE_CAP, ADDRESS_SPACE_CAP))
+
+    src = os.path.dirname(os.path.dirname(pgq.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "pgq.cli", *argv], input=stdin, capture_output=True,
+        text=True, timeout=60, preexec_fn=cap, env=env,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "text,degree",
+    [
+        ("pgqinc 1\n1000000000000 0 1 1\n", 0),
+        ("pgqinc 1\n1000000000000 1 1 1\n0 999999999999\n", 1),
+    ],
+    ids=["no-lines", "far-point"],
+)
+def test_inc_work_is_bounded_by_the_input_not_the_point_count(text, degree):
+    # 10^12 declared points: verification must stop at point 0, which lies
+    # on too few lines, without building per-point data or a mask with
+    # bit 999999999999.
+    witness = f"point 0 lies on {degree} lines, expected t+1=2"
+    code, out, err = run_capped(text, "inc", "verify", "-")
+    assert (code, err) == (3, "")
+    assert json.loads(out) == {"ok": False, "axiom": "ii", "witness": witness}
+    code, out, err = run_capped(text, "inc", "dual", "-")
+    assert (code, out, err) == (2, "", f"error: dual requires a verified GQ; axiom (ii): {witness}\n")
+    code, out, err = run_capped(text, "inc", "collinearity", "-")
+    assert (code, out) == (2, "")
+    assert err == f"error: collinearity graph requires a verified GQ; axiom (ii): {witness}\n"
 
 
 # ---------------------------------------------------------------------------

@@ -233,10 +233,12 @@ def test_partition_requires_matching_parameters():
 @pytest.mark.parametrize("name,g,p", ALL_GENERATORS)
 def test_partition_succeeds_exactly_at_minimum_claw(name, g, p):
     # phi(x) = t+1 is equivalent to the local graph splitting into t+1
-    # disjoint s-cliques.
+    # disjoint s-cliques; by Caro-Wei phi(x) is never below t+1.
     for x in range(g.n):
         res = clique_partition_of_local(g, x, p)
-        assert res.ok == (claw_number(g, x) == p.t + 1)
+        phi = claw_number(g, x)
+        assert phi >= p.t + 1
+        assert res.ok == (phi == p.t + 1)
         if res.ok:
             assert len(res.cover.cliques) == p.t + 1
             assert all(len(c) == p.s for c in res.cover.cliques)

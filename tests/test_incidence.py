@@ -1,10 +1,12 @@
 """Incidence structures: axiom verification, extraction, duality,
 collinearity graphs, generators, and the pgqinc format."""
 
+import random
+
 import pytest
 
 from pgq.errors import DomainError, FormatError
-from pgq.graph import Graph, verify_srg
+from pgq.graph import Graph, _partition_local, claw_number, verify_srg
 from pgq.incidence import (
     IncidenceStructure,
     collinearity_graph,
@@ -21,7 +23,19 @@ from pgq.incidence import (
 )
 from pgq.params import GQParams, derive_srg
 
-from oracles import brute_srg_params, edge_set
+from oracles import (
+    brute_srg_params,
+    census_witness,
+    edge_set,
+    godsil_mckay_switch,
+    relabel,
+)
+
+W3 = extract_gq(gen_symplectic_w3(), GQParams(3, 3)).structure
+Q43 = collinearity_graph(dual(W3))
+# Godsil-McKay switching of the Q(4,3) graph: srg(40,12,2,4), the
+# parameters of a GQ(3,3), but with claw numbers up to 6 > t+1 = 4.
+SWITCHED_Q43 = godsil_mckay_switch(Q43, (0, 5, 10, 15))
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +138,40 @@ def test_extract_shrikhande_fails_with_claw_witness():
     assert "pseudo-GQ evidence" in result.reason
 
 
+def test_switched_q43_is_a_pseudo_gq():
+    assert verify_srg(SWITCHED_Q43).params == derive_srg(GQParams(3, 3))
+    assert {claw_number(SWITCHED_Q43, x) for x in range(40)} == {4, 5, 6}
+    result = extract_gq(SWITCHED_Q43, GQParams(3, 3))
+    assert (result.witness_vertex, result.witness_claw) == (0, 6)
+    assert result.reason == "pseudo-GQ evidence: claw number 6 > t+1 = 4 at vertex 0"
+
+
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize(
+    "g,p", [(SWITCHED_Q43, GQParams(3, 3)), (gen_shrikhande(), GQParams(3, 1))],
+    ids=["switched-q43", "shrikhande"],
+)
+def test_extract_witness_matches_claw_census(g, p, seed):
+    # Partition-first extraction must name the same vertex as a census of
+    # every claw number: the smallest vertex with claw number above t+1.
+    perm = random.Random(seed).sample(range(g.n), g.n)
+    h = relabel(g, perm)
+    result = extract_gq(h, p)
+    assert not result.ok
+    assert (result.witness_vertex, result.witness_claw) == census_witness(h, p.t)
+
+
+@pytest.mark.parametrize("g", [Q43, SWITCHED_Q43], ids=["q43", "switched-q43"])
+def test_partition_succeeds_iff_claw_is_t_plus_1(g):
+    # Caro-Wei: the local graph is (s-1)-regular on s(t+1) vertices, so its
+    # claw number is at least t+1, with equality iff it is (t+1) K_s.
+    for x in range(g.n):
+        masks, _, _ = _partition_local(g, x, 3, 3)
+        phi = claw_number(g, x)
+        assert phi >= 4
+        assert (masks is not None) == (phi == 4)
+
+
 def test_extract_requires_matching_parameters():
     with pytest.raises(DomainError):
         extract_gq(gen_shrikhande(), GQParams(2, 2))
@@ -165,6 +213,16 @@ def test_dual_is_involution_on_counts(gq22, gq31):
         degrees = sorted(sum(1 for ln in inc.lines if p in ln) for p in range(inc.points))
         dd_degrees = sorted(sum(1 for ln in dd.lines if p in ln) for p in range(dd.points))
         assert degrees == dd_degrees
+
+
+def test_dual_is_a_verified_involution(gq22, gq31):
+    # dual verifies only its input; the axioms are self-dual, so the
+    # output must pass verify_axioms without a second check inside dual.
+    k33 = IncidenceStructure(6, gen_complete_bipartite(3).edges(), 1, 2)
+    for inc in (W3, gq22, gq31, k33):
+        d = dual(inc)
+        assert verify_axioms(d).ok
+        assert dual(d) == inc
 
 
 def test_dual_rejects_broken_structure(gq22):

@@ -31,13 +31,17 @@ from oracles import exhaustive_scan
     "s,t,expected",
     [
         (56, 4, RULED_OUT_NEW),
+        (650, 10, RULED_OUT_NEW),
         (10, 2, PGQ_POSSIBLE_ONLY),
+        (44, 4, PGQ_POSSIBLE_ONLY),  # boundary: the bound is s <= 44, so 44 survives
         (2, 2, GQ_POSSIBLE),
+        (4, 2, GQ_POSSIBLE),         # s = t^2: a GQ is not excluded
         (11, 2, RULED_OUT_PRIOR),   # divisibility fails
         (13, 2, RULED_OUT_PRIOR),   # Neumaier fails
         (2, 5, RULED_OUT_PRIOR),    # Krein fails
         (5, 1, TRIVIAL),
         (1, 5, TRIVIAL),
+        (3, 1, TRIVIAL),
     ],
 )
 def test_check_one_classifications(s, t, expected):

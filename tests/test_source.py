@@ -1,0 +1,19 @@
+"""Source-level rules for the library under src/pgq."""
+
+import ast
+from pathlib import Path
+
+import pgq
+
+
+def test_no_assert_statements():
+    # python -O strips assert, so an invariant must raise an error instead.
+    sources = sorted(Path(pgq.__file__).parent.glob("*.py"))
+    assert {p.name for p in sources} >= {"__init__.py", "cli.py", "graph.py", "incidence.py"}
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
