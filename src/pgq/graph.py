@@ -314,48 +314,33 @@ def _is_clique(g: Graph, mask: int) -> bool:
     return True
 
 
-def _partition_local(g: Graph, x: int, s: int, t: int):
-    """Try to split the local graph at x into t+1 disjoint s-cliques.
+def _partition_local(g: Graph, x: int):
+    """Split the local graph at x into disjoint cliques, one candidate set
+    {y} + common(x, y) at a time, or name the first candidate that is not
+    a clique.  Returns (masks, None) on success and (None, y) otherwise.
 
-    Each neighbor y proposes the candidate set {y} + common(x, y); the
-    split exists iff every candidate is an s-clique and the distinct
-    candidates are pairwise disjoint.  Returns (masks, None, None) on
-    success and (None, witness_vertex, reason) otherwise.
+    Both callers first require g to be an srg with PGQ(s,t) parameters,
+    and lam = s-1 decides everything but the clique test:
+
+    - every candidate set has 1 + lam = s vertices;
+    - an s-clique inside N(x) containing z has its other s-1 members in
+      common(x, z), which has exactly s-1 vertices, so it is z's candidate
+      set.  Candidate sets that are cliques therefore coincide or are
+      disjoint, and a covered neighbor's candidate is the clique covering it;
+    - so walking the lowest uncovered neighbor fails first at the smallest
+      y whose candidate set is not a clique, and on success the masks are
+      t+1 disjoint s-cliques covering the k = s(t+1) neighbors.
     """
-    nbrs = g.row(x)
     masks: list[int] = []
-    owner: dict[int, int] = {}
-    seen = 0
-    for y in _bits(nbrs):
+    uncovered = g.row(x)
+    while uncovered:
+        y = (uncovered & -uncovered).bit_length() - 1
         cand = g.common_neighbors(x, y) | (1 << y)
-        if cand.bit_count() != s:
-            return None, y, (
-                f"candidate set of vertex {y} has {cand.bit_count()} vertices, expected s={s}"
-            )
         if not _is_clique(g, cand):
-            return None, y, f"candidate set of vertex {y} is not a clique"
-        if y in owner:
-            # y was absorbed earlier; its own candidate must agree exactly.
-            if masks[owner[y]] != cand:
-                return None, y, (
-                    f"candidate set of vertex {y} disagrees with the clique "
-                    f"that already contains it"
-                )
-            continue
-        if seen & cand:
-            z = next(_bits(seen & cand))
-            return None, y, (
-                f"candidate set of vertex {y} collides with an earlier clique at vertex {z}"
-            )
-        for w in _bits(cand):
-            owner[w] = len(masks)
-        seen |= cand
+            return None, y
         masks.append(cand)
-    if seen != nbrs or len(masks) != t + 1:
-        # Defensive: disjoint s-sets claiming every processed neighbor must
-        # number deg(x)/s = t+1.
-        return None, x, f"expected t+1={t + 1} cliques, found {len(masks)}"
-    return masks, None, None
+        uncovered &= ~cand
+    return masks, None
 
 
 def _require_matching_srg(g: Graph, p: GQParams) -> SrgParams:
@@ -375,13 +360,17 @@ def clique_partition_of_local(g: Graph, x: int, p: GQParams) -> PartitionResult:
     """Partition the local graph at x into t+1 disjoint maximal cliques of
     order s, the way a GQ collinearity graph decomposes around each point.
 
-    Fails with a witness vertex y whenever {y} + common(x, y) is not an
-    s-clique or collides with another candidate; this happens exactly when
-    the claw number of x exceeds t+1.
+    The candidate set {y} + common(x, y) of each neighbor y has s vertices,
+    and an s-clique of the local graph is the candidate set of each of its
+    members (see _partition_local), so the partition exists iff every
+    candidate set is a clique.  It fails with the smallest neighbor y
+    whose candidate set is not; by Caro-Wei this happens exactly when the
+    claw number of x exceeds t+1.
     """
     _require_matching_srg(g, p)
-    masks, witness, reason = _partition_local(g, x, p.s, p.t)
+    masks, witness = _partition_local(g, x)
     if masks is None:
+        reason = f"candidate set of vertex {witness} is not a clique"
         return PartitionResult(None, witness, reason)
     return PartitionResult(CliqueCover.from_sets(tuple(_bits(m)) for m in masks))
 
@@ -439,11 +428,12 @@ def claw_lower_bound_check(g: Graph, p: GQParams) -> ClawCheck:
 # pgqgraph v1 file format
 #
 #   pgqgraph 1
-#   <n> <m>
+#   <n> <m>          (n <= 2^20)
 #   <u> <v>          (m lines, 0 <= u < v < n)
 # ---------------------------------------------------------------------------
 
 PGQGRAPH_HEADER = "pgqgraph 1"
+MAX_PGQGRAPH_VERTICES = 1 << 20
 
 
 def write_pgqgraph(g: Graph) -> str:
@@ -464,7 +454,11 @@ def _int_fields(line: str, count: int, lineno: int) -> list[int]:
 
 
 def parse_pgqgraph(text: str) -> Graph:
-    """Parse pgqgraph v1; strict about header, counts, ordering and range."""
+    """Parse pgqgraph v1; strict about header, counts, ordering and range.
+
+    The vertex count is capped at MAX_PGQGRAPH_VERTICES (2^20), since
+    one adjacency row is allocated per declared vertex.
+    """
     lines = text.splitlines()
     if not lines or lines[0].strip() != PGQGRAPH_HEADER:
         raise FormatError(f"missing '{PGQGRAPH_HEADER}' header")
@@ -473,6 +467,8 @@ def parse_pgqgraph(text: str) -> Graph:
     n, m = _int_fields(lines[1], 2, 2)
     if n < 0 or m < 0:
         raise FormatError("negative vertex or edge count")
+    if n > MAX_PGQGRAPH_VERTICES:
+        raise FormatError(f"line 2: vertex count {n} is too large")
     body = [ln for ln in lines[2:] if ln.strip()]
     if len(body) != m:
         raise FormatError(f"expected {m} edge lines, got {len(body)}")
@@ -486,6 +482,3 @@ def parse_pgqgraph(text: str) -> Graph:
         return Graph(n, edges)
     except ValueError as exc:
         raise FormatError(str(exc)) from None
-    except (OverflowError, MemoryError):
-        # n rows cannot be indexed or allocated; refused before any work.
-        raise FormatError(f"line 2: vertex count {n} is too large") from None

@@ -25,6 +25,7 @@ from .params import (
     FAIL,
     NA,
     PASS,
+    _NA_WITNESS,
     GQParams,
     SrgParams,
     Verdict,
@@ -96,9 +97,8 @@ def check_one(p: GQParams) -> FeasibilityReport:
     if p.is_trivial:
         which = "s=1" if s == 1 else "t=1"
         verdicts.append(Verdict("trivial", FAIL, f"{which}: trivial parameters"))
-        na = "not applicable: requires s >= 2 and t >= 2"
         for name in CONDITION_ORDER[2:]:
-            verdicts.append(Verdict(name, NA, na))
+            verdicts.append(Verdict(name, NA, _NA_WITNESS))
         return FeasibilityReport(p, q, tuple(verdicts), TRIVIAL)
     verdicts.append(Verdict("trivial", PASS, "s >= 2 and t >= 2"))
     verdicts.append(krein_check(p))

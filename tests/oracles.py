@@ -96,6 +96,20 @@ def census_witness(graph, t):
     return next(((x, phi) for x, phi in enumerate(claws) if phi > t + 1), None)
 
 
+def local_partition_oracle(graph, x):
+    """The local clique partition at x with plain sets: (y, None) for the
+    smallest neighbor y whose {y} + common(x, y) is not a clique, else
+    (None, the distinct candidate sets as sorted tuples, sorted)."""
+    nbrs = {v: {w for w in range(graph.n) if graph.has_edge(v, w)} for v in range(graph.n)}
+    candidates = set()
+    for y in sorted(nbrs[x]):
+        cand = {y} | (nbrs[x] & nbrs[y])
+        if any(w not in nbrs[v] for v, w in combinations(cand, 2)):
+            return y, None
+        candidates.add(tuple(sorted(cand)))
+    return None, tuple(sorted(candidates))
+
+
 def relabel(graph, perm):
     """The graph with vertex v renamed perm[v]."""
     return Graph(graph.n, [(perm[u], perm[v]) for u, v in graph.edges()])

@@ -173,10 +173,11 @@ def test_graph_empty_graph_is_input_error(capsys, monkeypatch, action):
     assert (code, out, err) == (2, "", "error: empty graph\n")
 
 
-@pytest.mark.parametrize("n", ["100000000000000000000", "1000000000000000"])
+@pytest.mark.parametrize(
+    "n", ["100000000000000000000", "1000000000000000", "10000000", str(2**20 + 1)]
+)
 def test_graph_huge_vertex_count_is_input_error(capsys, monkeypatch, n):
-    # The first count cannot index a list; the second asks for 8 PB of rows,
-    # which the allocator refuses at once.
+    # Every count above 2^20 is refused before any row is allocated.
     monkeypatch.setattr("sys.stdin", io.StringIO(f"pgqgraph 1\n{n} 0\n"))
     code, out, err = run(capsys, "graph", "verify", "-")
     assert (code, out, err) == (2, "", f"error: line 2: vertex count {n} is too large\n")

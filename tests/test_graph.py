@@ -103,6 +103,11 @@ def test_pgqgraph_parse_errors(text):
         parse_pgqgraph(text)
 
 
+def test_pgqgraph_accepts_vertex_count_at_limit():
+    g = parse_pgqgraph(f"pgqgraph 1\n{2**20} 1\n0 {2**20 - 1}\n")
+    assert (g.n, g.has_edge(2**20 - 1, 0)) == (2**20, True)
+
+
 # ---------------------------------------------------------------------------
 # SRG verification
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from pgq.errors import DomainError, FormatError
-from pgq.graph import Graph, _partition_local, claw_number, verify_srg
+from pgq.graph import Graph, _partition_local, claw_number, clique_partition_of_local, verify_srg
 from pgq.incidence import (
     IncidenceStructure,
     collinearity_graph,
@@ -28,10 +28,12 @@ from oracles import (
     census_witness,
     edge_set,
     godsil_mckay_switch,
+    local_partition_oracle,
     relabel,
 )
 
-W3 = extract_gq(gen_symplectic_w3(), GQParams(3, 3)).structure
+W3_GRAPH = gen_symplectic_w3()
+W3 = extract_gq(W3_GRAPH, GQParams(3, 3)).structure
 Q43 = collinearity_graph(dual(W3))
 # Godsil-McKay switching of the Q(4,3) graph: srg(40,12,2,4), the
 # parameters of a GQ(3,3), but with claw numbers up to 6 > t+1 = 4.
@@ -166,10 +168,39 @@ def test_partition_succeeds_iff_claw_is_t_plus_1(g):
     # Caro-Wei: the local graph is (s-1)-regular on s(t+1) vertices, so its
     # claw number is at least t+1, with equality iff it is (t+1) K_s.
     for x in range(g.n):
-        masks, _, _ = _partition_local(g, x, 3, 3)
+        masks, _ = _partition_local(g, x)
         phi = claw_number(g, x)
         assert phi >= 4
         assert (masks is not None) == (phi == 4)
+
+
+@pytest.mark.parametrize("seed", [None, *range(5)])
+@pytest.mark.parametrize(
+    "g,p",
+    [
+        (gen_rook(4), GQParams(3, 1)),
+        (gen_kneser_6_2(), GQParams(2, 2)),
+        (W3_GRAPH, GQParams(3, 3)),
+        (gen_shrikhande(), GQParams(3, 1)),
+        (SWITCHED_Q43, GQParams(3, 3)),
+    ],
+    ids=["rook4", "kneser", "w3", "shrikhande", "switched-q43"],
+)
+def test_partition_witness_matches_oracle(g, p, seed):
+    # The walk over uncovered neighbors must fail at the smallest neighbor
+    # whose candidate set is not a clique, and otherwise return exactly the
+    # distinct candidate sets.
+    if seed is not None:
+        g = relabel(g, random.Random(seed).sample(range(g.n), g.n))
+    for x in range(g.n):
+        witness, cliques = local_partition_oracle(g, x)
+        res = clique_partition_of_local(g, x, p)
+        assert res.witness == witness
+        if witness is None:
+            assert (res.reason, res.cover.cliques) == (None, cliques)
+        else:
+            assert res.cover is None
+            assert res.reason == f"candidate set of vertex {witness} is not a clique"
 
 
 def test_extract_requires_matching_parameters():
