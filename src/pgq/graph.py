@@ -3,10 +3,13 @@ claw numbers, clique partitions and clique covers.
 
 Graphs are immutable, with one integer bitmask per adjacency row, so all
 neighborhood algebra (common neighbors, induced subgraphs, independence
-tests) is bitwise.  The claw number of a vertex x is the maximum size of
-an induced coclique in the local graph at x, computed by exact branch and
-bound; local graphs have only k vertices, so this is cheap at the scales
-this package targets (k up to a few hundred; worst case is exponential).
+tests) is bitwise, and each graph keeps its verify_srg result after the
+first call.  The claw number of a vertex x is the maximum size of an
+induced coclique in the local graph at x.  One greedy cover walk of the
+local graph settles it whenever every candidate set the walk takes is a
+clique (always, in a GQ collinearity graph); only where the walk fails is
+it computed by exact branch and bound, whose worst case is exponential in
+the k vertices of the local graph.
 """
 
 from __future__ import annotations
@@ -29,13 +32,12 @@ def _bits(mask: int):
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "_rows")
+    __slots__ = ("n", "_rows", "_srg")
 
     def __init__(self, n: int, edges):
         if not isinstance(n, int) or isinstance(n, bool) or n < 0:
             raise ValueError(f"vertex count must be a nonnegative integer, got {n!r}")
         rows = [0] * n
-        seen = set()
         for u, v in edges:
             if not (isinstance(u, int) and isinstance(v, int)):
                 raise ValueError(f"edge endpoints must be integers, got ({u!r}, {v!r})")
@@ -43,14 +45,13 @@ class Graph:
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise ValueError(f"duplicate edge ({key[0]}, {key[1]})")
-            seen.add(key)
+            if rows[u] >> v & 1:
+                raise ValueError(f"duplicate edge ({min(u, v)}, {max(u, v)})")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
         self.n = n
         self._rows = tuple(rows)
+        self._srg = None  # the SrgCheck, filled by the first verify_srg
 
     def row(self, v: int) -> int:
         """Neighborhood of v as a bitmask."""
@@ -198,7 +199,15 @@ def verify_srg(g: Graph) -> SrgCheck:
     """Check that g is strongly regular: connected, non-complete,
     k-regular, with constant lam over adjacent pairs and constant mu over
     non-adjacent pairs.  On failure the witness names the first violation
-    in vertex order."""
+    in vertex order.  The graph is immutable, so the result is kept on it
+    and every later call on the same graph returns it without a pass."""
+    if g._srg is None:
+        g._srg = _srg_pass(g)
+    return g._srg
+
+
+def _srg_pass(g: Graph) -> SrgCheck:
+    """The O(n^2) pass behind verify_srg."""
     if g.n == 0:
         raise ValueError("empty graph")
     k = g.degree(0)
@@ -210,11 +219,12 @@ def verify_srg(g: Graph) -> SrgCheck:
         return SrgCheck(None, "complete graph")
     if not _connected(g):
         return SrgCheck(None, "not connected")
+    rows = g._rows
     lam = mu = None
-    for u in range(g.n):
+    for u, ru in enumerate(rows):
         for v in range(u + 1, g.n):
-            c = g.common_neighbors(u, v).bit_count()
-            if g.has_edge(u, v):
+            c = (ru & rows[v]).bit_count()
+            if ru >> v & 1:
                 if lam is None:
                     lam = c
                 elif c != lam:
@@ -235,10 +245,14 @@ def verify_srg(g: Graph) -> SrgCheck:
     return SrgCheck(SrgParams(g.n, k, lam, mu))
 
 
-def local_graph(g: Graph, x: int) -> LocalGraph:
-    """Induced subgraph on the neighborhood of x."""
+def _require_vertex(g: Graph, x: int) -> None:
     if not 0 <= x < g.n:
         raise ValueError(f"vertex {x} out of range")
+
+
+def local_graph(g: Graph, x: int) -> LocalGraph:
+    """Induced subgraph on the neighborhood of x."""
+    _require_vertex(g, x)
     vertices = tuple(_bits(g.row(x)))
     index = {v: i for i, v in enumerate(vertices)}
     rows = []
@@ -303,40 +317,61 @@ def _independence_number(rows: tuple[int, ...]) -> int:
 
 def claw_number(g: Graph, x: int) -> int:
     """Largest r such that x centers an induced r-claw, i.e. the maximum
-    coclique size of the local graph at x."""
+    coclique size of the local graph at x.
+
+    When the cover walk of _partition_local takes only cliques, the number
+    of cliques it takes is the claw number (see there), for any graph.
+    Exact branch and bound over the local graph runs only where the walk
+    fails.
+    """
+    _require_vertex(g, x)
+    masks, _ = _partition_local(g, x)
+    if masks is not None:
+        return len(masks)
     return _independence_number(local_graph(g, x).rows)
 
 
-def _is_clique(g: Graph, mask: int) -> bool:
+def _is_clique(rows: tuple[int, ...], mask: int) -> bool:
     for v in _bits(mask):
-        if mask & ~(g.row(v) | (1 << v)):
+        if mask & ~(rows[v] | (1 << v)):
             return False
     return True
 
 
 def _partition_local(g: Graph, x: int):
-    """Split the local graph at x into disjoint cliques, one candidate set
-    {y} + common(x, y) at a time, or name the first candidate that is not
-    a clique.  Returns (masks, None) on success and (None, y) otherwise.
+    """Cover the local graph at x by cliques, one candidate set
+    {y} + common(x, y) at a time, always for the lowest neighbor y not yet
+    covered, or name the first y whose candidate set is not a clique.
+    Returns (masks, None) on success and (None, y) otherwise.
 
-    Both callers first require g to be an srg with PGQ(s,t) parameters,
-    and lam = s-1 decides everything but the clique test:
+    On success, for any graph, the number m of masks is the claw number
+    of x.  Each y taken lies outside the candidate sets taken before it,
+    and the candidate set of y' is y' with all its neighbors inside N(x);
+    so no two ys taken are adjacent, and they form a coclique of size m.
+    The m masks are cliques covering N(x), and a coclique meets each
+    clique at most once, so no coclique is larger than m.
+
+    clique_partition_of_local and extract_gq first require g to be an srg
+    with PGQ(s,t) parameters, and lam = s-1 decides everything but the
+    clique test:
 
     - every candidate set has 1 + lam = s vertices;
     - an s-clique inside N(x) containing z has its other s-1 members in
       common(x, z), which has exactly s-1 vertices, so it is z's candidate
       set.  Candidate sets that are cliques therefore coincide or are
       disjoint, and a covered neighbor's candidate is the clique covering it;
-    - so walking the lowest uncovered neighbor fails first at the smallest
-      y whose candidate set is not a clique, and on success the masks are
-      t+1 disjoint s-cliques covering the k = s(t+1) neighbors.
+    - so the walk fails first at the smallest y whose candidate set is not
+      a clique, and on success the masks are t+1 disjoint s-cliques
+      covering the k = s(t+1) neighbors.
     """
+    rows = g._rows
+    rx = rows[x]
     masks: list[int] = []
-    uncovered = g.row(x)
+    uncovered = rx
     while uncovered:
         y = (uncovered & -uncovered).bit_length() - 1
-        cand = g.common_neighbors(x, y) | (1 << y)
-        if not _is_clique(g, cand):
+        cand = (rx & rows[y]) | (1 << y)
+        if not _is_clique(rows, cand):
             return None, y
         masks.append(cand)
         uncovered &= ~cand
@@ -365,7 +400,8 @@ def clique_partition_of_local(g: Graph, x: int, p: GQParams) -> PartitionResult:
     members (see _partition_local), so the partition exists iff every
     candidate set is a clique.  It fails with the smallest neighbor y
     whose candidate set is not; by Caro-Wei this happens exactly when the
-    claw number of x exceeds t+1.
+    claw number of x exceeds t+1.  The srg check is kept on g, so
+    partitioning every vertex of g verifies the parameters once.
     """
     _require_matching_srg(g, p)
     masks, witness = _partition_local(g, x)
@@ -409,7 +445,9 @@ def verify_clique_cover(g: Graph, cover: CliqueCover) -> CoverCheck:
 
 
 def _claw_histogram(g: Graph) -> dict[int, int]:
-    """Claw number -> vertex count over all of g, ascending by claw number."""
+    """Claw number -> vertex count over all of g, ascending by claw number.
+    Each claw number is one cover walk, plus branch and bound where the
+    walk fails."""
     if g.n == 0:
         raise ValueError("empty graph")
     return dict(sorted(Counter(claw_number(g, x) for x in range(g.n)).items()))

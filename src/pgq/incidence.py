@@ -21,7 +21,6 @@ generalized quadrangle over GF(3), and the Shrikhande graph).
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -93,42 +92,60 @@ class ExtractionResult:
 
 def verify_axioms(inc: IncidenceStructure) -> AxiomCheck:
     """Check GQ axioms in order: line size / line pairs (i), point degree
-    (ii), then the unique-collinear-point axiom (iii).  The work is bounded
-    by the incidences, not by the declared point count: the degree scan
-    stops at the first point no line mentions."""
+    (ii), then the unique-collinear-point axiom (iii).
+
+    The checks are indexed by point: through[p] is the bitmask of the
+    lines through p.  Line i meets a later line in two points exactly when
+    that line is in the masks of two points of line i, and a point p sees
+    line i (not through p) once for each point of line i collinear with
+    p.  Each check reports the first violation of the pairwise loops
+    (tests/oracles.py): the lowest line pair, then the lowest (point,
+    line).  The work is bounded by the incidences, not by the declared
+    point count: the degree scan stops at the first point no line
+    mentions.
+    """
     s, t = inc.s, inc.t
     for i, line in enumerate(inc.lines):
         if len(line) != s + 1:
             return AxiomCheck(False, "i", f"line #{i} has {len(line)} points, expected s+1={s + 1}")
-    # Masks over the ranks of the mentioned points keep every intersection
-    # size; once (ii) holds, every point is mentioned and is its own rank.
-    degree = Counter(p for line in inc.lines for p in line)
-    rank = {p: r for r, p in enumerate(sorted(degree))}
-    masks = [sum(1 << rank[p] for p in line) for line in inc.lines]
-    for i in range(len(masks)):
-        for j in range(i + 1, len(masks)):
-            if (masks[i] & masks[j]).bit_count() > 1:
-                return AxiomCheck(False, "i", f"lines #{i} and #{j} share more than one point")
+    through: dict[int, int] = {}
+    for i, line in enumerate(inc.lines):
+        for p in line:
+            through[p] = through.get(p, 0) | 1 << i
+    for i, line in enumerate(inc.lines):
+        seen = twice = 0
+        for p in line:
+            later = through[p] >> (i + 1)
+            twice |= seen & later
+            seen |= later
+        if twice:
+            j = i + (twice & -twice).bit_length()
+            return AxiomCheck(False, "i", f"lines #{i} and #{j} share more than one point")
     for p in range(inc.points):
-        if degree[p] != t + 1:
-            return AxiomCheck(False, "ii", f"point {p} lies on {degree[p]} lines, expected t+1={t + 1}")
+        degree = through.get(p, 0).bit_count()
+        if degree != t + 1:
+            return AxiomCheck(False, "ii", f"point {p} lies on {degree} lines, expected t+1={t + 1}")
     # No point-pair pass for (ii): two points on two common lines would
     # make those lines share two points, which (i) has already rejected.
-    collinear = [0] * inc.points
-    for mask, line in zip(masks, inc.lines):
-        for p in line:
-            collinear[p] |= mask
+    # For the same reason each point collinear with p is on exactly one
+    # line through p, so the walk below visits it once.
+    all_lines = (1 << len(inc.lines)) - 1
     for p in range(inc.points):
-        others = collinear[p] & ~(1 << p)
-        for i, mask in enumerate(masks):
-            if mask >> p & 1:
-                continue
-            hits = (mask & others).bit_count()
-            if hits != 1:
-                return AxiomCheck(
-                    False, "iii",
-                    f"point {p} is collinear with {hits} points of line #{i}, expected exactly 1",
-                )
+        own = through[p]
+        seen = twice = 0
+        for i in _bits(own):
+            for q in inc.lines[i]:  # q = p adds nothing: through[p] = own
+                other = through[q] & ~own
+                twice |= seen & other
+                seen |= other
+        bad = twice | (all_lines & ~own & ~seen)
+        if bad:
+            i = (bad & -bad).bit_length() - 1
+            hits = sum(1 for q in inc.lines[i] if through[q] & own)
+            return AxiomCheck(
+                False, "iii",
+                f"point {p} is collinear with {hits} points of line #{i}, expected exactly 1",
+            )
     return AxiomCheck(True)
 
 

@@ -136,3 +136,33 @@ def godsil_mckay_switch(graph, subset):
         if hits[v] == len(d) // 2:
             edges ^= {frozenset((v, w)) for w in d}
     return Graph(graph.n, [tuple(sorted(e)) for e in edges])
+
+
+def axioms_oracle(inc):
+    """(ok, axiom, witness) of verify_axioms by the pairwise loops over
+    plain sets: every pair of lines for (i), every point's degree for
+    (ii), and every non-incident point-line pair for (iii)."""
+    s, t = inc.s, inc.t
+    lines = [set(line) for line in inc.lines]
+    for i, line in enumerate(lines):
+        if len(line) != s + 1:
+            return False, "i", f"line #{i} has {len(line)} points, expected s+1={s + 1}"
+    for i, j in combinations(range(len(lines)), 2):
+        if len(lines[i] & lines[j]) > 1:
+            return False, "i", f"lines #{i} and #{j} share more than one point"
+    for p in range(inc.points):
+        degree = sum(p in line for line in lines)
+        if degree != t + 1:
+            return False, "ii", f"point {p} lies on {degree} lines, expected t+1={t + 1}"
+    for p in range(inc.points):
+        collinear = set().union(*(line for line in lines if p in line)) - {p}
+        for i, line in enumerate(lines):
+            if p in line:
+                continue
+            hits = len(line & collinear)
+            if hits != 1:
+                return (
+                    False, "iii",
+                    f"point {p} is collinear with {hits} points of line #{i}, expected exactly 1",
+                )
+    return True, None, None

@@ -13,10 +13,13 @@ import pgq
 from pgq.cli import main
 from pgq.graph import parse_pgqgraph, write_pgqgraph
 from pgq.incidence import (
+    collinearity_graph,
+    dual,
     extract_gq,
     gen_kneser_6_2,
     gen_rook,
     gen_shrikhande,
+    gen_symplectic_w3,
     parse_pgqinc,
     write_pgqinc,
 )
@@ -194,6 +197,47 @@ def test_graph_extract_gq_infers_parameters(capsys, rook_file):
     code, out, _ = run(capsys, "graph", "extract-gq", rook_file)
     assert code == 0
     assert parse_pgqinc(out).s == 3
+
+
+def test_graph_extract_gq_verifies_the_srg_once(capsys, srg_passes, rook_file):
+    # Inferring (s, t) and requiring the matching srg share one pass.
+    code, out, _ = run(capsys, "graph", "extract-gq", rook_file)
+    assert code == 0 and parse_pgqinc(out).s == 3
+    assert len(srg_passes) == 1
+
+
+class BranchAndBoundReached(Exception):
+    pass
+
+
+W3_GRAPH = gen_symplectic_w3()
+Q43_GRAPH = collinearity_graph(dual(extract_gq(W3_GRAPH, GQParams(3, 3)).structure))
+
+
+@pytest.mark.parametrize(
+    "g,histogram",
+    [(W3_GRAPH, {"4": 40}), (Q43_GRAPH, {"4": 40}), (gen_shrikhande(), None)],
+    ids=["w3", "q43", "shrikhande"],
+)
+def test_graph_claw_runs_branch_and_bound_only_where_the_walk_fails(
+    capsys, monkeypatch, tmp_path, g, histogram
+):
+    # In a GQ collinearity graph every cover walk takes only cliques, so
+    # its count is the claw number; Shrikhande's walks fail and must fall
+    # back to branch and bound.
+    def refuse(rows):
+        raise BranchAndBoundReached
+
+    monkeypatch.setattr("pgq.graph._independence_number", refuse)
+    path = tmp_path / "g.pgqgraph"
+    path.write_text(write_pgqgraph(g), encoding="ascii")
+    if histogram is None:
+        with pytest.raises(BranchAndBoundReached):
+            main(["graph", "claw", str(path)])
+        return
+    code, out, _ = run(capsys, "graph", "claw", str(path))
+    assert code == 0
+    assert json.loads(out) == {"histogram": histogram, "min": 4, "max": 4}
 
 
 def test_graph_extract_gq_negative_pipeline(capsys, monkeypatch, shrikhande_file):

@@ -51,8 +51,9 @@ def test_graph_rejects_bad_edges():
         Graph(3, [(0, 0)])
     with pytest.raises(ValueError):
         Graph(3, [(0, 3)])
-    with pytest.raises(ValueError):
-        Graph(3, [(0, 1), (1, 0)])
+    for edges in ([(0, 1), (1, 0)], [(1, 0), (0, 1)], [(1, 0), (1, 0)]):
+        with pytest.raises(ValueError, match=r"^duplicate edge \(0, 1\)$"):
+            Graph(3, edges)
     with pytest.raises(ValueError):
         Graph(-1, [])
 
@@ -149,6 +150,14 @@ def test_verify_srg_missing_pair_type_is_internal_error(monkeypatch):
         verify_srg(Graph(3, []))
 
 
+def test_verify_srg_result_is_kept_on_the_graph(srg_passes):
+    g, hexagon = gen_rook(4), cycle(6)
+    first, failed = verify_srg(g), verify_srg(hexagon)
+    assert verify_srg(g) is first and verify_srg(hexagon) is failed
+    assert srg_passes == [g, hexagon]
+    assert verify_srg(gen_rook(4)) == first and len(srg_passes) == 3  # a new graph is a new pass
+
+
 def test_verify_srg_first_witness_is_deterministic():
     check = verify_srg(cycle(6))
     # (0, 2) is the first non-adjacent pair in order; (0, 3) disagrees.
@@ -226,6 +235,15 @@ def test_partition_shrikhande_fails_with_witness():
     assert not res.ok
     assert res.witness is not None
     assert "not a clique" in res.reason
+
+
+def test_partitioning_every_vertex_verifies_the_srg_once(srg_passes):
+    # Each call requires the srg parameters, but the O(n^2) pass behind
+    # verify_srg must run once per graph, not once per vertex.
+    g = gen_symplectic_w3()
+    for x in range(g.n):
+        assert clique_partition_of_local(g, x, GQParams(3, 3)).ok
+    assert len(srg_passes) == 1
 
 
 def test_partition_requires_matching_parameters():

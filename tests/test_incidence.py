@@ -6,7 +6,15 @@ import random
 import pytest
 
 from pgq.errors import DomainError, FormatError
-from pgq.graph import Graph, _partition_local, claw_number, clique_partition_of_local, verify_srg
+from pgq.graph import (
+    Graph,
+    _independence_number,
+    _partition_local,
+    claw_number,
+    clique_partition_of_local,
+    local_graph,
+    verify_srg,
+)
 from pgq.incidence import (
     IncidenceStructure,
     collinearity_graph,
@@ -24,6 +32,7 @@ from pgq.incidence import (
 from pgq.params import GQParams, derive_srg
 
 from oracles import (
+    axioms_oracle,
     brute_srg_params,
     census_witness,
     edge_set,
@@ -38,16 +47,18 @@ Q43 = collinearity_graph(dual(W3))
 # Godsil-McKay switching of the Q(4,3) graph: srg(40,12,2,4), the
 # parameters of a GQ(3,3), but with claw numbers up to 6 > t+1 = 4.
 SWITCHED_Q43 = godsil_mckay_switch(Q43, (0, 5, 10, 15))
+GQ22 = extract_gq(gen_kneser_6_2(), GQParams(2, 2)).structure
+GQ31 = extract_gq(gen_rook(4), GQParams(3, 1)).structure
 
 
 @pytest.fixture(scope="module")
 def gq22():
-    return extract_gq(gen_kneser_6_2(), GQParams(2, 2)).structure
+    return GQ22
 
 
 @pytest.fixture(scope="module")
 def gq31():
-    return extract_gq(gen_rook(4), GQParams(3, 1)).structure
+    return GQ31
 
 
 # ---------------------------------------------------------------------------
@@ -100,6 +111,51 @@ def test_axiom_iii_disjoint_grids():
     assert not check.ok
     assert check.axiom == "iii"
     assert "point 0" in check.witness
+
+
+def axiom_mutations(inc):
+    """inc itself and deterministic breakages of it: a point moved to
+    another line, two points swapped between lines, a point dropped, a
+    line duplicated or deleted, the lines reversed, the points relabelled."""
+    lines = [list(line) for line in inc.lines]
+    rng = random.Random(len(lines))
+    out = [lines, lines + [lines[1]], lines[1:], lines[::-1]]
+    for k in range(4):
+        i, j = rng.sample(range(len(lines)), 2)
+        a = next(p for p in lines[i] if p not in lines[j])
+        b = next(p for p in lines[j] if p not in lines[i])
+        moved, swapped, dropped = ([list(line) for line in lines] for _ in range(3))
+        moved[i].remove(a)
+        moved[j].append(a)
+        swapped[i][swapped[i].index(a)] = b
+        swapped[j][swapped[j].index(b)] = a
+        dropped[j].pop(k % len(dropped[j]))
+        out += [moved, swapped, dropped]
+    perm = rng.sample(range(inc.points), inc.points)
+    out.append([[perm[p] for p in line] for line in lines])
+    return [IncidenceStructure(inc.points, m, inc.s, inc.t) for m in out]
+
+
+AXIOM_BASES = {"gq22": GQ22, "w3": W3, "gq31": GQ31}
+AXIOM_BASES.update({f"dual-{name}": dual(inc) for name, inc in AXIOM_BASES.items()})
+
+
+@pytest.mark.parametrize("inc", AXIOM_BASES.values(), ids=AXIOM_BASES.keys())
+def test_axioms_match_pairwise_oracle(inc):
+    # The point-indexed checks must name the same first violation as the
+    # loops over every line pair and every point-line pair.
+    for mutated in axiom_mutations(inc):
+        check = verify_axioms(mutated)
+        assert (check.ok, check.axiom, check.witness) == axioms_oracle(mutated)
+
+
+def test_axiom_mutations_reach_every_verdict():
+    verdicts = {
+        (check.axiom, (check.witness or "").split(" ")[0])
+        for inc in AXIOM_BASES.values()
+        for check in map(verify_axioms, axiom_mutations(inc))
+    }
+    assert verdicts == {(None, ""), ("i", "line"), ("i", "lines"), ("ii", "point"), ("iii", "point")}
 
 
 def test_k33_as_gq_1_2():
@@ -201,6 +257,37 @@ def test_partition_witness_matches_oracle(g, p, seed):
         else:
             assert res.cover is None
             assert res.reason == f"candidate set of vertex {witness} is not a clique"
+
+
+@pytest.mark.parametrize("seed", [None, *range(5)])
+@pytest.mark.parametrize(
+    "g,walks",
+    [
+        (gen_rook(4), {True}),
+        (gen_kneser_6_2(), {True}),
+        (gen_complete_bipartite(4), {True}),
+        (W3_GRAPH, {True}),
+        (Q43, {True}),
+        (gen_shrikhande(), {False}),
+        (SWITCHED_Q43, {True, False}),
+    ],
+    ids=["rook4", "kneser", "k44", "w3", "q43", "shrikhande", "switched-q43"],
+)
+def test_walk_claw_number_matches_branch_and_bound(g, walks, seed):
+    # A cover walk that takes only cliques finds a coclique and a clique
+    # cover of N(x) of one size, which is then the claw number.  walks is
+    # the set of walk outcomes: all succeed on a GQ collinearity graph.
+    if seed is not None:
+        g = relabel(g, random.Random(seed).sample(range(g.n), g.n))
+    succeeded = set()
+    for x in range(g.n):
+        exact = _independence_number(local_graph(g, x).rows)
+        masks, _ = _partition_local(g, x)
+        if masks is not None:
+            assert len(masks) == exact
+        succeeded.add(masks is not None)
+        assert claw_number(g, x) == exact
+    assert succeeded == walks
 
 
 def test_extract_requires_matching_parameters():
