@@ -17,48 +17,12 @@ data only, in the declared format; diagnostics go to stderr.  FILE may be
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from fractions import Fraction
 
-from .bounds import (
-    BoundChoice,
-    claw_bound_terms,
-    neumaier_bound,
-    optimal_claw_bound,
-    quadratic_claw_bound,
-)
 from .errors import PgqError
-from .graph import (
-    _claw_histogram,
-    claw_lower_bound_check,
-    parse_pgqgraph,
-    verify_srg,
-    write_pgqgraph,
-)
-from .incidence import (
-    collinearity_graph,
-    dual,
-    extract_gq,
-    gen_complete_bipartite,
-    gen_kneser_6_2,
-    gen_rook,
-    gen_shrikhande,
-    gen_symplectic_w3,
-    parse_pgqinc,
-    verify_axioms,
-    write_pgqinc,
-)
-from .params import GQParams, derive_srg, identify_gq_form
-from .scan import (
-    RULED_OUT_NEW,
-    RULED_OUT_PRIOR,
-    ScanRange,
-    check_one,
-    emit,
-    report_to_dict,
-    scan,
-)
+
+# Each handler imports the modules of its own subcommand, so a process
+# loads only what its subcommand runs (and `--help` none of them).
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -91,11 +55,14 @@ def _write_output(text: str, out: str | None) -> None:
 
 
 def _json(obj) -> str:
+    import json
+
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _frac(f: Fraction) -> dict:
-    # Decimal rendering is for humans only; verdicts never use it.
+def _frac(f) -> dict:
+    # f is an exact Fraction; the decimal rendering is for humans only,
+    # and verdicts never use it.
     return {"fraction": str(f), "decimal": f"{float(f):.6g}"}
 
 
@@ -139,12 +106,17 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_scan(args) -> int:
+    from .scan import ScanRange, emit, scan
+
     reports = scan(ScanRange(args.t_min, args.t_max))
     _write_output(emit(reports, args.format), args.out)
     return EXIT_OK
 
 
 def _cmd_check(args) -> int:
+    from .params import GQParams
+    from .scan import RULED_OUT_NEW, RULED_OUT_PRIOR, check_one, report_to_dict
+
     report = check_one(GQParams(args.s, args.t))
     if args.format == "json":
         sys.stdout.write(_json(report_to_dict(report)))
@@ -155,6 +127,14 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_bound(args) -> int:
+    from .bounds import (
+        BoundChoice,
+        claw_bound_terms,
+        neumaier_bound,
+        optimal_claw_bound,
+        quadratic_claw_bound,
+    )
+
     t = args.t
     if (args.theta is None) != (args.beta is None):
         raise UsageError("--theta and --beta must be given together")
@@ -185,12 +165,17 @@ def _cmd_bound(args) -> int:
 
 
 def _explicit_params(args) -> GQParams | None:
+    from .params import GQParams
+
     if (args.s is None) != (args.t is None):
         raise UsageError("--s and --t must be given together")
     return None if args.s is None else GQParams(args.s, args.t)
 
 
 def _graph_params(args, g) -> GQParams:
+    from .graph import verify_srg
+    from .params import identify_gq_form
+
     p = _explicit_params(args)
     if p is not None:
         return p
@@ -206,6 +191,9 @@ def _graph_params(args, g) -> GQParams:
 
 
 def _cmd_graph(args) -> int:
+    from .graph import _claw_histogram, claw_lower_bound_check, parse_pgqgraph, verify_srg
+    from .params import derive_srg
+
     g = parse_pgqgraph(_read_input(args.file))
     if args.action == "verify":
         check = verify_srg(g)
@@ -237,6 +225,8 @@ def _cmd_graph(args) -> int:
         }))
         return code
     # extract-gq
+    from .incidence import extract_gq, write_pgqinc
+
     p = _graph_params(args, g)
     result = extract_gq(g, p)
     if not result.ok:
@@ -247,6 +237,15 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    from .graph import write_pgqgraph
+    from .incidence import (
+        gen_complete_bipartite,
+        gen_kneser_6_2,
+        gen_rook,
+        gen_shrikhande,
+        gen_symplectic_w3,
+    )
+
     name = args.name
     if name in ("rook", "bipartite"):
         if args.m is None:
@@ -265,6 +264,9 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_inc(args) -> int:
+    from .graph import write_pgqgraph
+    from .incidence import collinearity_graph, dual, parse_pgqinc, verify_axioms, write_pgqinc
+
     inc = parse_pgqinc(_read_input(args.file))
     if args.action == "verify":
         check = verify_axioms(inc)

@@ -15,8 +15,8 @@ the k vertices of the local graph.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
+from ._record import Record, set_field
 from .errors import DomainError, FormatError, InternalInconsistencyError
 from .params import GQParams, SrgParams, derive_srg
 
@@ -90,17 +90,19 @@ class Graph:
         return f"Graph(n={self.n}, m={self.edge_count})"
 
 
-@dataclass(frozen=True)
-class LocalGraph:
+class LocalGraph(Record):
     """The subgraph induced on the neighborhood of a center vertex.
 
     vertices holds the neighbors by original id, ascending; rows is the
     induced adjacency over local indices 0..len(vertices)-1.
     """
 
-    center: int
-    vertices: tuple[int, ...]
-    rows: tuple[int, ...]
+    __slots__ = ("center", "vertices", "rows")
+
+    def __init__(self, center: int, vertices: tuple[int, ...], rows: tuple[int, ...]):
+        set_field(self, "center", center)
+        set_field(self, "vertices", vertices)
+        set_field(self, "rows", rows)
 
     def as_graph(self) -> Graph:
         n = len(self.vertices)
@@ -108,23 +110,27 @@ class LocalGraph:
         return Graph(n, edges)
 
 
-@dataclass(frozen=True)
-class CliqueCover:
+class CliqueCover(Record):
     """A family of vertex sets intended to cover every edge exactly once."""
 
-    cliques: tuple[tuple[int, ...], ...]
+    __slots__ = ("cliques",)
+
+    def __init__(self, cliques: tuple[tuple[int, ...], ...]):
+        set_field(self, "cliques", cliques)
 
     @staticmethod
     def from_sets(sets) -> "CliqueCover":
         return CliqueCover(tuple(sorted(tuple(sorted(s)) for s in sets)))
 
 
-@dataclass(frozen=True)
-class SrgCheck:
+class SrgCheck(Record):
     """Result of verify_srg: either the parameters or a first witness."""
 
-    params: SrgParams | None
-    failure: str | None = None
+    __slots__ = ("params", "failure")
+
+    def __init__(self, params: SrgParams | None, failure: str | None = None):
+        set_field(self, "params", params)
+        set_field(self, "failure", failure)
 
     @property
     def ok(self) -> bool:
@@ -134,14 +140,17 @@ class SrgCheck:
         return self.ok
 
 
-@dataclass(frozen=True)
-class PartitionResult:
+class PartitionResult(Record):
     """Result of clique_partition_of_local: a cover or a witness vertex
     whose candidate set breaks the partition."""
 
-    cover: CliqueCover | None
-    witness: int | None = None
-    reason: str | None = None
+    __slots__ = ("cover", "witness", "reason")
+
+    def __init__(self, cover: CliqueCover | None, witness: int | None = None,
+                 reason: str | None = None):
+        set_field(self, "cover", cover)
+        set_field(self, "witness", witness)
+        set_field(self, "reason", reason)
 
     @property
     def ok(self) -> bool:
@@ -151,8 +160,7 @@ class PartitionResult:
         return self.ok
 
 
-@dataclass(frozen=True)
-class CoverCheck:
+class CoverCheck(Record):
     """Result of verify_clique_cover.
 
     diagonal[j] is the number of cliques containing vertex j, i.e. the
@@ -160,22 +168,27 @@ class CoverCheck:
     RR^T - A is exactly that diagonal (every edge in exactly one clique).
     """
 
-    ok: bool
-    diagonal: tuple[int, ...]
-    failure: str | None = None
+    __slots__ = ("ok", "diagonal", "failure")
+
+    def __init__(self, ok: bool, diagonal: tuple[int, ...], failure: str | None = None):
+        set_field(self, "ok", ok)
+        set_field(self, "diagonal", diagonal)
+        set_field(self, "failure", failure)
 
     def __bool__(self) -> bool:
         return self.ok
 
 
-@dataclass(frozen=True)
-class ClawCheck:
+class ClawCheck(Record):
     """Claw-number census of a graph against the PGQ lower bound t+1."""
 
-    ok: bool
-    histogram: dict[int, int]
-    minimum: int
-    threshold: int
+    __slots__ = ("ok", "histogram", "minimum", "threshold")
+
+    def __init__(self, ok: bool, histogram: dict[int, int], minimum: int, threshold: int):
+        set_field(self, "ok", ok)
+        set_field(self, "histogram", histogram)
+        set_field(self, "minimum", minimum)
+        set_field(self, "threshold", threshold)
 
     def __bool__(self) -> bool:
         return self.ok

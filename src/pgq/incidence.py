@@ -21,24 +21,20 @@ generalized quadrangle over GF(3), and the Shrikhande graph).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
+from ._record import Record, set_field
 from .errors import DomainError, FormatError, InternalInconsistencyError
 from .graph import Graph, _bits, _partition_local, _require_matching_srg, claw_number
 from .params import GQParams
 
 
-@dataclass(frozen=True)
-class IncidenceStructure:
+class IncidenceStructure(Record):
     """Points 0..points-1 plus lines (sorted point tuples), with the
     declared orders (s, t).  Construction normalizes and range-checks the
     lines; the geometric axioms are checked by verify_axioms."""
 
-    points: int
-    lines: tuple[tuple[int, ...], ...]
-    s: int
-    t: int
+    __slots__ = ("points", "lines", "s", "t")
 
     def __init__(self, points: int, lines, s: int, t: int):
         if not isinstance(points, int) or points < 1:
@@ -53,34 +49,39 @@ class IncidenceStructure:
             if pts and not (0 <= pts[0] and pts[-1] < points):
                 raise ValueError(f"line #{i} mentions a point out of range")
             norm.append(pts)
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "lines", tuple(norm))
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "t", t)
+        set_field(self, "points", points)
+        set_field(self, "lines", tuple(norm))
+        set_field(self, "s", s)
+        set_field(self, "t", t)
 
 
-@dataclass(frozen=True)
-class AxiomCheck:
+class AxiomCheck(Record):
     """Axiom verdict; on failure, axiom is "i", "ii" or "iii" and the
     witness pinpoints the first violating object in lexicographic order."""
 
-    ok: bool
-    axiom: str | None = None
-    witness: str | None = None
+    __slots__ = ("ok", "axiom", "witness")
+
+    def __init__(self, ok: bool, axiom: str | None = None, witness: str | None = None):
+        set_field(self, "ok", ok)
+        set_field(self, "axiom", axiom)
+        set_field(self, "witness", witness)
 
     def __bool__(self) -> bool:
         return self.ok
 
 
-@dataclass(frozen=True)
-class ExtractionResult:
+class ExtractionResult(Record):
     """Either the extracted incidence structure, or pseudo-GQ evidence:
     a witness vertex whose claw number exceeds t+1."""
 
-    structure: IncidenceStructure | None
-    witness_vertex: int | None = None
-    witness_claw: int | None = None
-    reason: str | None = None
+    __slots__ = ("structure", "witness_vertex", "witness_claw", "reason")
+
+    def __init__(self, structure: IncidenceStructure | None, witness_vertex: int | None = None,
+                 witness_claw: int | None = None, reason: str | None = None):
+        set_field(self, "structure", structure)
+        set_field(self, "witness_vertex", witness_vertex)
+        set_field(self, "witness_claw", witness_claw)
+        set_field(self, "reason", reason)
 
     @property
     def ok(self) -> bool:
@@ -158,15 +159,17 @@ def extract_gq(g: Graph, p: GQParams) -> ExtractionResult:
     disjoint s-cliques.  The partition is tried at every vertex in
     ascending order; the first vertex where it fails is the smallest with
     claw number above t+1 and is returned as the witness.  Otherwise the
-    lines {x} + C are gathered into a set.  The line through an edge xy is
-    {x, y} + common(x, y) from either endpoint, and every vertex lies on
-    t+1 lines of s+1 points, so no edge gets two lines and there are
-    (st+1)(t+1) of them.  The result is axiom-verified; a failure there
-    indicates a bug, not bad input.
+    lines {x} + C are gathered, each at its lowest point x, where C has no
+    vertex below x.  The line through an edge xy is {x, y} + common(x, y)
+    from either endpoint, so every point of a line finds the same line
+    and every line is gathered once; every vertex lies on t+1 lines of
+    s+1 points, so no edge gets two lines and there are (st+1)(t+1) of
+    them.  The result is axiom-verified; a failure there indicates a bug,
+    not bad input.
     """
     _require_matching_srg(g, p)
     t = p.t
-    lines: set[tuple[int, ...]] = set()
+    lines: list[tuple[int, ...]] = []
     for x in range(g.n):
         masks, witness = _partition_local(g, x)
         if masks is None:
@@ -180,7 +183,8 @@ def extract_gq(g: Graph, p: GQParams) -> ExtractionResult:
                 None, x, phi,
                 f"pseudo-GQ evidence: claw number {phi} > t+1 = {t + 1} at vertex {x}",
             )
-        lines.update(tuple(sorted([x, *_bits(mask)])) for mask in masks)
+        below = (1 << x) - 1
+        lines.extend((x, *_bits(mask)) for mask in masks if not mask & below)
     inc = IncidenceStructure(g.n, sorted(lines), p.s, t)
     check = verify_axioms(inc)
     if not check.ok:

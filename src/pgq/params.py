@@ -6,18 +6,16 @@ regular with parameters ((s+1)(st+1), s(t+1), s-1, t+1).  A strongly
 regular graph with these parameters that is not the collinearity graph of
 any GQ is a pseudo-generalized quadrangle, PGQ(s,t).
 
-Everything in this module is exact integer or rational arithmetic; no
-verdict ever depends on floating point.  Python integers are unbounded,
-so products such as s(s+1)t(t+1) are always exact.  All types are
-immutable and all operations are pure functions, safe to call from any
-number of workers concurrently.
+Everything in this module is exact integer arithmetic; no verdict ever
+depends on floating point.  Python integers are unbounded, so products
+such as s(s+1)t(t+1) are always exact.  All types are immutable and all
+operations are pure functions, safe to call from any number of workers
+concurrently.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-
+from ._record import Record, set_field
 from .errors import InternalInconsistencyError
 
 PASS = "pass"
@@ -27,17 +25,17 @@ NA = "na"
 _NA_WITNESS = "not applicable: requires s >= 2 and t >= 2"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     """Outcome of one feasibility condition with a human-readable witness."""
 
-    name: str
-    status: str
-    witness: str = ""
+    __slots__ = ("name", "status", "witness")
 
-    def __post_init__(self):
-        if self.status not in (PASS, FAIL, NA):
-            raise ValueError(f"bad verdict status {self.status!r}")
+    def __init__(self, name: str, status: str, witness: str = ""):
+        if status not in (PASS, FAIL, NA):
+            raise ValueError(f"bad verdict status {status!r}")
+        set_field(self, "name", name)
+        set_field(self, "status", status)
+        set_field(self, "witness", witness)
 
     @property
     def ok(self) -> bool:
@@ -53,8 +51,7 @@ def _check_int(name: str, value) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class GQParams:
+class GQParams(Record):
     """The pair (s, t) of generalized-quadrangle orders.
 
     Lines carry s+1 points, points carry t+1 lines.  s = 1 or t = 1 is
@@ -62,14 +59,15 @@ class GQParams:
     graphs); the feasibility conditions only apply for s, t >= 2.
     """
 
-    s: int
-    t: int
+    __slots__ = ("s", "t")
 
-    def __post_init__(self):
-        _check_int("s", self.s)
-        _check_int("t", self.t)
-        if self.s < 1 or self.t < 1:
-            raise ValueError(f"require s >= 1 and t >= 1, got ({self.s}, {self.t})")
+    def __init__(self, s: int, t: int):
+        _check_int("s", s)
+        _check_int("t", t)
+        if s < 1 or t < 1:
+            raise ValueError(f"require s >= 1 and t >= 1, got ({s}, {t})")
+        set_field(self, "s", s)
+        set_field(self, "t", t)
 
     @property
     def is_trivial(self) -> bool:
@@ -92,24 +90,26 @@ class GQParams:
         return self.t + 1
 
 
-@dataclass(frozen=True)
-class SrgParams:
+class SrgParams(Record):
     """A general strongly-regular-graph parameter quadruple (v, k, lam, mu)."""
 
-    v: int
-    k: int
-    lam: int
-    mu: int
+    __slots__ = ("v", "k", "lam", "mu")
 
-    def __post_init__(self):
-        for name in ("v", "k", "lam", "mu"):
-            _check_int(name, getattr(self, name))
-        if not 0 <= self.lam <= self.k - 1:
-            raise ValueError(f"require 0 <= lam <= k-1, got lam={self.lam}, k={self.k}")
-        if not 1 <= self.mu <= self.k:
-            raise ValueError(f"require 1 <= mu <= k, got mu={self.mu}, k={self.k}")
-        if not self.k < self.v:
-            raise ValueError(f"require k < v, got k={self.k}, v={self.v}")
+    def __init__(self, v: int, k: int, lam: int, mu: int):
+        _check_int("v", v)
+        _check_int("k", k)
+        _check_int("lam", lam)
+        _check_int("mu", mu)
+        if not 0 <= lam <= k - 1:
+            raise ValueError(f"require 0 <= lam <= k-1, got lam={lam}, k={k}")
+        if not 1 <= mu <= k:
+            raise ValueError(f"require 1 <= mu <= k, got mu={mu}, k={k}")
+        if not k < v:
+            raise ValueError(f"require k < v, got k={k}, v={v}")
+        set_field(self, "v", v)
+        set_field(self, "k", k)
+        set_field(self, "lam", lam)
+        set_field(self, "mu", mu)
 
     @property
     def counting_identity_holds(self) -> bool:
@@ -119,21 +119,6 @@ class SrgParams:
 
     def as_tuple(self) -> tuple[int, int, int, int]:
         return (self.v, self.k, self.lam, self.mu)
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Adjacency eigenvalues other than k, with exact multiplicities.
-
-    For PGQ-form parameters the eigenvalues are s-1 and -(t+1), and the
-    multiplicity of s-1 is st(s+1)(t+1)/(s+t) as an exact rational; a
-    graph can only exist if that rational is an integer.
-    """
-
-    theta_pos: int
-    theta_neg: int
-    mult_pos: Fraction
-    mult_neg: Fraction
 
 
 def derive_srg(p: GQParams) -> SrgParams:
@@ -155,18 +140,6 @@ def identify_gq_form(q: SrgParams) -> GQParams | None:
     if derive_srg(p) != q:
         return None
     return p
-
-
-def spectrum_of(p: GQParams) -> Spectrum:
-    """Exact spectrum of a putative srg with PGQ-form parameters."""
-    s, t = p.s, p.t
-    mult_pos = Fraction(s * t * (s + 1) * (t + 1), s + t)
-    mult_neg = Fraction(p.v - 1) - mult_pos
-    spec = Spectrum(s - 1, -(t + 1), mult_pos, mult_neg)
-    if (spec.mult_pos + spec.mult_neg != p.v - 1
-            or p.k + spec.mult_pos * spec.theta_pos + spec.mult_neg * spec.theta_neg != 0):
-        raise InternalInconsistencyError(f"inconsistent spectrum for (s={s}, t={t}): {spec}")
-    return spec
 
 
 def multiplicity_integrality(p: GQParams) -> Verdict:

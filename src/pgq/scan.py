@@ -18,8 +18,8 @@ The scan is a pure function of its range: rows come out ordered by
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
+from ._record import Record, set_field
 from .bounds import neumaier_bound, optimal_claw_bound
 from .params import (
     FAIL,
@@ -57,31 +57,32 @@ CONDITION_ORDER = (
 CSV_HEADER = "s,t,v,k,lambda,mu"
 
 
-@dataclass(frozen=True)
-class FeasibilityReport:
+class FeasibilityReport(Record):
     """All condition verdicts and the resulting classification for one
     parameter pair."""
 
-    params: GQParams
-    derived: SrgParams
-    verdicts: tuple[Verdict, ...]
-    classification: str
+    __slots__ = ("params", "derived", "verdicts", "classification")
+
+    def __init__(self, params: GQParams, derived: SrgParams, verdicts: tuple[Verdict, ...],
+                 classification: str):
+        set_field(self, "params", params)
+        set_field(self, "derived", derived)
+        set_field(self, "verdicts", verdicts)
+        set_field(self, "classification", classification)
 
 
-@dataclass(frozen=True)
-class ScanRange:
+class ScanRange(Record):
     """Range of t to scan; s runs over the candidates of multiplicity_divisors(t)."""
 
-    t_min: int
-    t_max: int
+    __slots__ = ("t_min", "t_max")
 
-    def __post_init__(self):
-        if not (isinstance(self.t_min, int) and isinstance(self.t_max, int)):
+    def __init__(self, t_min: int, t_max: int):
+        if not (isinstance(t_min, int) and isinstance(t_max, int)):
             raise ValueError("t_min and t_max must be integers")
-        if not 2 <= self.t_min <= self.t_max:
-            raise ValueError(
-                f"require 2 <= t_min <= t_max, got [{self.t_min}, {self.t_max}]"
-            )
+        if not 2 <= t_min <= t_max:
+            raise ValueError(f"require 2 <= t_min <= t_max, got [{t_min}, {t_max}]")
+        set_field(self, "t_min", t_min)
+        set_field(self, "t_max", t_max)
 
 
 def check_one(p: GQParams) -> FeasibilityReport:

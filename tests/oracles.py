@@ -5,12 +5,76 @@ its divisor-based scan: graphs are plain edge sets and searches are
 exhaustive enumerations.
 """
 
-from itertools import combinations
+import sys
+from dataclasses import dataclass, make_dataclass
+from fractions import Fraction
+from itertools import combinations, product
+from types import ModuleType
 
-from pgq.bounds import neumaier_bound
-from pgq.graph import Graph
-from pgq.params import GQParams
-from pgq.scan import RULED_OUT_NEW, check_one
+from pgq.bounds import BoundChoice, BoundResult, OptimalBound, neumaier_bound
+from pgq.graph import (
+    ClawCheck,
+    CliqueCover,
+    CoverCheck,
+    Graph,
+    LocalGraph,
+    PartitionResult,
+    SrgCheck,
+)
+from pgq.incidence import AxiomCheck, ExtractionResult, IncidenceStructure
+from pgq.params import GQParams, SrgParams, Verdict
+from pgq.scan import RULED_OUT_NEW, FeasibilityReport, ScanRange, check_one
+
+#: The value records of pgq: plain __slots__ classes on pgq._record.Record.
+RECORD_CLASSES = (
+    BoundChoice, BoundResult, OptimalBound,
+    ClawCheck, CliqueCover, CoverCheck, LocalGraph, PartitionResult, SrgCheck,
+    AxiomCheck, ExtractionResult, IncidenceStructure,
+    GQParams, SrgParams, Verdict,
+    FeasibilityReport, ScanRange,
+)
+
+# The dataclass twins live in a module of their own, so that pickle finds
+# each twin by its class name, which it shares with its record class.
+TWINS = ModuleType("record_twins")
+sys.modules[TWINS.__name__] = TWINS
+
+
+def _twin(cls):
+    twin = make_dataclass(
+        cls.__name__, cls.__slots__, frozen=True, namespace={"__module__": TWINS.__name__}
+    )
+    setattr(TWINS, cls.__name__, twin)
+    return twin
+
+
+#: Record class -> a frozen dataclass with the same name and fields, the
+#: reference for equality, hash, repr, immutability and pickling.
+RECORD_TWINS = {cls: _twin(cls) for cls in RECORD_CLASSES}
+
+
+@dataclass(frozen=True)
+class Spectrum:
+    """Adjacency eigenvalues other than k, with exact multiplicities.
+
+    For PGQ-form parameters the eigenvalues are s-1 and -(t+1), and the
+    multiplicity of s-1 is st(s+1)(t+1)/(s+t) as an exact rational; a
+    graph can only exist if that rational is an integer.
+    """
+
+    theta_pos: int
+    theta_neg: int
+    mult_pos: Fraction
+    mult_neg: Fraction
+
+
+def spectrum_of(p):
+    """Exact spectrum of a putative srg with PGQ-form parameters: the
+    multiplicities are integers exactly when multiplicity_integrality
+    passes, which decides the same by one divisibility test."""
+    s, t = p.s, p.t
+    mult_pos = Fraction(s * t * (s + 1) * (t + 1), s + t)
+    return Spectrum(s - 1, -(t + 1), mult_pos, p.v - 1 - mult_pos)
 
 
 def exhaustive_scan(t_min, t_max):
@@ -108,6 +172,32 @@ def local_partition_oracle(graph, x):
             return y, None
         candidates.add(tuple(sorted(cand)))
     return None, tuple(sorted(candidates))
+
+
+def gathered_lines(graph):
+    """The lines of a GQ collinearity graph gathered from every point with
+    plain sets: {x, y} + common(x, y) for each edge xy, sorted."""
+    nbrs = [{w for w in range(graph.n) if graph.has_edge(v, w)} for v in range(graph.n)]
+    lines = {
+        tuple(sorted({x, y} | (nbrs[x] & nbrs[y])))
+        for x in range(graph.n)
+        for y in nbrs[x]
+    }
+    return sorted(lines)
+
+
+def symplectic_graph(q):
+    """Collinearity graph of the symplectic GQ W(q), q prime: the projective
+    points of GF(q)^4 with first nonzero coordinate 1, in lexicographic
+    order, adjacent iff distinct and orthogonal under the alternating form
+    x0*y1 - x1*y0 + x2*y3 - x3*y2."""
+    points = [v for v in product(range(q), repeat=4) if next((c for c in v if c), 0) == 1]
+    edges = [
+        (i, j)
+        for (i, x), (j, y) in combinations(enumerate(points), 2)
+        if (x[0] * y[1] - x[1] * y[0] + x[2] * y[3] - x[3] * y[2]) % q == 0
+    ]
+    return Graph(len(points), edges)
 
 
 def relabel(graph, perm):

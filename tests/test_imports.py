@@ -1,0 +1,71 @@
+"""Start-up: each CLI call imports only the modules its subcommand runs.
+
+Every call runs in a fresh interpreter, which lists sys.modules after
+main returns, so a module-level import added later shows up here.
+"""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+import pgq
+from pgq.graph import write_pgqgraph
+from pgq.incidence import gen_symplectic_w3
+
+CHILD = """
+import sys
+from pgq.cli import main
+code = main(sys.argv[2:])
+with open(sys.argv[1], "w", encoding="ascii") as fh:
+    fh.write("\\n".join(sorted(sys.modules)))
+sys.exit(code)
+"""
+
+
+def loaded_modules(tmp_path, *argv):
+    src = os.path.dirname(os.path.dirname(pgq.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    listing = tmp_path / "modules.txt"
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD, str(listing), *argv],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode in (0, 3), proc.stderr
+    return set(listing.read_text(encoding="ascii").split("\n"))
+
+
+@pytest.mark.parametrize(
+    "argv,absent",
+    [
+        (["--help"], {"fractions"}),
+        (["bound", "--t", "96"], {"pgq.graph", "pgq.incidence", "pgq.scan"}),
+        (["check", "--s", "56", "--t", "4"], {"pgq.graph", "pgq.incidence"}),
+        (["scan", "--t-min", "2", "--t-max", "10"], {"pgq.graph", "pgq.incidence"}),
+        (["graph", "verify", "W3"], {"pgq.bounds", "pgq.incidence", "pgq.scan", "fractions"}),
+    ],
+    ids=["help", "bound", "check", "scan", "graph-verify"],
+)
+def test_cli_call_loads_only_its_modules(tmp_path, argv, absent):
+    w3 = tmp_path / "w3.pgqgraph"
+    w3.write_text(write_pgqgraph(gen_symplectic_w3()), encoding="ascii")
+    modules = loaded_modules(tmp_path, *[str(w3) if a == "W3" else a for a in argv])
+    assert "pgq.cli" in modules
+    assert modules & (absent | {"dataclasses"}) == set()
+
+
+def test_help_loads_no_pgq_module_but_the_cli(tmp_path):
+    modules = loaded_modules(tmp_path, "--help")
+    assert {m for m in modules if m.split(".")[0] == "pgq"} == {"pgq", "pgq.cli", "pgq.errors"}
+
+
+def test_package_reexports_every_name_lazily():
+    namespace = {}
+    exec("from pgq import *", namespace)
+    assert [name for name in pgq.__all__ if namespace[name] is not getattr(pgq, name)] == []
+    assert set(pgq.__all__) <= set(dir(pgq))
+    # The function, not the submodule of the same name.
+    assert pgq.scan is sys.modules["pgq.scan"].scan
+    with pytest.raises(AttributeError):
+        pgq.not_a_name

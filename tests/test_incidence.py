@@ -36,9 +36,11 @@ from oracles import (
     brute_srg_params,
     census_witness,
     edge_set,
+    gathered_lines,
     godsil_mckay_switch,
     local_partition_oracle,
     relabel,
+    symplectic_graph,
 )
 
 W3_GRAPH = gen_symplectic_w3()
@@ -186,6 +188,31 @@ def test_extract_positives(g, p, n_lines):
     assert all(len(line) == p.s + 1 for line in inc.lines)
     assert verify_axioms(inc).ok
     assert collinearity_graph(inc) == g
+
+
+@pytest.mark.parametrize("seed", [None, *range(3)])
+@pytest.mark.parametrize(
+    "g,p",
+    [
+        (gen_rook(4), GQParams(3, 1)),
+        (W3_GRAPH, GQParams(3, 3)),
+        (Q43, GQParams(3, 3)),
+        (symplectic_graph(5), GQParams(5, 5)),
+        (symplectic_graph(7), GQParams(7, 7)),
+    ],
+    ids=["rook4", "w3", "q43", "w5", "w7"],
+)
+def test_extract_lines_match_lines_gathered_from_every_point(g, p, seed):
+    # extract_gq gathers each line once, at its lowest point; the pgqinc
+    # bytes must equal those of the lines gathered at all of their points.
+    if seed is not None:
+        g = relabel(g, random.Random(seed).sample(range(g.n), g.n))
+    expected = IncidenceStructure(g.n, gathered_lines(g), p.s, p.t)
+    assert write_pgqinc(extract_gq(g, p).structure) == write_pgqinc(expected)
+
+
+def test_symplectic_oracle_matches_w3_generator():
+    assert symplectic_graph(3) == W3_GRAPH
 
 
 def test_extract_shrikhande_fails_with_claw_witness():
