@@ -13,8 +13,11 @@ Two families of necessary conditions are implemented exactly:
                 C(beta, 2) t,
                 (t+1)^2 theta / C(beta, 2) }.
 
-  For t >= 3, optimizing the choice of (theta, beta) yields the closed
-  form s <= t * floor(8t/3 + 1), quadratic in t.
+  For t >= 3 the optimum over (theta, beta) is the closed form
+  s <= t * floor(8t/3 + 1), quadratic in t, attained at
+  theta = floor(4t/3) + 1; at t = 2 it is 14.  optimal_claw_bound
+  evaluates this closed form and searches nothing; its docstring holds
+  the proof.
 
 All comparisons are exact (integers and fractions.Fraction); bounds such
 as t(theta+1)theta / (2(theta-t)) are never rounded before a verdict.
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, floor, isqrt
+from math import comb, isqrt
 
 from ._record import Record, set_field
 from .errors import InternalInconsistencyError
@@ -119,20 +122,12 @@ def claw_bound_terms(t: int, choice: BoundChoice) -> BoundResult:
         raise ValueError(f"require theta >= t+2 = {t + 2}, got {theta!r}")
     if not isinstance(beta, int) or not 2 <= beta <= t + 1:
         raise ValueError(f"require 2 <= beta <= t+1 = {t + 1}, got {beta!r}")
-    term1, term2 = _theta_terms(t, theta)
-    term3, term4 = _beta_terms(t, theta, beta)
-    return BoundResult(term1, term2, term3, term4, max(term1, term2, term3, term4))
-
-
-def _theta_terms(t: int, theta: int) -> tuple[Fraction, Fraction]:
-    """term1 and term2, which do not depend on beta."""
-    return Fraction(t, theta - t) * comb(theta + 1, 2), Fraction(t * (2 * theta - 1))
-
-
-def _beta_terms(t: int, theta: int, beta: int) -> tuple[Fraction, Fraction]:
-    """term3 (increasing in beta) and term4 (decreasing in beta)."""
     pairs = comb(beta, 2)
-    return Fraction(pairs * t), Fraction((t + 1) ** 2 * theta, pairs)
+    term1 = Fraction(t, theta - t) * comb(theta + 1, 2)
+    term2 = Fraction(t * (2 * theta - 1))
+    term3 = Fraction(pairs * t)
+    term4 = Fraction((t + 1) ** 2 * theta, pairs)
+    return BoundResult(term1, term2, term3, term4, max(term1, term2, term3, term4))
 
 
 def _smallest_beta(pairs: int) -> int:
@@ -188,49 +183,71 @@ class OptimalBound(Record):
 
 @lru_cache(maxsize=None)
 def optimal_claw_bound(t: int) -> OptimalBound:
-    """Minimize the four-term bound over theta in [t+2, 4t], beta in [2, t+1].
+    """Minimize the four-term bound over all theta >= t+2, 2 <= beta <= t+1.
 
-    Ties go to the smallest theta, then the smallest beta.  For a fixed
-    theta, term1 and term2 are constants, term3 increases with beta and
-    term4 decreases, so max(term3, term4) is smallest at the crossover
-    beta* (the smallest beta with term3 >= term4, i.e.
-    C(beta,2)^2 t >= (t+1)^2 theta) or at beta* - 1; both are found by
-    integer square roots, so each theta costs O(1) exact operations.
+    Ties go to the smallest theta, then the smallest beta.  The optimum is
+    a closed form, proven below, so nothing is searched:
 
-    Capping theta at 4t loses nothing: for theta > 4t the second term
-    alone is t(2*theta - 1) >= t(8t + 1), which exceeds the maximum
-    already achieved inside the cap (at most t*floor(8t/3 + 1) for t >= 3
-    via quadratic_bound_witness, and 14 at t = 2).  For the same reason
-    the loop stops at the first theta with t(2*theta - 1) >= the best
-    value so far: term2 grows with theta, so no later theta can win.
+    * t = 2: theta = 4, beta = 3, value 14.  theta = 4 is the smallest
+      theta allowed, with term1 = 10 and term2 = 14; beta = 3 gives
+      term3 = 6 and term4 = 12, while beta = 2 gives term4 = 36.  Every
+      larger theta has term2 = 2(2 theta - 1) >= 18.
+    * t >= 3: theta* = floor(4t/3) + 1, the theta of
+      quadratic_bound_witness, and the value E = quadratic_claw_bound(t)
+      = t * floor(8t/3 + 1).
+
+    In both cases beta is the smallest one whose term4 is at most the
+    value.  The terms are
+
+        term1 = t theta (theta+1) / (2(theta-t)),  term2 = t(2 theta - 1),
+        term3 = C(beta,2) t,                     term4 = (t+1)^2 theta / C(beta,2).
+
+    Proof for t >= 3, with m = floor(t/3) >= 1, so theta* >= t+2.  At
+    theta* the larger of term1 and term2 is E:
+
+        t = 3m:    theta* = 4m+1, term2 = t(8m+1) = E, term1 = t(4m+1)(2m+1)/(m+1) < E;
+        t = 3m+1:  theta* = 4m+2, term2 = t(8m+3) = E, term1 = t(2m+1)(4m+3)/(m+1) < E;
+        t = 3m+2:  theta* = 4m+3, term1 = t(8m+6) = E, term2 = t(8m+5) < E.
+
+    (a) No theta > theta* ties or wins: there term2 >= t(2 theta* + 1),
+        which is E + 2t, E + 2t and E + t in the three cases.
+    (b) No theta in [t+2, theta*-1] ties or wins; the range is empty for
+        m = 1.  With x = theta - t, term1 = (t/2)(x + 2t + 1 + t(t+1)/x)
+        decreases while theta < t + sqrt(t(t+1)), and theta* <= 4t/3 + 1
+        < 2t lies below that.  So term1 >= term1(theta* - 1), which is
+        t(8m+2) = E + t, t(4m+1)(2m+1)/m = E + t(3m+1)/m and
+        t(2m+1)(4m+3)/m = E + t(4m+3)/m in the three cases.  The excess is
+        strict, as it must be: a tie would move the tie-break to a smaller
+        theta.
+    (c) At theta*, beta_w = ceil(2 sqrt t) <= t+1 keeps term3 and term4 at
+        most E, so the minimum over beta at theta* is E.  Here
+        E >= t(8t+1)/3, as the floor loses less than 2/3.  As 2 sqrt t <= beta_w < 2 sqrt t + 1,
+        2t - sqrt t <= C(beta_w, 2) < 2t + sqrt t.  Then term3 <
+        t(2t + sqrt t) <= t(8t+1)/3, because 3 sqrt t <= 2t + 1.  And term4
+        <= (t+1)^2 (4t+3) / (3(2t - sqrt t)) <= t(8t+1)/3, because the
+        difference of (t+1)^2 (4t+3) from t(8t+1)(2t - sqrt t) is
+        t^3 (12 - 8/sqrt t - 9/t - 1/t^1.5 - 10/t^2 - 3/t^3), positive at
+        t = 3 and increasing in t.
+        term4 decreases and term3 increases with beta, so the smallest
+        beta with term4 <= E is at most beta_w, has term3 <= E, and is the
+        smallest beta reaching E.
+
+    theta* <= 4t, so this is also the optimum over the rectangle
+    theta <= 4t.  The terms at the chosen (theta, beta) are recomputed by
+    claw_bound_terms, and a disagreement with the value is reported as
+    InternalInconsistencyError.
     """
     _require_t(t)
-    weight = (t + 1) ** 2
-    best: tuple[Fraction, int] | None = None
-    for theta in range(t + 2, 4 * t + 1):
-        term1, term2 = _theta_terms(t, theta)
-        if best is not None and term2 >= best[0]:
-            break
-        # Smallest C(beta, 2) with C(beta, 2)^2 t >= weight * theta.
-        pairs = isqrt(-(-weight * theta // t) - 1) + 1
-        crossover = min(_smallest_beta(pairs), t + 1)
-        value = max(term1, term2, min(
-            max(_beta_terms(t, theta, beta)) for beta in (max(crossover - 1, 2), crossover)
-        ))
-        if best is None or value < best[0]:
-            best = (value, theta)
-    if best is None:
-        raise InternalInconsistencyError(f"empty (theta, beta) range at t={t}")
-    exact, theta = best
-    # The smallest beta reaching the minimum is the smallest one whose
-    # term4 is <= it: on a plateau where term1 or term2 dominates, that is
-    # below the crossover.
-    pairs = -(-weight * theta * exact.denominator // exact.numerator)
-    choice = BoundChoice(theta, _smallest_beta(pairs))
+    if t == 2:
+        theta, threshold = 4, 14
+    else:
+        theta, threshold = quadratic_bound_witness(t).theta, quadratic_claw_bound(t)
+    # term4 <= threshold  <=>  C(beta, 2) >= (t+1)^2 theta / threshold.
+    choice = BoundChoice(theta, _smallest_beta(-(-(t + 1) ** 2 * theta // threshold)))
     result = claw_bound_terms(t, choice)
-    if result.bound != exact:
+    if result.bound != threshold:
         raise InternalInconsistencyError(
             f"t={t}: bound {result.bound} at (theta={choice.theta}, beta={choice.beta})"
-            f" differs from the minimum {exact}"
+            f" differs from the minimum {threshold}"
         )
-    return OptimalBound(floor(exact), exact, choice, result)
+    return OptimalBound(threshold, Fraction(threshold), choice, result)

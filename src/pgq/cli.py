@@ -63,7 +63,25 @@ def _json(obj) -> str:
 def _frac(f) -> dict:
     # f is an exact Fraction; the decimal rendering is for humans only,
     # and verdicts never use it.
-    return {"fraction": str(f), "decimal": f"{float(f):.6g}"}
+    return {"fraction": str(f), "decimal": _decimal(f)}
+
+
+def _decimal(f) -> str:
+    """f > 0 to six significant digits, as `format(float(f), ".6g")`.
+
+    A value beyond the float range is rounded exactly, half to even, and
+    written in the same style: trailing zeros dropped, then `e+NNN`.
+    """
+    try:
+        return f"{float(f):.6g}"
+    except OverflowError:
+        pass
+    exp = len(str(f.numerator // f.denominator)) - 1
+    digits = round(f / 10 ** (exp - 5))
+    if digits == 10**6:
+        digits, exp = 10**5, exp + 1
+    head, tail = str(digits)[0], str(digits)[1:].rstrip("0")
+    return f"{head}{'.' if tail else ''}{tail}e+{exp}"
 
 
 def _build_parser() -> _Parser:

@@ -9,6 +9,7 @@ import sys
 from dataclasses import dataclass, make_dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from math import comb, floor, isqrt
 from types import ModuleType
 
 from pgq.bounds import BoundChoice, BoundResult, OptimalBound, neumaier_bound
@@ -87,6 +88,63 @@ def exhaustive_scan(t_min, t_max):
             if report.classification == RULED_OUT_NEW:
                 rows.append(report)
     return rows
+
+
+def _theta_terms(t, theta):
+    """term1 and term2, which do not depend on beta."""
+    return Fraction(t, theta - t) * comb(theta + 1, 2), Fraction(t * (2 * theta - 1))
+
+
+def _beta_terms(t, theta, beta):
+    """term3 (increasing in beta) and term4 (decreasing in beta)."""
+    pairs = comb(beta, 2)
+    return Fraction(pairs * t), Fraction((t + 1) ** 2 * theta, pairs)
+
+
+def _smallest_beta(pairs):
+    """Smallest beta >= 2 with C(beta, 2) >= pairs, by integer square root."""
+    # C(beta, 2) >= pairs  <=>  (2 beta - 1)^2 >= 8 pairs + 1.
+    root = isqrt(8 * pairs + 1)
+    if root * root < 8 * pairs + 1:
+        root += 1
+    return max(2, (root + 2) // 2)
+
+
+def crossover_oracle(t):
+    """The four-term optimum as an OptimalBound, by a search over theta in
+    [t+2, 4t] that assumes no closed form.
+
+    Ties go to the smallest theta, then the smallest beta.  For a fixed
+    theta, term1 and term2 are constants, term3 increases with beta and
+    term4 decreases, so max(term3, term4) is smallest at the crossover
+    beta* (the smallest beta with C(beta,2)^2 t >= (t+1)^2 theta) or at
+    beta* - 1, both found by integer square roots.  The search stops at
+    the first theta with t(2 theta - 1) >= the best value so far: term2
+    grows with theta, so no later theta can win.  It is O(t) exact
+    operations, against O(t^2) for sweep_oracle.
+    """
+    weight = (t + 1) ** 2
+    best = None
+    for theta in range(t + 2, 4 * t + 1):
+        term1, term2 = _theta_terms(t, theta)
+        if best is not None and term2 >= best[0]:
+            break
+        # Smallest C(beta, 2) with C(beta, 2)^2 t >= weight * theta.
+        pairs = isqrt(-(-weight * theta // t) - 1) + 1
+        crossover = min(_smallest_beta(pairs), t + 1)
+        value = max(term1, term2, min(
+            max(_beta_terms(t, theta, beta)) for beta in (max(crossover - 1, 2), crossover)
+        ))
+        if best is None or value < best[0]:
+            best = (value, theta)
+    exact, theta = best
+    # The smallest beta reaching the minimum is the smallest one whose
+    # term4 is <= it: on a plateau where term1 or term2 dominates, that is
+    # below the crossover.
+    pairs = -(-weight * theta * exact.denominator // exact.numerator)
+    beta = _smallest_beta(pairs)
+    terms = (*_theta_terms(t, theta), *_beta_terms(t, theta, beta))
+    return OptimalBound(floor(exact), exact, BoundChoice(theta, beta), BoundResult(*terms, max(terms)))
 
 
 def edge_set(graph):
@@ -198,6 +256,37 @@ def symplectic_graph(q):
         if (x[0] * y[1] - x[1] * y[0] + x[2] * y[3] - x[3] * y[2]) % q == 0
     ]
     return Graph(len(points), edges)
+
+
+def cameron_graph():
+    """The Cameron graph: srg(231, 30, 9, 3), the parameters of a GQ(10, 2),
+    which cannot exist as s > t^2, so the graph is a pseudo-GQ.
+
+    The binary Golay code is the cyclic [23, 12] code generated by
+    x^11+x^10+x^6+x^5+x^4+x^2+1, extended by a parity bit (bit 23).  Its
+    759 words of weight 8 are the octads; those through the points 22 and
+    23, with both removed, are the 77 hexads of S(3, 6, 22).  The vertices
+    are the 231 pairs of the points 0..21 in lexicographic order, adjacent
+    when disjoint and inside a common hexad.
+    """
+    generator = sum(1 << e for e in (11, 10, 6, 5, 4, 2, 0))
+    code = {0}
+    for shift in range(12):
+        code |= {word ^ generator << shift for word in code}
+    words = [word | (bin(word).count("1") % 2) << 23 for word in code]
+    octads = [word for word in words if bin(word).count("1") == 8]
+    fixed = 1 << 22 | 1 << 23
+    hexads = [[p for p in range(22) if word >> p & 1] for word in octads if word & fixed == fixed]
+    index = {pair: i for i, pair in enumerate(combinations(range(22), 2))}
+    # Two disjoint pairs and the two fixed points lie in exactly one octad,
+    # so each edge comes from exactly one hexad.
+    edges = [
+        (index[a], index[b])
+        for hexad in hexads
+        for a, b in combinations(combinations(hexad, 2), 2)
+        if not set(a) & set(b)
+    ]
+    return Graph(len(index), edges)
 
 
 def relabel(graph, perm):

@@ -19,6 +19,8 @@ from pgq.bounds import (
 from pgq.errors import InternalInconsistencyError
 from pgq.params import GQParams, SrgParams, derive_srg
 
+from oracles import crossover_oracle
+
 
 def sweep_oracle(t, theta_cap):
     """Naive reference minimization of the four-term maximum over every
@@ -108,7 +110,7 @@ def test_optimal_bound_matches_uncapped_oracle():
 
 
 def test_optimal_bound_matches_rectangle_sweep():
-    # The per-theta crossover agrees with the exhaustive sweep over the
+    # The closed form agrees with the exhaustive sweep over the
     # same rectangle, including the tie-break and the reported terms.
     for t in range(2, 61):
         opt = optimal_claw_bound(t)
@@ -116,6 +118,13 @@ def test_optimal_bound_matches_rectangle_sweep():
         assert (opt.exact, opt.choice, opt.terms.terms) == (
             value, BoundChoice(theta, beta), terms
         ), t
+
+
+def test_closed_form_matches_crossover_oracle():
+    # The closed form against a per-theta search that assumes none, on
+    # (exact, choice, terms) and the threshold.
+    for t in range(2, 1001):
+        assert optimal_claw_bound(t) == crossover_oracle(t), t
 
 
 def test_optimal_bound_checks_its_winner(monkeypatch):

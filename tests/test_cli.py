@@ -6,11 +6,13 @@ import os
 import resource
 import subprocess
 import sys
+from fractions import Fraction
+from math import comb
 
 import pytest
 
 import pgq
-from pgq.cli import main
+from pgq.cli import _decimal, main
 from pgq.graph import parse_pgqgraph, write_pgqgraph
 from pgq.incidence import (
     collinearity_graph,
@@ -25,6 +27,8 @@ from pgq.incidence import (
 )
 from pgq.params import GQParams
 from pgq.scan import ScanRange, emit_csv, emit_json, scan
+
+from oracles import cameron_graph
 
 
 def run(capsys, *argv):
@@ -120,6 +124,40 @@ def test_bound_explicit_choice(capsys):
     assert data["bound"]["fraction"] == "80"
     assert data["terms"]["claw-inequality"]["fraction"] == "45/2"
     assert data["terms"]["claw-inequality"]["decimal"] == "22.5"
+
+
+def test_bound_decimal_beyond_the_float_range(capsys):
+    t = 10**200
+    code, out, err = run(capsys, "bound", "--t", str(t), "--theta", str(t + 2), "--beta", "2")
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert data["terms"] == {
+        "claw-inequality": {"fraction": str(t * (t + 2) * (t + 3) // 4), "decimal": "2.5e+599"},
+        "uncovered-neighbor": {"fraction": str(t * (2 * t + 3)), "decimal": "2e+400"},
+        "many-full-cliques": {"fraction": str(t), "decimal": "1e+200"},
+        "few-full-cliques": {"fraction": str((t + 1) ** 2 * (t + 2)), "decimal": "1e+600"},
+    }
+    assert data["bound"] == data["terms"]["few-full-cliques"]
+    code, out, err = run(capsys, "bound", "--t", str(t))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["optimal_bound"]["exact"] == {
+        "fraction": str(t * ((8 * t + 3) // 3)), "decimal": "2.66667e+400",
+    }
+
+
+@pytest.mark.parametrize(
+    "value,text",
+    [
+        (Fraction(45, 2), "22.5"),
+        (Fraction(2**1024), "1.79769e+308"),        # the first integer a float cannot hold
+        (Fraction(1234565 * 10**400), "1.23456e+406"),  # a tie goes to the even digit
+        (Fraction(1234575 * 10**400), "1.23458e+406"),
+        (Fraction(9999995 * 10**400), "1e+407"),    # rounding carries into the exponent
+        (Fraction(10**401, 3), "3.33333e+400"),
+    ],
+)
+def test_decimal_rendering(value, text):
+    assert _decimal(value) == text
 
 
 def test_bound_usage_and_domain_errors(capsys):
@@ -318,6 +356,18 @@ def test_inc_verify_negative(capsys, tmp_path, gq22_file):
     assert data["ok"] is False and data["axiom"] == "ii"
 
 
+def test_cameron_graph_realizes_a_pgq_possible_only_pair(capsys, tmp_path):
+    # (10, 2) passes every condition but gq-duality, and the Cameron graph
+    # is a pseudo-GQ with these parameters.
+    path = tmp_path / "cameron.pgqgraph"
+    path.write_text(write_pgqgraph(cameron_graph()), encoding="ascii")
+    code, out, err = run(capsys, "graph", "extract-gq", str(path))
+    assert (code, out) == (3, "")
+    assert err == "pseudo-GQ evidence: claw number 5 > t+1 = 3 at vertex 0\n"
+    code, out, err = run(capsys, "check", "--s", "10", "--t", "2")
+    assert (code, out, err) == (0, "pgq-possible-only\n", "")
+
+
 def test_inc_dual_and_collinearity(capsys, gq22_file):
     code, out, _ = run(capsys, "inc", "dual", gq22_file)
     assert code == 0
@@ -332,7 +382,7 @@ def test_inc_dual_and_collinearity(capsys, gq22_file):
 ADDRESS_SPACE_CAP = 512 * 2**20
 
 
-def run_capped(stdin, *argv):
+def run_capped(stdin, *argv, timeout=60):
     """`python -m pgq.cli ARGV` in a child whose address space is capped, so
     an allocation that grows with a declared count fails the test instead of
     exhausting the machine."""
@@ -343,7 +393,7 @@ def run_capped(stdin, *argv):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "pgq.cli", *argv], input=stdin, capture_output=True,
-        text=True, timeout=60, preexec_fn=cap, env=env,
+        text=True, timeout=timeout, preexec_fn=cap, env=env,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -369,6 +419,36 @@ def test_inc_work_is_bounded_by_the_input_not_the_point_count(text, degree):
     code, out, err = run_capped(text, "inc", "collinearity", "-")
     assert (code, out) == (2, "")
     assert err == f"error: collinearity graph requires a verified GQ; axiom (ii): {witness}\n"
+
+
+@pytest.mark.parametrize("t", [10**9, 10**100])
+def test_bound_at_huge_t_finishes(t):
+    code, out, err = run_capped("", "bound", "--t", str(t), timeout=30)
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert (data["t"], data["neumaier_bound"]) == (t, t * (t + 1) * (t + 2) // 2)
+    bound, theta = t * ((8 * t + 3) // 3), 4 * t // 3 + 1
+    assert data["quadratic_bound"] == bound
+    opt = data["optimal_bound"]
+    assert (opt["threshold"], opt["exact"]["fraction"], opt["theta"]) == (bound, str(bound), theta)
+    # beta is the smallest whose term4, (t+1)^2 theta / C(beta, 2), is at most the bound.
+    beta = opt["beta"]
+    assert comb(beta, 2) * bound >= (t + 1) ** 2 * theta > comb(beta - 1, 2) * bound
+
+
+def test_check_at_huge_t_finishes():
+    t = 10**8
+    code, out, err = run_capped("", "check", "--s", "5", "--t", str(t), "--format", "json",
+                                timeout=30)
+    assert (code, err) == (3, "")
+    report = json.loads(out)
+    assert report["classification"] == "ruled-out-by-prior-conditions"
+    verdicts = {v["name"]: v for v in report["verdicts"]}
+    assert verdicts["krein"]["verdict"] == "fail"
+    claw = verdicts["claw-bound"]
+    assert claw["verdict"] == "pass"
+    bound = t * ((8 * t + 3) // 3)
+    assert claw["witness"].startswith(f"s=5 <= {bound} (four-term bound at theta={4 * t // 3 + 1}, ")
 
 
 # ---------------------------------------------------------------------------

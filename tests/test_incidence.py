@@ -8,6 +8,7 @@ import pytest
 from pgq.errors import DomainError, FormatError
 from pgq.graph import (
     Graph,
+    _claw_histogram,
     _independence_number,
     _partition_local,
     claw_number,
@@ -34,6 +35,7 @@ from pgq.params import GQParams, derive_srg
 from oracles import (
     axioms_oracle,
     brute_srg_params,
+    cameron_graph,
     census_witness,
     edge_set,
     gathered_lines,
@@ -49,6 +51,9 @@ Q43 = collinearity_graph(dual(W3))
 # Godsil-McKay switching of the Q(4,3) graph: srg(40,12,2,4), the
 # parameters of a GQ(3,3), but with claw numbers up to 6 > t+1 = 4.
 SWITCHED_Q43 = godsil_mckay_switch(Q43, (0, 5, 10, 15))
+# The Cameron graph, srg(231,30,9,3): a pseudo-GQ(10,2) with every claw
+# number 5 > t+1 = 3.
+CAMERON = cameron_graph()
 GQ22 = extract_gq(gen_kneser_6_2(), GQParams(2, 2)).structure
 GQ31 = extract_gq(gen_rook(4), GQParams(3, 1)).structure
 
@@ -229,6 +234,15 @@ def test_switched_q43_is_a_pseudo_gq():
     result = extract_gq(SWITCHED_Q43, GQParams(3, 3))
     assert (result.witness_vertex, result.witness_claw) == (0, 6)
     assert result.reason == "pseudo-GQ evidence: claw number 6 > t+1 = 4 at vertex 0"
+
+
+def test_cameron_graph_is_a_pseudo_gq():
+    assert verify_srg(CAMERON).params == derive_srg(GQParams(10, 2))
+    assert brute_srg_params(CAMERON.n, edge_set(CAMERON)) == (231, 30, 9, 3)
+    assert _claw_histogram(CAMERON) == {5: 231}
+    result = extract_gq(CAMERON, GQParams(10, 2))
+    assert (result.witness_vertex, result.witness_claw) == (0, 5)
+    assert result.reason == "pseudo-GQ evidence: claw number 5 > t+1 = 3 at vertex 0"
 
 
 @pytest.mark.parametrize("seed", range(10))
