@@ -124,8 +124,10 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_scan(args) -> int:
-    from .scan import ScanRange, emit, scan
+    from .scan import MAX_SCAN_T, ScanRange, emit, scan
 
+    if args.t_max > MAX_SCAN_T:
+        raise UsageError(f"--t-max must be at most {MAX_SCAN_T} (10**12)")
     reports = scan(ScanRange(args.t_min, args.t_max))
     _write_output(emit(reports, args.format), args.out)
     return EXIT_OK

@@ -3,13 +3,14 @@ claw numbers, clique partitions and clique covers.
 
 Graphs are immutable, with one integer bitmask per adjacency row, so all
 neighborhood algebra (common neighbors, induced subgraphs, independence
-tests) is bitwise, and each graph keeps its verify_srg result after the
-first call.  The claw number of a vertex x is the maximum size of an
-induced coclique in the local graph at x.  One greedy cover walk of the
-local graph settles it whenever every candidate set the walk takes is a
-clique (always, in a GQ collinearity graph); only where the walk fails is
-it computed by exact branch and bound, whose worst case is exponential in
-the k vertices of the local graph.
+tests) is bitwise.  Each graph keeps its verify_srg result after the
+first call, and the cliques its cover walks have found.  The claw number
+of a vertex x is the maximum size of an induced coclique in the local
+graph at x.  One greedy cover walk of the local graph settles it
+whenever every candidate set the walk takes is a clique (always, in a GQ
+collinearity graph); only where the walk fails is it computed by exact
+branch and bound, whose worst case is exponential in the k vertices of
+the local graph.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ def _bits(mask: int):
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "_rows", "_srg")
+    __slots__ = ("n", "_rows", "_srg", "_cliques")
 
     def __init__(self, n: int, edges):
         if not isinstance(n, int) or isinstance(n, bool) or n < 0:
@@ -49,9 +50,20 @@ class Graph:
                 raise ValueError(f"duplicate edge ({min(u, v)}, {max(u, v)})")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
+        self._set(n, rows)
+
+    @classmethod
+    def _from_rows(cls, n: int, rows) -> "Graph":
+        """A graph on rows already known to be symmetric, loop-free and in range."""
+        g = cls.__new__(cls)
+        g._set(n, rows)
+        return g
+
+    def _set(self, n: int, rows) -> None:
         self.n = n
         self._rows = tuple(rows)
         self._srg = None  # the SrgCheck, filled by the first verify_srg
+        self._cliques = set()  # vertex masks known to be cliques (_partition_local)
 
     def row(self, v: int) -> int:
         """Neighborhood of v as a bitmask."""
@@ -69,11 +81,7 @@ class Graph:
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges (u, v) with u < v, lexicographically sorted."""
-        out = []
-        for u in range(self.n):
-            for v in _bits(self._rows[u] >> (u + 1) << (u + 1)):
-                out.append((u, v))
-        return out
+        return [(u, v) for u, r in enumerate(self._rows) for v in _bits(r >> (u + 1) << (u + 1))]
 
     def common_neighbors(self, u: int, v: int) -> int:
         return self._rows[u] & self._rows[v]
@@ -268,13 +276,8 @@ def local_graph(g: Graph, x: int) -> LocalGraph:
     _require_vertex(g, x)
     vertices = tuple(_bits(g.row(x)))
     index = {v: i for i, v in enumerate(vertices)}
-    rows = []
-    for v in vertices:
-        mask = 0
-        for w in _bits(g.row(v) & g.row(x)):
-            mask |= 1 << index[w]
-        rows.append(mask)
-    return LocalGraph(x, vertices, tuple(rows))
+    rows = tuple(sum(1 << index[w] for w in _bits(g.row(v) & g.row(x))) for v in vertices)
+    return LocalGraph(x, vertices, rows)
 
 
 def _max_clique_size(rows: tuple[int, ...], cand: int, best_floor: int = 0) -> int:
@@ -321,8 +324,6 @@ def _max_clique_size(rows: tuple[int, ...], cand: int, best_floor: int = 0) -> i
 def _independence_number(rows: tuple[int, ...]) -> int:
     """Exact maximum independent set size = max clique of the complement."""
     n = len(rows)
-    if n == 0:
-        return 0
     full = (1 << n) - 1
     comp = tuple(full & ~(rows[i] | (1 << i)) for i in range(n))
     return _max_clique_size(comp, full)
@@ -376,16 +377,24 @@ def _partition_local(g: Graph, x: int):
     - so the walk fails first at the smallest y whose candidate set is not
       a clique, and on success the masks are t+1 disjoint s-cliques
       covering the k = s(t+1) neighbors.
+
+    g keeps each {x} + cand that passes, keyed by that exact vertex set:
+    cand is a clique iff it is, as x is adjacent to all of cand.  In a GQ
+    it is a line, tested once instead of once from each of its points.
     """
     rows = g._rows
+    known = g._cliques
     rx = rows[x]
     masks: list[int] = []
     uncovered = rx
     while uncovered:
         y = (uncovered & -uncovered).bit_length() - 1
         cand = (rx & rows[y]) | (1 << y)
-        if not _is_clique(rows, cand):
-            return None, y
+        key = cand | 1 << x
+        if key not in known:
+            if not _is_clique(rows, cand):
+                return None, y
+            known.add(key)
         masks.append(cand)
         uncovered &= ~cand
     return masks, None
@@ -441,9 +450,7 @@ def verify_clique_cover(g: Graph, cover: CliqueCover) -> CoverCheck:
             diagonal[u] += 1
             for v in clique[i + 1:]:
                 if not g.has_edge(u, v):
-                    raise DomainError(
-                        f"set #{idx} is not a clique: ({u}, {v}) is not an edge"
-                    )
+                    raise DomainError(f"set #{idx} is not a clique: ({u}, {v}) is not an edge")
                 pair_counts[(u, v)] += 1
     for u, v in g.edges():
         c = pair_counts.get((u, v), 0)
@@ -494,28 +501,30 @@ def write_pgqgraph(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _int_fields(line: str, count: int, lineno: int) -> list[int]:
+def _not_two_ints(line: str, lineno: int) -> FormatError:
     parts = line.split()
-    if len(parts) != count:
-        raise FormatError(f"line {lineno}: expected {count} fields, got {len(parts)}")
-    try:
-        return [int(p) for p in parts]
-    except ValueError:
-        raise FormatError(f"line {lineno}: non-integer field in {line!r}") from None
+    if len(parts) != 2:
+        return FormatError(f"line {lineno}: expected 2 fields, got {len(parts)}")
+    return FormatError(f"line {lineno}: non-integer field in {line!r}")
 
 
 def parse_pgqgraph(text: str) -> Graph:
     """Parse pgqgraph v1; strict about header, counts, ordering and range.
 
     The vertex count is capped at MAX_PGQGRAPH_VERTICES (2^20), since
-    one adjacency row is allocated per declared vertex.
+    one adjacency row is allocated per declared vertex.  One pass builds
+    the rows; the first edge out of range or repeated is reported only if
+    no edge line has a syntax error (field count, integer fields, u < v).
     """
     lines = text.splitlines()
     if not lines or lines[0].strip() != PGQGRAPH_HEADER:
         raise FormatError(f"missing '{PGQGRAPH_HEADER}' header")
     if len(lines) < 2:
         raise FormatError("missing vertex/edge count line")
-    n, m = _int_fields(lines[1], 2, 2)
+    try:
+        n, m = map(int, lines[1].split())
+    except ValueError:
+        raise _not_two_ints(lines[1], 2) from None
     if n < 0 or m < 0:
         raise FormatError("negative vertex or edge count")
     if n > MAX_PGQGRAPH_VERTICES:
@@ -523,13 +532,24 @@ def parse_pgqgraph(text: str) -> Graph:
     body = [ln for ln in lines[2:] if ln.strip()]
     if len(body) != m:
         raise FormatError(f"expected {m} edge lines, got {len(body)}")
-    edges = []
+    rows = [0] * n
+    bad = None  # the first edge out of range or repeated
     for i, ln in enumerate(body, start=3):
-        u, v = _int_fields(ln, 2, i)
+        try:
+            u, v = map(int, ln.split())
+        except ValueError:
+            raise _not_two_ints(ln, i) from None
         if not u < v:
             raise FormatError(f"line {i}: require u < v, got {u} {v}")
-        edges.append((u, v))
-    try:
-        return Graph(n, edges)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from None
+        if bad:
+            continue
+        if u < 0 or v >= n:
+            bad = f"edge ({u}, {v}) out of range for n={n}"
+        elif rows[u] >> v & 1:
+            bad = f"duplicate edge ({u}, {v})"
+        else:
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+    if bad:
+        raise FormatError(bad)
+    return Graph._from_rows(n, rows)

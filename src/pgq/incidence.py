@@ -11,8 +11,8 @@ vertex has claw number t+1, in which case the lines are the maximal
 (s+1)-cliques obtained from the local clique partitions.  By Caro-Wei a
 vertex has claw number t+1 exactly when its local partition succeeds, so
 extraction partitions first and computes a claw number only where that
-fails.  Otherwise it gathers the lines {x} + C and verifies the axioms on
-the result.
+fails.  Otherwise it gathers the lines {x} + C, which the srg parameters
+make a GQ (the proof is in the extract_gq docstring).
 
 Also provides the test-corpus generators (rook's graphs, complete
 bipartite graphs, the disjoint-pairs graph on a 6-set, the symplectic
@@ -21,7 +21,7 @@ generalized quadrangle over GF(3), and the Shrikhande graph).
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 
 from ._record import Record, set_field
 from .errors import DomainError, FormatError, InternalInconsistencyError
@@ -96,14 +96,15 @@ def verify_axioms(inc: IncidenceStructure) -> AxiomCheck:
     (ii), then the unique-collinear-point axiom (iii).
 
     The checks are indexed by point: through[p] is the bitmask of the
-    lines through p.  Line i meets a later line in two points exactly when
-    that line is in the masks of two points of line i, and a point p sees
-    line i (not through p) once for each point of line i collinear with
-    p.  Each check reports the first violation of the pairwise loops
-    (tests/oracles.py): the lowest line pair, then the lowest (point,
-    line).  The work is bounded by the incidences, not by the declared
-    point count: the degree scan stops at the first point no line
-    mentions.
+    lines through p.  Line i meets another line twice exactly when that
+    line is in the masks of two points of line i; met[i] is their union.
+    Once (i) holds, the points of line i other than p meet the lines of
+    met[i] not through p, each once, so (iii) takes one mask per line
+    through p.  Each check reports the first violation of the pairwise
+    loops (tests/oracles.py): the lowest line pair, then the lowest
+    (point, line).  The work is bounded by the incidences, not by the
+    declared point count: the degree scan stops at the first point no
+    line mentions.
     """
     s, t = inc.s, inc.t
     for i, line in enumerate(inc.lines):
@@ -113,15 +114,17 @@ def verify_axioms(inc: IncidenceStructure) -> AxiomCheck:
     for i, line in enumerate(inc.lines):
         for p in line:
             through[p] = through.get(p, 0) | 1 << i
+    met = []
     for i, line in enumerate(inc.lines):
         seen = twice = 0
         for p in line:
-            later = through[p] >> (i + 1)
-            twice |= seen & later
-            seen |= later
+            twice |= seen & through[p]
+            seen |= through[p]
+        twice >>= i + 1  # a pair with an earlier line was reported at its turn
         if twice:
             j = i + (twice & -twice).bit_length()
             return AxiomCheck(False, "i", f"lines #{i} and #{j} share more than one point")
+        met.append(seen)
     for p in range(inc.points):
         degree = through.get(p, 0).bit_count()
         if degree != t + 1:
@@ -129,16 +132,15 @@ def verify_axioms(inc: IncidenceStructure) -> AxiomCheck:
     # No point-pair pass for (ii): two points on two common lines would
     # make those lines share two points, which (i) has already rejected.
     # For the same reason each point collinear with p is on exactly one
-    # line through p, so the walk below visits it once.
+    # line through p, so the walk below sees each such point once.
     all_lines = (1 << len(inc.lines)) - 1
     for p in range(inc.points):
         own = through[p]
         seen = twice = 0
         for i in _bits(own):
-            for q in inc.lines[i]:  # q = p adds nothing: through[p] = own
-                other = through[q] & ~own
-                twice |= seen & other
-                seen |= other
+            other = met[i] & ~own
+            twice |= seen & other
+            seen |= other
         bad = twice | (all_lines & ~own & ~seen)
         if bad:
             i = (bad & -bad).bit_length() - 1
@@ -160,12 +162,22 @@ def extract_gq(g: Graph, p: GQParams) -> ExtractionResult:
     ascending order; the first vertex where it fails is the smallest with
     claw number above t+1 and is returned as the witness.  Otherwise the
     lines {x} + C are gathered, each at its lowest point x, where C has no
-    vertex below x.  The line through an edge xy is {x, y} + common(x, y)
-    from either endpoint, so every point of a line finds the same line
-    and every line is gathered once; every vertex lies on t+1 lines of
-    s+1 points, so no edge gets two lines and there are (st+1)(t+1) of
-    them.  The result is axiom-verified; a failure there indicates a bug,
-    not bad input.
+    vertex below x.
+
+    The result is a GQ(s,t), so it is not checked.  A line {x} + C is an
+    (s+1)-clique, and an (s+1)-clique through an edge ab is
+    {a, b} + common(a, b), as lam = s-1.  So a line through x and y is x
+    with a mask of x and y with a mask of y: it is gathered once, and
+    collinear means adjacent, as every neighbor of x is in a mask of x.
+    - (i): a line has |C| + 1 = s+1 points, and two lines sharing two
+      points a, b are both {a, b} + common(a, b).
+    - (ii): the lines through x are x with its t+1 disjoint masks.
+    - (iii), at most one point: if p, off a line L, is collinear with a
+      and b of L, then p is in common(a, b), inside L.
+    - (iii), at least one point: each of the s(t+1) neighbors q of p is
+      on t lines other than pq, none through p (it would share p and q
+      with pq).  By the above these st(t+1) lines are distinct, so they
+      are all the v(t+1)/(s+1) - (t+1) = st(t+1) lines not through p.
     """
     _require_matching_srg(g, p)
     t = p.t
@@ -185,13 +197,7 @@ def extract_gq(g: Graph, p: GQParams) -> ExtractionResult:
             )
         below = (1 << x) - 1
         lines.extend((x, *_bits(mask)) for mask in masks if not mask & below)
-    inc = IncidenceStructure(g.n, sorted(lines), p.s, t)
-    check = verify_axioms(inc)
-    if not check.ok:
-        raise InternalInconsistencyError(
-            f"extracted structure fails axiom ({check.axiom}): {check.witness}"
-        )
-    return ExtractionResult(inc)
+    return ExtractionResult(IncidenceStructure(g.n, sorted(lines), p.s, t))
 
 
 def dual(inc: IncidenceStructure) -> IncidenceStructure:
@@ -217,10 +223,12 @@ def collinearity_graph(inc: IncidenceStructure) -> Graph:
         raise DomainError(
             f"collinearity graph requires a verified GQ; axiom ({check.axiom}): {check.witness}"
         )
-    edges = set()
+    rows = [0] * inc.points
     for line in inc.lines:
-        edges.update(combinations(line, 2))
-    return Graph(inc.points, sorted(edges))
+        mask = sum(1 << p for p in line)
+        for p in line:
+            rows[p] |= mask ^ 1 << p
+    return Graph._from_rows(inc.points, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -232,12 +240,8 @@ def gen_rook(m: int) -> Graph:
     Collinearity graph of the trivial GQ(m-1, 1)."""
     if not isinstance(m, int) or m < 2:
         raise ValueError(f"require integer m >= 2, got {m!r}")
-    edges = []
-    for a in range(m * m):
-        for b in range(a + 1, m * m):
-            if a // m == b // m or a % m == b % m:
-                edges.append((a, b))
-    return Graph(m * m, edges)
+    cells = combinations(range(m * m), 2)
+    return Graph(m * m, [(a, b) for a, b in cells if a // m == b // m or a % m == b % m])
 
 
 def gen_complete_bipartite(m: int) -> Graph:
@@ -250,14 +254,8 @@ def gen_complete_bipartite(m: int) -> Graph:
 def gen_kneser_6_2() -> Graph:
     """Disjointness graph on the 15 unordered pairs of a 6-set: srg(15,6,1,3),
     the collinearity graph of GQ(2,2) (lines = perfect matchings)."""
-    duads = list(combinations(range(6), 2))
-    edges = [
-        (i, j)
-        for i in range(15)
-        for j in range(i + 1, 15)
-        if not set(duads[i]) & set(duads[j])
-    ]
-    return Graph(15, edges)
+    pairs = combinations(enumerate(combinations(range(6), 2)), 2)
+    return Graph(15, [(i, j) for (i, a), (j, b) in pairs if not set(a) & set(b)])
 
 
 def gen_symplectic_w3() -> Graph:
@@ -266,31 +264,15 @@ def gen_symplectic_w3() -> Graph:
     alternating form x0*y1 - x1*y0 + x2*y3 - x3*y2.
 
     Projective points are canonicalized by scaling the first nonzero
-    coordinate to 1, enumerated in lexicographic order.  Expected
-    srg(40, 12, 2, 4).
+    coordinate to 1, enumerated in lexicographic order: (3^4 - 1)/2 = 40
+    of them.  Expected srg(40, 12, 2, 4).
     """
-    points = []
-    for a in range(3):
-        for b in range(3):
-            for c in range(3):
-                for d in range(3):
-                    vec = (a, b, c, d)
-                    nz = next((x for x in vec if x), 0)
-                    if nz == 1:
-                        points.append(vec)
-    if len(points) != 40:
-        raise InternalInconsistencyError(f"found {len(points)} projective points, expected 40")
-
-    def form(x, y):
-        return (x[0] * y[1] - x[1] * y[0] + x[2] * y[3] - x[3] * y[2]) % 3
-
-    edges = [
-        (i, j)
-        for i in range(40)
-        for j in range(i + 1, 40)
-        if form(points[i], points[j]) == 0
-    ]
-    return Graph(40, edges)
+    points = [v for v in product(range(3), repeat=4) if next((c for c in v if c), 0) == 1]
+    pairs = combinations(enumerate(points), 2)
+    return Graph(40, [
+        (i, j) for (i, x), (j, y) in pairs
+        if (x[0] * y[1] - x[1] * y[0] + x[2] * y[3] - x[3] * y[2]) % 3 == 0
+    ])
 
 
 def gen_shrikhande() -> Graph:
@@ -298,13 +280,10 @@ def gen_shrikhande() -> Graph:
     {+-(1,0), +-(0,1), +-(1,1)}.  Shares srg(16,6,2,2) with the 4x4 rook's
     graph but is not a GQ collinearity graph (every claw number is 3)."""
     conn = {(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)}
-    edges = []
-    for a in range(16):
-        for b in range(a + 1, 16):
-            diff = ((b // 4 - a // 4) % 4, (b % 4 - a % 4) % 4)
-            if diff in conn:
-                edges.append((a, b))
-    return Graph(16, edges)
+    pairs = combinations(range(16), 2)
+    return Graph(16, [
+        (a, b) for a, b in pairs if ((b // 4 - a // 4) % 4, (b % 4 - a % 4) % 4) in conn
+    ])
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,12 @@ CONDITION_ORDER = (
 
 CSV_HEADER = "s,t,v,k,lambda,mu"
 
+#: The largest t_max the CLI scans.  multiplicity_divisors factors t-1, t
+#: and t+1 by trial division, which is slowest when t-1 and t+1 are prime
+#: and t/6 is prime: about 0.4 s per t near 10^12 on a 2-vCPU Intel Xeon,
+#: growing as the square root of t.
+MAX_SCAN_T = 10**12
+
 
 class FeasibilityReport(Record):
     """All condition verdicts and the resulting classification for one

@@ -13,7 +13,10 @@ from math import comb, floor, isqrt
 from types import ModuleType
 
 from pgq.bounds import BoundChoice, BoundResult, OptimalBound, neumaier_bound
+from pgq.errors import FormatError
 from pgq.graph import (
+    MAX_PGQGRAPH_VERTICES,
+    PGQGRAPH_HEADER,
     ClawCheck,
     CliqueCover,
     CoverCheck,
@@ -198,16 +201,37 @@ def brute_srg_params(n, edges):
     return (n, k, lams.pop() if lams else None, mus.pop() if mus else None)
 
 
+def branching_max_coclique(adj, vertices) -> int:
+    """Maximum independent set size among vertices (a set), by exhaustive
+    branching with plain sets; adj maps each vertex to its neighbor set.
+
+    A vertex v whose neighbors in vertices are pairwise adjacent is always
+    taken: a maximum coclique meets its closed neighborhood, a clique, in
+    exactly one vertex (else v could be added), which can be swapped for
+    v.  Otherwise a vertex of
+    largest degree is either left out or taken with its neighbors removed.
+    Unlike brute_max_coclique this stays fast on the 30-vertex local
+    graphs of W(5) and of the Cameron graph.
+    """
+    if not vertices:
+        return 0
+    for v in sorted(vertices):
+        near = adj[v] & vertices
+        if all(b in adj[a] for a, b in combinations(near, 2)):
+            return 1 + branching_max_coclique(adj, vertices - near - {v})
+    v = max(sorted(vertices), key=lambda u: len(adj[u] & vertices))
+    return max(
+        branching_max_coclique(adj, vertices - {v}),
+        1 + branching_max_coclique(adj, vertices - adj[v] - {v}),
+    )
+
+
 def local_coclique_oracle(graph, x) -> int:
-    """Claw number of x by brute enumeration over the neighborhood."""
-    nbrs = [v for v in range(graph.n) if graph.has_edge(x, v)]
-    index = {v: i for i, v in enumerate(nbrs)}
-    edges = set()
-    for i, u in enumerate(nbrs):
-        for v in nbrs[i + 1:]:
-            if graph.has_edge(u, v):
-                edges.add(frozenset((index[u], index[v])))
-    return brute_max_coclique(len(nbrs), edges)
+    """Claw number of x: the maximum coclique of its neighborhood, by
+    exhaustive branching over plain sets (branching_max_coclique)."""
+    nbrs = {v for v in range(graph.n) if graph.has_edge(x, v)}
+    adj = {v: {w for w in nbrs if graph.has_edge(v, w)} for v in nbrs}
+    return branching_max_coclique(adj, nbrs)
 
 
 def census_witness(graph, t):
@@ -315,6 +339,45 @@ def godsil_mckay_switch(graph, subset):
         if hits[v] == len(d) // 2:
             edges ^= {frozenset((v, w)) for w in d}
     return Graph(graph.n, [tuple(sorted(e)) for e in edges])
+
+
+def parse_pgqgraph_oracle(text):
+    """parse_pgqgraph as two passes: every edge line through _int_fields,
+    then Graph(n, edges), whose first range or duplicate error becomes the
+    FormatError."""
+    lines = text.splitlines()
+    if not lines or lines[0].strip() != PGQGRAPH_HEADER:
+        raise FormatError(f"missing '{PGQGRAPH_HEADER}' header")
+    if len(lines) < 2:
+        raise FormatError("missing vertex/edge count line")
+    n, m = _int_fields(lines[1], 2, 2)
+    if n < 0 or m < 0:
+        raise FormatError("negative vertex or edge count")
+    if n > MAX_PGQGRAPH_VERTICES:
+        raise FormatError(f"line 2: vertex count {n} is too large")
+    body = [ln for ln in lines[2:] if ln.strip()]
+    if len(body) != m:
+        raise FormatError(f"expected {m} edge lines, got {len(body)}")
+    edges = []
+    for i, ln in enumerate(body, start=3):
+        u, v = _int_fields(ln, 2, i)
+        if not u < v:
+            raise FormatError(f"line {i}: require u < v, got {u} {v}")
+        edges.append((u, v))
+    try:
+        return Graph(n, edges)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from None
+
+
+def _int_fields(line, count, lineno):
+    parts = line.split()
+    if len(parts) != count:
+        raise FormatError(f"line {lineno}: expected {count} fields, got {len(parts)}")
+    try:
+        return [int(p) for p in parts]
+    except ValueError:
+        raise FormatError(f"line {lineno}: non-integer field in {line!r}") from None
 
 
 def axioms_oracle(inc):

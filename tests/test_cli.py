@@ -26,7 +26,7 @@ from pgq.incidence import (
     write_pgqinc,
 )
 from pgq.params import GQParams
-from pgq.scan import ScanRange, emit_csv, emit_json, scan
+from pgq.scan import MAX_SCAN_T, ScanRange, emit_csv, emit_json, scan
 
 from oracles import cameron_graph
 
@@ -449,6 +449,17 @@ def test_check_at_huge_t_finishes():
     assert claw["verdict"] == "pass"
     bound = t * ((8 * t + 3) // 3)
     assert claw["witness"].startswith(f"s=5 <= {bound} (four-term bound at theta={4 * t // 3 + 1}, ")
+
+
+@pytest.mark.parametrize("t_min,t_max", [(10**1000, 10**1000), (2, 10**12 + 1)],
+                         ids=["10**1000", "10**12+1"])
+def test_scan_above_the_t_limit_is_a_usage_error(t_min, t_max):
+    # Trial division of t-1, t and t+1 has no useful bound at t = 10**1000,
+    # so a t_max above MAX_SCAN_T is refused before any work.
+    code, out, err = run_capped("", "scan", "--t-min", str(t_min), "--t-max", str(t_max),
+                                timeout=30)
+    assert (code, out) == (1, "")
+    assert err == f"usage error: --t-max must be at most {MAX_SCAN_T} (10**12)\n"
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 numbers, clique partitions and covers."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from pgq.errors import DomainError, FormatError, InternalInconsistencyError
 from pgq.graph import (
@@ -26,7 +26,15 @@ from pgq.incidence import (
 )
 from pgq.params import GQParams
 
-from oracles import brute_srg_params, edge_set, local_coclique_oracle
+from oracles import (
+    branching_max_coclique,
+    brute_max_coclique,
+    brute_srg_params,
+    edge_set,
+    local_coclique_oracle,
+    parse_pgqgraph_oracle,
+)
+from strategies import NOISE, mutated_lines
 
 
 def cycle(n):
@@ -86,22 +94,75 @@ def test_pgqgraph_round_trip(g):
         assert back.has_edge(v, u)
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "nope 1\n1 0\n",
-        "pgqgraph 1\n",
-        "pgqgraph 1\n2 1\n",
-        "pgqgraph 1\n2 1\n1 0\n",        # u >= v
-        "pgqgraph 1\n2 1\n0 2\n",        # out of range
-        "pgqgraph 1\n2 2\n0 1\n0 1\n",   # duplicate
-        "pgqgraph 1\n2 0\n0 1\n",        # extra edge line
-        "pgqgraph 1\n2 1\n0 x\n",
-    ],
-)
+#: Malformed pgqgraph text -> the exact FormatError message, one per branch.
+PGQGRAPH_ERRORS = {
+    "nope 1\n1 0\n": "missing 'pgqgraph 1' header",
+    "pgqgraph 1\n": "missing vertex/edge count line",
+    "pgqgraph 1\n2\n": "line 2: expected 2 fields, got 1",
+    "pgqgraph 1\n2 y\n": "line 2: non-integer field in '2 y'",
+    "pgqgraph 1\n-1 0\n": "negative vertex or edge count",
+    "pgqgraph 1\n1048577 0\n": "line 2: vertex count 1048577 is too large",
+    "pgqgraph 1\n2 1\n": "expected 1 edge lines, got 0",
+    "pgqgraph 1\n2 0\n0 1\n": "expected 0 edge lines, got 1",  # extra edge line
+    "pgqgraph 1\n3 1\n0 1 2\n": "line 3: expected 2 fields, got 3",
+    "pgqgraph 1\n2 1\n0 x\n": "line 3: non-integer field in '0 x'",
+    "pgqgraph 1\n2 1\n1 0\n": "line 3: require u < v, got 1 0",
+    "pgqgraph 1\n2 1\n0 2\n": "edge (0, 2) out of range for n=2",
+    "pgqgraph 1\n3 2\n-1 1\n0 1\n": "edge (-1, 1) out of range for n=3",
+    "pgqgraph 1\n2 2\n0 1\n0 1\n": "duplicate edge (0, 1)",
+    # Every syntax error comes before the first range or duplicate error,
+    # wherever they are; body lines are numbered from 3, skipping blanks.
+    "pgqgraph 1\n3 2\n0 5\n1 x\n": "line 4: non-integer field in '1 x'",
+    "pgqgraph 1\n3 2\n0 5\n2 1\n": "line 4: require u < v, got 2 1",
+    "pgqgraph 1\n3 3\n0 1\n\n0 1\n \n0 5\n": "duplicate edge (0, 1)",
+    "pgqgraph 1\n3 2\n\n0 1\n \n1 2 0\n": "line 4: expected 2 fields, got 3",
+}
+
+
+@pytest.mark.parametrize("text", PGQGRAPH_ERRORS)
 def test_pgqgraph_parse_errors(text):
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError) as exc:
         parse_pgqgraph(text)
+    assert str(exc.value) == PGQGRAPH_ERRORS[text]
+    with pytest.raises(FormatError) as exc:
+        parse_pgqgraph_oracle(text)
+    assert str(exc.value) == PGQGRAPH_ERRORS[text]
+
+
+def parse_outcome(parse, text):
+    """("graph", g) or ("error", message); any other exception propagates."""
+    try:
+        return "graph", parse(text)
+    except FormatError as exc:
+        return "error", str(exc)
+
+
+@given(st.one_of(st.text(max_size=40), NOISE.map(lambda body: "pgqgraph 1\n" + body)))
+def test_parser_matches_two_pass_oracle_on_arbitrary_text(text):
+    assert parse_outcome(parse_pgqgraph, text) == parse_outcome(parse_pgqgraph_oracle, text)
+
+
+@st.composite
+def mutated_pgqgraph(draw):
+    """A valid pgqgraph file with a few lines edited (an edge may be out
+    of range, repeated or reversed), the edge lines perhaps shuffled, and
+    the count line perhaps made to agree with them again."""
+    g = draw(graphs())
+    ints = st.integers(-2, g.n + 2).map(str)
+    lines = draw(mutated_lines(write_pgqgraph(g), st.tuples(ints, ints).map(" ".join)))
+    body = lines[2:]
+    draw(st.randoms()).shuffle(body)
+    if draw(st.booleans()):
+        lines[2:] = body
+    if len(lines) > 1 and draw(st.booleans()):
+        lines[1] = f"{g.n} {sum(1 for ln in body if ln.strip())}"
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=400)
+@given(mutated_pgqgraph())
+def test_parser_matches_two_pass_oracle_on_mutated_files(text):
+    assert parse_outcome(parse_pgqgraph, text) == parse_outcome(parse_pgqgraph_oracle, text)
 
 
 def test_pgqgraph_accepts_vertex_count_at_limit():
@@ -209,6 +270,22 @@ def test_claw_number_matches_brute_force(name, g, p):
 def test_claw_number_matches_brute_force_random(g):
     for x in range(g.n):
         assert claw_number(g, x) == local_coclique_oracle(g, x)
+
+
+@given(graphs(), st.randoms())
+def test_claw_numbers_do_not_depend_on_visit_order(g, rng):
+    # The cliques that walks keep on g must give the same claw numbers
+    # whatever vertex the census starts from.
+    order = rng.sample(range(g.n), g.n)
+    assert {x: claw_number(g, x) for x in order} == {
+        x: local_coclique_oracle(g, x) for x in range(g.n)
+    }
+
+
+@given(graphs())
+def test_branching_coclique_oracle_matches_subset_enumeration(g):
+    adj = {v: {w for w in range(g.n) if g.has_edge(v, w)} for v in range(g.n)}
+    assert branching_max_coclique(adj, set(range(g.n))) == brute_max_coclique(g.n, edge_set(g))
 
 
 # ---------------------------------------------------------------------------

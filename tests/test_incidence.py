@@ -2,9 +2,12 @@
 collinearity graphs, generators, and the pgqinc format."""
 
 import random
+from functools import cache
 
 import pytest
+from hypothesis import given, strategies as st
 
+import pgq.graph
 from pgq.errors import DomainError, FormatError
 from pgq.graph import (
     Graph,
@@ -40,10 +43,12 @@ from oracles import (
     edge_set,
     gathered_lines,
     godsil_mckay_switch,
+    local_coclique_oracle,
     local_partition_oracle,
     relabel,
     symplectic_graph,
 )
+from strategies import NOISE, mutated_lines
 
 W3_GRAPH = gen_symplectic_w3()
 W3 = extract_gq(W3_GRAPH, GQParams(3, 3)).structure
@@ -54,6 +59,8 @@ SWITCHED_Q43 = godsil_mckay_switch(Q43, (0, 5, 10, 15))
 # The Cameron graph, srg(231,30,9,3): a pseudo-GQ(10,2) with every claw
 # number 5 > t+1 = 3.
 CAMERON = cameron_graph()
+W5_GRAPH = symplectic_graph(5)
+W7_GRAPH = symplectic_graph(7)
 GQ22 = extract_gq(gen_kneser_6_2(), GQParams(2, 2)).structure
 GQ31 = extract_gq(gen_rook(4), GQParams(3, 1)).structure
 
@@ -202,8 +209,8 @@ def test_extract_positives(g, p, n_lines):
         (gen_rook(4), GQParams(3, 1)),
         (W3_GRAPH, GQParams(3, 3)),
         (Q43, GQParams(3, 3)),
-        (symplectic_graph(5), GQParams(5, 5)),
-        (symplectic_graph(7), GQParams(7, 7)),
+        (W5_GRAPH, GQParams(5, 5)),
+        (W7_GRAPH, GQParams(7, 7)),
     ],
     ids=["rook4", "w3", "q43", "w5", "w7"],
 )
@@ -214,6 +221,86 @@ def test_extract_lines_match_lines_gathered_from_every_point(g, p, seed):
         g = relabel(g, random.Random(seed).sample(range(g.n), g.n))
     expected = IncidenceStructure(g.n, gathered_lines(g), p.s, p.t)
     assert write_pgqinc(extract_gq(g, p).structure) == write_pgqinc(expected)
+
+
+POSITIVES = {
+    "rook4": (gen_rook(4), GQParams(3, 1)),
+    "w3": (W3_GRAPH, GQParams(3, 3)),
+    "q43": (Q43, GQParams(3, 3)),
+    "w5": (W5_GRAPH, GQParams(5, 5)),
+    "w7": (W7_GRAPH, GQParams(7, 7)),
+}
+
+
+@pytest.mark.parametrize("seed", [None, 0])
+@pytest.mark.parametrize("g,p", POSITIVES.values(), ids=POSITIVES.keys())
+def test_extraction_is_a_gq_by_proof(g, p, seed, monkeypatch):
+    # extract_gq runs no axiom check (its docstring proves the result is a
+    # GQ); both axiom checks must agree with the proof.
+    if seed is not None:
+        g = relabel(g, random.Random(seed).sample(range(g.n), g.n))
+    monkeypatch.setattr("pgq.incidence.verify_axioms", None)
+    inc = extract_gq(Graph(g.n, g.edges()), p).structure
+    monkeypatch.undo()
+    assert verify_axioms(inc).ok
+    assert axioms_oracle(inc) == (True, None, None)
+
+
+def test_census_tests_each_line_once(monkeypatch):
+    # The cliques kept on the graph: in a GQ each line passes the clique
+    # test once, not once from each of its s+1 points.
+    tested = []
+    is_clique = pgq.graph._is_clique
+    monkeypatch.setattr("pgq.graph._is_clique", lambda rows, m: tested.append(m) or is_clique(rows, m))
+    g = Graph(W5_GRAPH.n, W5_GRAPH.edges())
+    lines = (5 * 5 + 1) * (5 + 1)
+    assert _claw_histogram(g) == {6: 156} and len(tested) == lines
+    assert extract_gq(g, GQParams(5, 5)).ok and len(tested) == lines
+    assert _claw_histogram(g) == {6: 156} and len(tested) == lines
+
+
+@pytest.mark.parametrize(
+    "g,p",
+    [
+        (W5_GRAPH, GQParams(5, 5)),
+        (Q43, GQParams(3, 3)),
+        (SWITCHED_Q43, GQParams(3, 3)),
+        (CAMERON, GQParams(10, 2)),
+        (gen_shrikhande(), GQParams(3, 1)),
+    ],
+    ids=["w5", "q43", "switched-q43", "cameron", "shrikhande"],
+)
+def test_census_after_extraction_matches_a_fresh_graph(g, p):
+    # Extraction leaves its cliques on the graph; a later census on the
+    # same object must equal one on a fresh copy.
+    used = Graph(g.n, g.edges())
+    extract_gq(used, p)
+    assert _claw_histogram(used) == _claw_histogram(Graph(g.n, g.edges()))
+
+
+CLAW_GRAPHS = {
+    "cameron": CAMERON,
+    "switched-q43": SWITCHED_Q43,
+    "shrikhande": gen_shrikhande(),
+    "w5": W5_GRAPH,
+}
+
+
+@cache
+def oracle_claws(name):
+    g = CLAW_GRAPHS[name]
+    return [local_coclique_oracle(g, x) for x in range(g.n)]
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("name", CLAW_GRAPHS)
+def test_claw_numbers_in_random_order_match_oracle(name, seed):
+    # Whatever order the walks fill the kept cliques in, every claw number
+    # must equal the exhaustive one.
+    g = CLAW_GRAPHS[name]
+    fresh = Graph(g.n, g.edges())
+    claws = {x: claw_number(fresh, x) for x in random.Random(seed).sample(range(g.n), g.n)}
+    assert [claws[x] for x in range(g.n)] == oracle_claws(name)
 
 
 def test_symplectic_oracle_matches_w3_generator():
@@ -452,3 +539,20 @@ def test_pgqinc_round_trip(gq22, gq31):
 def test_pgqinc_parse_errors(text):
     with pytest.raises(FormatError):
         parse_pgqinc(text)
+
+
+@st.composite
+def mutated_pgqinc(draw):
+    """The pgqinc file of a small GQ with a few lines edited."""
+    inc = draw(st.sampled_from([GQ22, GQ31, dual(GQ31)]))
+    row = st.lists(st.integers(-1, 17).map(str), max_size=5).map(" ".join)
+    return "\n".join(draw(mutated_lines(write_pgqinc(inc), row))) + "\n"
+
+
+@given(st.one_of(st.text(max_size=40), NOISE.map(lambda body: "pgqinc 1\n" + body), mutated_pgqinc()))
+def test_pgqinc_parser_gives_a_structure_or_a_format_error(text):
+    try:
+        inc = parse_pgqinc(text)
+    except FormatError:
+        return
+    assert isinstance(inc, IncidenceStructure)
