@@ -1,13 +1,20 @@
 """Frozen value records, the base of every parameter and result type.
 
-A record class names its fields in __slots__ and sets them in its own
-__init__ through set_field.  Record supplies what dataclass(frozen=True)
-would: equality only between instances of the same class, the hash of
-the field tuple, a repr of the form Name(field=value, ...), an
-AttributeError on assignment or deletion, and pickling through the
-constructor.  Plain classes are used because generating those methods
-with dataclasses costs every command-line call a large share of its
-start-up.
+A record class names its fields in __slots__.  Record.__init__ takes one
+positional value per field, in __slots__ order; a class that sets
+_optional = n lets its last n fields default to None, and any other
+argument count raises TypeError.  Only a record that validates its
+arguments writes its own __init__, setting its fields through set_field
+(and calling Record.__init__(self, ...), never super(), if it delegates).
+
+A record is false exactly when it has an ok field or property and that
+is false; a record without ok is always true.  Record also supplies what
+dataclass(frozen=True) would: equality only between instances of the
+same class, the hash of the field tuple, a repr of the form
+Name(field=value, ...), an AttributeError on assignment or deletion, and
+pickling through the constructor.  Plain classes are used because
+generating those methods with dataclasses costs every command-line call
+a large share of its start-up.
 """
 
 #: Sets a field from __init__, past Record.__setattr__.
@@ -16,6 +23,23 @@ set_field = object.__setattr__
 
 class Record:
     __slots__ = ()
+
+    #: How many trailing fields default to None.
+    _optional = 0
+
+    def __init__(self, *values):
+        names = self.__slots__
+        missing = len(names) - len(values)
+        if not 0 <= missing <= self._optional:
+            raise TypeError(
+                f"{self.__class__.__qualname__} takes {len(names)} fields"
+                f" ({self._optional} optional), got {len(values)}"
+            )
+        for name, value in zip(names, values + (None,) * missing):
+            set_field(self, name, value)
+
+    def __bool__(self) -> bool:
+        return getattr(self, "ok", True)
 
     def _fields(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])

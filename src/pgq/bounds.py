@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, isqrt
 
-from ._record import Record, set_field
+from ._record import Record
 from .errors import InternalInconsistencyError
 from .params import FAIL, PASS, SrgParams, Verdict
 
@@ -76,7 +76,8 @@ def claw_inequality_check(q: SrgParams, r: int) -> Verdict:
 
 
 class BoundChoice(Record):
-    """A choice of the free parameters (theta, beta) of the four-term bound.
+    """A choice of the free parameters (theta, beta) of the four-term
+    bound, both int.
 
     Validity is relative to the t under test: theta >= t+2 and
     2 <= beta <= t+1 (claw_bound_terms enforces this).
@@ -84,23 +85,12 @@ class BoundChoice(Record):
 
     __slots__ = ("theta", "beta")
 
-    def __init__(self, theta: int, beta: int):
-        set_field(self, "theta", theta)
-        set_field(self, "beta", beta)
-
 
 class BoundResult(Record):
-    """The four terms of the bound and their maximum, all exact."""
+    """The four terms of the bound, term1 ... term4, and their maximum,
+    bound, all exact Fractions."""
 
     __slots__ = ("term1", "term2", "term3", "term4", "bound")
-
-    def __init__(self, term1: Fraction, term2: Fraction, term3: Fraction, term4: Fraction,
-                 bound: Fraction):
-        set_field(self, "term1", term1)
-        set_field(self, "term2", term2)
-        set_field(self, "term3", term3)
-        set_field(self, "term4", term4)
-        set_field(self, "bound", bound)
 
     @property
     def terms(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
@@ -166,19 +156,15 @@ def quadratic_bound_witness(t: int) -> BoundChoice:
 
 
 class OptimalBound(Record):
-    """Best four-term bound over all valid (theta, beta) for a given t.
+    """Best four-term bound over all valid (theta, beta) for a given t:
+    threshold (int), exact (Fraction), the BoundChoice choice attaining
+    it and its BoundResult terms.
 
     A parameter s is ruled out iff s > threshold (strict); threshold is
     floor(exact), which is equivalent for integer s.
     """
 
     __slots__ = ("threshold", "exact", "choice", "terms")
-
-    def __init__(self, threshold: int, exact: Fraction, choice: BoundChoice, terms: BoundResult):
-        set_field(self, "threshold", threshold)
-        set_field(self, "exact", exact)
-        set_field(self, "choice", choice)
-        set_field(self, "terms", terms)
 
 
 @lru_cache(maxsize=None)

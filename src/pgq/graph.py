@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from ._record import Record, set_field
+from ._record import Record
 from .errors import DomainError, FormatError, InternalInconsistencyError
 from .params import GQParams, SrgParams, derive_srg
 
@@ -99,18 +99,14 @@ class Graph:
 
 
 class LocalGraph(Record):
-    """The subgraph induced on the neighborhood of a center vertex.
+    """The subgraph induced on the neighborhood of the vertex center (int).
 
-    vertices holds the neighbors by original id, ascending; rows is the
-    induced adjacency over local indices 0..len(vertices)-1.
+    vertices (tuple[int, ...]) holds the neighbors by original id,
+    ascending; rows (tuple[int, ...]) is the induced adjacency, as
+    bitmasks over local indices 0..len(vertices)-1.
     """
 
     __slots__ = ("center", "vertices", "rows")
-
-    def __init__(self, center: int, vertices: tuple[int, ...], rows: tuple[int, ...]):
-        set_field(self, "center", center)
-        set_field(self, "vertices", vertices)
-        set_field(self, "rows", rows)
 
     def as_graph(self) -> Graph:
         n = len(self.vertices)
@@ -119,12 +115,10 @@ class LocalGraph(Record):
 
 
 class CliqueCover(Record):
-    """A family of vertex sets intended to cover every edge exactly once."""
+    """A family of vertex sets intended to cover every edge exactly once:
+    cliques, a tuple[tuple[int, ...], ...]."""
 
     __slots__ = ("cliques",)
-
-    def __init__(self, cliques: tuple[tuple[int, ...], ...]):
-        set_field(self, "cliques", cliques)
 
     @staticmethod
     def from_sets(sets) -> "CliqueCover":
@@ -132,44 +126,33 @@ class CliqueCover(Record):
 
 
 class SrgCheck(Record):
-    """Result of verify_srg: either the parameters or a first witness."""
+    """Result of verify_srg: either the SrgParams params, or None and the
+    first failure (str); failure defaults to None."""
 
     __slots__ = ("params", "failure")
-
-    def __init__(self, params: SrgParams | None, failure: str | None = None):
-        set_field(self, "params", params)
-        set_field(self, "failure", failure)
+    _optional = 1
 
     @property
     def ok(self) -> bool:
         return self.params is not None
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 class PartitionResult(Record):
-    """Result of clique_partition_of_local: a cover or a witness vertex
-    whose candidate set breaks the partition."""
+    """Result of clique_partition_of_local: either the CliqueCover cover,
+    or None, the witness vertex (int) whose candidate set breaks the
+    partition and the reason (str); witness and reason default to None."""
 
     __slots__ = ("cover", "witness", "reason")
-
-    def __init__(self, cover: CliqueCover | None, witness: int | None = None,
-                 reason: str | None = None):
-        set_field(self, "cover", cover)
-        set_field(self, "witness", witness)
-        set_field(self, "reason", reason)
+    _optional = 2
 
     @property
     def ok(self) -> bool:
         return self.cover is not None
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 class CoverCheck(Record):
-    """Result of verify_clique_cover.
+    """Result of verify_clique_cover: ok (bool), diagonal
+    (tuple[int, ...]) and the failure (str), which defaults to None.
 
     diagonal[j] is the number of cliques containing vertex j, i.e. the
     diagonal of RR^T for the vertex-clique incidence matrix R; ok means
@@ -177,29 +160,15 @@ class CoverCheck(Record):
     """
 
     __slots__ = ("ok", "diagonal", "failure")
-
-    def __init__(self, ok: bool, diagonal: tuple[int, ...], failure: str | None = None):
-        set_field(self, "ok", ok)
-        set_field(self, "diagonal", diagonal)
-        set_field(self, "failure", failure)
-
-    def __bool__(self) -> bool:
-        return self.ok
+    _optional = 1
 
 
 class ClawCheck(Record):
-    """Claw-number census of a graph against the PGQ lower bound t+1."""
+    """Claw-number census of a graph against the PGQ lower bound t+1:
+    ok (bool), histogram (dict[int, int], claw number -> vertex count),
+    minimum (int) and threshold (int, the t+1)."""
 
     __slots__ = ("ok", "histogram", "minimum", "threshold")
-
-    def __init__(self, ok: bool, histogram: dict[int, int], minimum: int, threshold: int):
-        set_field(self, "ok", ok)
-        set_field(self, "histogram", histogram)
-        set_field(self, "minimum", minimum)
-        set_field(self, "threshold", threshold)
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def _connected(g: Graph) -> bool:
@@ -280,45 +249,50 @@ def local_graph(g: Graph, x: int) -> LocalGraph:
     return LocalGraph(x, vertices, rows)
 
 
-def _max_clique_size(rows: tuple[int, ...], cand: int, best_floor: int = 0) -> int:
+def _max_clique_size(rows: tuple[int, ...], cand: int) -> int:
     """Exact maximum clique size among the vertices of cand.
 
     Branch and bound with greedy-coloring bounds: candidates are colored
     so that same-color vertices are pairwise non-adjacent; a clique takes
     at most one vertex per color, so a vertex's color index bounds any
-    clique extending through it.
+    clique extending through it.  The search keeps one frame
+    [cand_mask, size, order, bounds, i] per level on an explicit stack,
+    so a clique of any size is found without deep recursion.
     """
-    best = best_floor
-
-    def expand(cand_mask: int, size: int) -> None:
-        nonlocal best
+    best = 0
+    stack: list[list] = []
+    cand_mask, size = cand, 0
+    while True:
         if not cand_mask:
-            if size > best:
-                best = size
-            return
-        order: list[int] = []
-        bounds: list[int] = []
-        color = 0
-        uncolored = cand_mask
-        while uncolored:
-            color += 1
-            avail = uncolored
-            while avail:
-                lsb = avail & -avail
-                v = lsb.bit_length() - 1
-                avail &= ~(rows[v] | lsb)
-                uncolored ^= lsb
-                order.append(v)
-                bounds.append(color)
-        for i in range(len(order) - 1, -1, -1):
-            if size + bounds[i] <= best:
-                return
+            best = max(best, size)
+        else:
+            order: list[int] = []
+            bounds: list[int] = []
+            color = 0
+            uncolored = cand_mask
+            while uncolored:
+                color += 1
+                avail = uncolored
+                while avail:
+                    lsb = avail & -avail
+                    v = lsb.bit_length() - 1
+                    avail &= ~(rows[v] | lsb)
+                    uncolored ^= lsb
+                    order.append(v)
+                    bounds.append(color)
+            stack.append([cand_mask, size, order, bounds, len(order) - 1])
+        while stack:
+            frame = stack[-1]
+            cand_mask, size, order, bounds, i = frame
+            if i < 0 or size + bounds[i] <= best:
+                stack.pop()
+                continue
             v = order[i]
-            expand(cand_mask & rows[v], size + 1)
-            cand_mask &= ~(1 << v)
-
-    expand(cand, 0)
-    return best
+            frame[0], frame[4] = cand_mask & ~(1 << v), i - 1
+            cand_mask, size = cand_mask & rows[v], size + 1
+            break
+        else:
+            return best
 
 
 def _independence_number(rows: tuple[int, ...]) -> int:

@@ -56,39 +56,26 @@ class IncidenceStructure(Record):
 
 
 class AxiomCheck(Record):
-    """Axiom verdict; on failure, axiom is "i", "ii" or "iii" and the
-    witness pinpoints the first violating object in lexicographic order."""
+    """Axiom verdict ok (bool); on failure, axiom is "i", "ii" or "iii"
+    and the witness (str) pinpoints the first violating object in
+    lexicographic order.  axiom and witness default to None."""
 
     __slots__ = ("ok", "axiom", "witness")
-
-    def __init__(self, ok: bool, axiom: str | None = None, witness: str | None = None):
-        set_field(self, "ok", ok)
-        set_field(self, "axiom", axiom)
-        set_field(self, "witness", witness)
-
-    def __bool__(self) -> bool:
-        return self.ok
+    _optional = 2
 
 
 class ExtractionResult(Record):
-    """Either the extracted incidence structure, or pseudo-GQ evidence:
-    a witness vertex whose claw number exceeds t+1."""
+    """Either the extracted IncidenceStructure structure, or None and
+    pseudo-GQ evidence: a witness_vertex (int) whose claw number
+    witness_claw (int) exceeds t+1, and the reason (str).  The last
+    three default to None."""
 
     __slots__ = ("structure", "witness_vertex", "witness_claw", "reason")
-
-    def __init__(self, structure: IncidenceStructure | None, witness_vertex: int | None = None,
-                 witness_claw: int | None = None, reason: str | None = None):
-        set_field(self, "structure", structure)
-        set_field(self, "witness_vertex", witness_vertex)
-        set_field(self, "witness_claw", witness_claw)
-        set_field(self, "reason", reason)
+    _optional = 3
 
     @property
     def ok(self) -> bool:
         return self.structure is not None
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def verify_axioms(inc: IncidenceStructure) -> AxiomCheck:
@@ -240,8 +227,8 @@ def gen_rook(m: int) -> Graph:
     Collinearity graph of the trivial GQ(m-1, 1)."""
     if not isinstance(m, int) or m < 2:
         raise ValueError(f"require integer m >= 2, got {m!r}")
-    cells = combinations(range(m * m), 2)
-    return Graph(m * m, [(a, b) for a, b in cells if a // m == b // m or a % m == b % m])
+    lines = [range(i * m, i * m + m) for i in range(m)] + [range(i, m * m, m) for i in range(m)]
+    return Graph(m * m, [edge for line in lines for edge in combinations(line, 2)])
 
 
 def gen_complete_bipartite(m: int) -> Graph:

@@ -41,9 +41,6 @@ class Verdict(Record):
     def ok(self) -> bool:
         return self.status == PASS
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 def _check_int(name: str, value) -> int:
     if not isinstance(value, int) or isinstance(value, bool):

@@ -29,7 +29,6 @@ from .params import (
     PASS,
     _NA_WITNESS,
     GQParams,
-    SrgParams,
     Verdict,
     derive_srg,
     gq_possible,
@@ -67,16 +66,11 @@ MAX_SCAN_T = 10**12
 
 class FeasibilityReport(Record):
     """All condition verdicts and the resulting classification for one
-    parameter pair."""
+    parameter pair: params (GQParams), derived (SrgParams), verdicts
+    (tuple[Verdict, ...], in CONDITION_ORDER) and classification (str,
+    one of CLASSIFICATIONS)."""
 
     __slots__ = ("params", "derived", "verdicts", "classification")
-
-    def __init__(self, params: GQParams, derived: SrgParams, verdicts: tuple[Verdict, ...],
-                 classification: str):
-        set_field(self, "params", params)
-        set_field(self, "derived", derived)
-        set_field(self, "verdicts", verdicts)
-        set_field(self, "classification", classification)
 
 
 class ScanRange(Record):
@@ -98,10 +92,8 @@ def check_one(p: GQParams) -> FeasibilityReport:
     q = derive_srg(p)
     s, t = p.s, p.t
     verdicts = [
-        Verdict(
-            "consistency", PASS if q.counting_identity_holds else FAIL,
-            f"k(k-lambda-1) = {q.k * (q.k - q.lam - 1)} = (v-k-1)mu",
-        )
+        # derive_srg has raised InternalInconsistencyError if the identity fails.
+        Verdict("consistency", PASS, f"k(k-lambda-1) = {q.k * (q.k - q.lam - 1)} = (v-k-1)mu")
     ]
     if p.is_trivial:
         which = "s=1" if s == 1 else "t=1"

@@ -6,14 +6,17 @@ import os
 import resource
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from math import comb
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pgq
 from pgq.cli import _decimal, main
-from pgq.graph import parse_pgqgraph, write_pgqgraph
+from pgq.graph import Graph, claw_number, parse_pgqgraph, write_pgqgraph
 from pgq.incidence import (
     collinearity_graph,
     dual,
@@ -278,6 +281,20 @@ def test_graph_claw_runs_branch_and_bound_only_where_the_walk_fails(
     assert json.loads(out) == {"histogram": histogram, "min": 4, "max": 4}
 
 
+def test_graph_claw_of_a_deep_clique_does_not_recurse(capsys, tmp_path):
+    # Vertex 0 is joined to all others; 1201 is also joined to 1202 and
+    # 1203.  The cover walk fails at 0, whose local graph has a coclique
+    # of 1202 vertices, and the branch and bound goes 1202 levels deep.
+    edges = [(0, v) for v in range(1, 1204)] + [(1201, 1202), (1201, 1203)]
+    g = Graph(1204, edges)
+    assert claw_number(g, 0) == 1202
+    path = tmp_path / "star.pgqgraph"
+    path.write_text(write_pgqgraph(g), encoding="ascii")
+    code, out, _ = run(capsys, "graph", "claw", str(path))
+    assert code == 0
+    assert json.loads(out)["histogram"] == {"1": 1202, "2": 1, "1202": 1}
+
+
 def test_graph_extract_gq_negative_pipeline(capsys, monkeypatch, shrikhande_file):
     # gen shrikhande | graph extract-gq - --s 3 --t 1
     code, out, _ = run(capsys, "gen", "shrikhande")
@@ -485,3 +502,77 @@ def test_stdout_is_deterministic(capsys):
 def test_help_exits_zero(capsys):
     code, out, _ = run(capsys, "--help")
     assert code == 0 and "scan" in out
+
+
+#: Small input files by name; "absent/file" and "dir" are paths that
+#: cannot be read.
+ARGV_FILES = {
+    "rook3.pgqgraph": write_pgqgraph(gen_rook(3)),
+    "shrikhande.pgqgraph": write_pgqgraph(gen_shrikhande()),
+    "gq22.pgqinc": write_pgqinc(extract_gq(gen_kneser_6_2(), GQParams(2, 2)).structure),
+    "junk": "pgqgraph 1\n3 x\n",
+}
+ARGV_PATHS = st.sampled_from(("-", "absent/file", "dir", *ARGV_FILES))
+#: Subcommand -> its positional choices, its required integer flags and
+#: its other flags, as the parser has them.
+ARGV_GRAMMAR = {
+    "scan": ((), ("--t-min", "--t-max"), ("--format", "--out")),
+    "check": ((), ("--s", "--t"), ("--format",)),
+    "bound": ((), ("--t",), ("--theta", "--beta")),
+    "graph": (("verify", "claw", "extract-gq"), (), ("--s", "--t", "--out")),
+    "gen": (("rook", "bipartite", "kneser", "w3", "shrikhande"), (), ("--m", "--out")),
+    "inc": (("verify", "dual", "collinearity"), (), ("--help",)),
+}
+ARGV_INTS = st.integers(-3, 12).map(str)
+#: Flag -> the values it is given; integers for the flags not named.
+ARGV_VALUES = {"--format": st.sampled_from(("csv", "json")), "--out": ARGV_PATHS}
+ARGV_WORDS = [w for rule in ARGV_GRAMMAR.values() for part in rule for w in part]
+ARGV_TOKENS = st.one_of(
+    st.sampled_from(["frobnicate", "csv", "json", *ARGV_GRAMMAR, *ARGV_WORDS]), ARGV_INTS, ARGV_PATHS
+)
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand with its positionals, its required flags and up to
+    three other flags, each followed by a value of its kind; then at most
+    one token of any kind inserted anywhere."""
+    command = draw(st.sampled_from(tuple(ARGV_GRAMMAR)))
+    positionals, required, optional = ARGV_GRAMMAR[command]
+    argv = [command]
+    if positionals:
+        argv.append(draw(st.sampled_from(positionals)))
+    if command in ("graph", "inc"):
+        argv.append(draw(ARGV_PATHS))
+    for flag in required:
+        argv += [flag, draw(ARGV_INTS)]
+    for _ in range(draw(st.integers(0, 3))):
+        flag = draw(st.sampled_from(optional))
+        argv += [flag, draw(ARGV_VALUES.get(flag, ARGV_INTS))]
+    if draw(st.booleans()):
+        argv.insert(draw(st.integers(0, len(argv))), draw(ARGV_TOKENS))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def argv_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("argv")
+
+
+@settings(max_examples=300)
+@given(argvs(), st.sampled_from(tuple(ARGV_FILES.values())))
+def test_any_argv_exits_cleanly(argv_dir, argv, stdin):
+    # Relative paths resolve in argv_dir; the files are rewritten for each
+    # example, as --out may have overwritten one.
+    (argv_dir / "dir").mkdir(exist_ok=True)
+    for name, text in ARGV_FILES.items():
+        (argv_dir / name).write_text(text, encoding="ascii")
+    cwd = os.getcwd()
+    os.chdir(argv_dir)
+    try:
+        with mock.patch("sys.stdin", io.StringIO(stdin)), \
+                redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
+    assert code in (0, 1, 2, 3)
