@@ -21,6 +21,7 @@ _EXPORTS = {
         "OptimalBound",
         "claw_bound_terms",
         "claw_inequality_check",
+        "claw_threshold",
         "neumaier_bound",
         "optimal_claw_bound",
         "quadratic_bound_witness",

@@ -15,17 +15,20 @@ Two families of necessary conditions are implemented exactly:
 
   For t >= 3 the optimum over (theta, beta) is the closed form
   s <= t * floor(8t/3 + 1), quadratic in t, attained at
-  theta = floor(4t/3) + 1; at t = 2 it is 14.  optimal_claw_bound
-  evaluates this closed form and searches nothing; its docstring holds
-  the proof.
+  theta = floor(4t/3) + 1; at t = 2 it is 14.  claw_threshold(t) is
+  that integer, the one implementation of the threshold: the scan
+  enumeration compares against it directly, and optimal_claw_bound
+  attaches the (theta, beta) attaining it and its exact terms.  Neither
+  searches anything; the optimal_claw_bound docstring holds the proof.
 
 All comparisons are exact (integers and fractions.Fraction); bounds such
 as t(theta+1)theta / (2(theta-t)) are never rounded before a verdict.
+fractions is imported only where a Fraction is built, so a caller of
+claw_threshold and neumaier_bound alone never loads it.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, isqrt
 
@@ -106,6 +109,8 @@ def claw_bound_terms(t: int, choice: BoundChoice) -> BoundResult:
     term2 and term3 are integers by construction; term1 and term4 are
     kept as exact rationals.
     """
+    from fractions import Fraction
+
     _require_t(t)
     theta, beta = choice.theta, choice.beta
     if not isinstance(theta, int) or theta < t + 2:
@@ -138,6 +143,14 @@ def quadratic_claw_bound(t: int) -> int:
     """
     _require_t(t)
     return t * ((8 * t + 3) // 3)
+
+
+def claw_threshold(t: int) -> int:
+    """The optimal four-term bound as an integer: s is ruled out iff
+    s > claw_threshold(t).  It is 14 at t = 2 and quadratic_claw_bound(t)
+    for t >= 3; optimal_claw_bound proves both."""
+    _require_t(t)
+    return 14 if t == 2 else quadratic_claw_bound(t)
 
 
 def quadratic_bound_witness(t: int) -> BoundChoice:
@@ -223,11 +236,10 @@ def optimal_claw_bound(t: int) -> OptimalBound:
     claw_bound_terms, and a disagreement with the value is reported as
     InternalInconsistencyError.
     """
-    _require_t(t)
-    if t == 2:
-        theta, threshold = 4, 14
-    else:
-        theta, threshold = quadratic_bound_witness(t).theta, quadratic_claw_bound(t)
+    from fractions import Fraction
+
+    threshold = claw_threshold(t)
+    theta = 4 if t == 2 else quadratic_bound_witness(t).theta
     # term4 <= threshold  <=>  C(beta, 2) >= (t+1)^2 theta / threshold.
     choice = BoundChoice(theta, _smallest_beta(-(-(t + 1) ** 2 * theta // threshold)))
     result = claw_bound_terms(t, choice)

@@ -46,12 +46,16 @@ def _read_input(path: str) -> str:
         return fh.read()
 
 
-def _write_output(text: str, out: str | None) -> None:
+def _write_output(chunks, out: str | None) -> None:
+    """Write an iterable of strings to --out, or to stdout if none, one
+    write() per chunk: each reaches the OS when stdout is unbuffered."""
     if out is None:
-        sys.stdout.write(text)
+        for chunk in chunks:
+            sys.stdout.write(chunk)
     else:
         with open(out, "w", encoding="ascii") as fh:
-            fh.write(text)
+            for chunk in chunks:
+                fh.write(chunk)
 
 
 def _json(obj) -> str:
@@ -124,12 +128,13 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_scan(args) -> int:
-    from .scan import MAX_SCAN_T, ScanRange, emit, scan
+    from .scan import MAX_SCAN_T, ScanRange, chunks
 
     if args.t_max > MAX_SCAN_T:
         raise UsageError(f"--t-max must be at most {MAX_SCAN_T} (10**12)")
-    reports = scan(ScanRange(args.t_min, args.t_max))
-    _write_output(emit(reports, args.format), args.out)
+    # The range is validated before --out is opened; the rows stream, one
+    # write per t.
+    _write_output(chunks(ScanRange(args.t_min, args.t_max), args.format), args.out)
     return EXIT_OK
 
 
@@ -252,7 +257,7 @@ def _cmd_graph(args) -> int:
     if not result.ok:
         print(result.reason, file=sys.stderr)
         return EXIT_NEGATIVE
-    _write_output(write_pgqinc(result.structure), args.out)
+    _write_output((write_pgqinc(result.structure),), args.out)
     return EXIT_OK
 
 
@@ -279,7 +284,7 @@ def _cmd_gen(args) -> int:
             "w3": gen_symplectic_w3,
             "shrikhande": gen_shrikhande,
         }[name]()
-    _write_output(write_pgqgraph(g), args.out)
+    _write_output((write_pgqgraph(g),), args.out)
     return EXIT_OK
 
 

@@ -7,11 +7,19 @@ excluded both as a GQ (s > t^2) and as a pseudo-GQ (s > the optimized
 four-term bound).  Number theory narrows the search to few candidates:
 since s = -t (mod s+t), (s+t) | s(s+1)t(t+1) holds iff
 (s+t) | t^2(t^2-1).  So the candidates at t are s = d - t for the
-divisors d of t^2(t^2-1) with max(t^2, four-term threshold) < s <=
+divisors d of t^2(t^2-1) with max(t^2, claw_threshold(t)) < s <=
 Neumaier's bound, and every candidate is a row: s > t^2 >= t gives
 Krein (t <= s^2) and fails gq-duality, the divisor gives divisibility,
 and threshold < s <= Neumaier's bound passes Neumaier and fails the claw
-bound.  check_one still runs on each row for its verdict witnesses.
+bound.
+
+So a CSV row needs only (s, t): candidates() yields the pairs from the
+divisor arithmetic, and csv_row() formats v = (s+1)(st+1), k = s(t+1),
+lambda = s-1 and mu = t+1 directly.  A scan runs check_one only for
+JSON, whose objects carry the verdict witnesses.  chunks() streams
+either format as one string per t, so a scan holds one t's rows at a
+time, whatever its range; scan() and emit() give the same rows as a
+list of reports and as one string.
 
 The scan is a pure function of its range: rows come out ordered by
 (t, s) ascending and two runs produce byte-identical output.
@@ -19,10 +27,8 @@ The scan is a pure function of its range: rows come out ordered by
 
 from __future__ import annotations
 
-import json
-
 from ._record import Record, set_field
-from .bounds import neumaier_bound, optimal_claw_bound
+from .bounds import claw_threshold, neumaier_bound, optimal_claw_bound
 from .params import (
     FAIL,
     NA,
@@ -155,18 +161,20 @@ def multiplicity_divisors(t: int) -> list[int]:
     return sorted(divisors)
 
 
-def scan(rng: ScanRange) -> list[FeasibilityReport]:
-    """All parameter sets in range eliminated by the four-term bound but by
-    nothing older, ordered by (t, s) ascending.  Every divisor candidate
-    is such a set (see the module docstring), so none is filtered."""
-    rows = []
+def candidates(rng: ScanRange):
+    """Yield, for each t in range ascending, the list of (s, t) pairs
+    eliminated by the four-term bound but by nothing older, s ascending.
+    Every divisor candidate is such a pair (see the module docstring),
+    so none is filtered."""
     for t in range(rng.t_min, rng.t_max + 1):
-        low = max(t * t, optimal_claw_bound(t).threshold)
+        low = max(t * t, claw_threshold(t))
         high = neumaier_bound(t)
-        for d in multiplicity_divisors(t):
-            if low < d - t <= high:
-                rows.append(check_one(GQParams(d - t, t)))
-    return rows
+        yield [(d - t, t) for d in multiplicity_divisors(t) if low < d - t <= high]
+
+
+def scan(rng: ScanRange) -> list[FeasibilityReport]:
+    """The reports of every candidate in range, ordered by (t, s) ascending."""
+    return [check_one(GQParams(s, t)) for pairs in candidates(rng) for s, t in pairs]
 
 
 def report_to_dict(report: FeasibilityReport) -> dict:
@@ -186,19 +194,57 @@ def report_to_dict(report: FeasibilityReport) -> dict:
     }
 
 
+def csv_row(s: int, t: int) -> str:
+    """One CSV line, s,t,v,k,lambda,mu, from the (P)GQ(s,t) formulas."""
+    return f"{s},{t},{(s + 1) * (s * t + 1)},{s * (t + 1)},{s - 1},{t + 1}\n"
+
+
+def _csv_chunks(groups):
+    """The header, then one string of rows per non-empty group of (s, t)."""
+    yield CSV_HEADER + "\n"
+    for pairs in groups:
+        if pairs:
+            yield "".join([csv_row(s, t) for s, t in pairs])
+
+
+def _json_chunks(groups):
+    """One JSON array of report objects, in the layout of
+    json.dumps(list, indent=2) + "\n", one string per non-empty group of
+    reports."""
+    import json
+
+    opener = "[\n  "
+    for reports in groups:
+        # Each object in a list dumped at indent=2 is indented two more spaces.
+        items = [json.dumps(report_to_dict(r), indent=2).replace("\n", "\n  ") for r in reports]
+        if items:
+            yield opener + ",\n  ".join(items)
+            opener = ",\n  "
+    yield "[]\n" if opener == "[\n  " else "\n]\n"
+
+
+def chunks(rng: ScanRange, fmt: str):
+    """The scan of rng in format fmt ("csv" or "json"), one string per t
+    that has rows (plus the CSV header and the JSON closer): the bytes of
+    emit(scan(rng), fmt), without holding them."""
+    if fmt == "csv":
+        return _csv_chunks(candidates(rng))
+    if fmt == "json":
+        return _json_chunks(
+            (check_one(GQParams(s, t)) for s, t in pairs) for pairs in candidates(rng)
+        )
+    raise ValueError(f"unknown format {fmt!r}")
+
+
 def emit_csv(reports) -> str:
     """Canonical reproduction artifact: header s,t,v,k,lambda,mu then one
     comma-separated row per report, no padding."""
-    lines = [CSV_HEADER]
-    for r in reports:
-        q = r.derived
-        lines.append(f"{r.params.s},{r.params.t},{q.v},{q.k},{q.lam},{q.mu}")
-    return "\n".join(lines) + "\n"
+    return "".join(_csv_chunks([[(r.params.s, r.params.t) for r in reports]]))
 
 
 def emit_json(reports) -> str:
     """Full diagnostics: JSON array of report objects."""
-    return json.dumps([report_to_dict(r) for r in reports], indent=2) + "\n"
+    return "".join(_json_chunks([reports]))
 
 
 def emit(reports, fmt: str) -> str:

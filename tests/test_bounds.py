@@ -11,6 +11,7 @@ from pgq.bounds import (
     BoundChoice,
     claw_bound_terms,
     claw_inequality_check,
+    claw_threshold,
     neumaier_bound,
     optimal_claw_bound,
     quadratic_bound_witness,
@@ -125,6 +126,19 @@ def test_closed_form_matches_crossover_oracle():
     # (exact, choice, terms) and the threshold.
     for t in range(2, 1001):
         assert optimal_claw_bound(t) == crossover_oracle(t), t
+
+
+def test_claw_threshold_is_the_optimal_threshold():
+    # The integer the scan enumeration compares against, checked against
+    # a search that assumes no closed form, and against the optimizer.
+    assert claw_threshold(2) == 14
+    for t in range(2, 201):
+        assert claw_threshold(t) == crossover_oracle(t).threshold, t
+    for t in (1000, 4096, 10**12, 10**100):
+        assert claw_threshold(t) == optimal_claw_bound(t).threshold == quadratic_claw_bound(t)
+    for bad in (1, 0, 2.0, True):
+        with pytest.raises(ValueError):
+            claw_threshold(bad)
 
 
 def test_optimal_bound_checks_its_winner(monkeypatch):

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, formats, stdin handling."""
 
+import hashlib
 import io
 import json
 import os
@@ -29,7 +30,17 @@ from pgq.incidence import (
     write_pgqinc,
 )
 from pgq.params import GQParams
-from pgq.scan import MAX_SCAN_T, ScanRange, emit_csv, emit_json, scan
+from pgq.scan import (
+    CSV_HEADER,
+    MAX_SCAN_T,
+    ScanRange,
+    candidates,
+    check_one,
+    emit_csv,
+    emit_json,
+    report_to_dict,
+    scan,
+)
 
 from oracles import cameron_graph
 
@@ -86,6 +97,111 @@ def test_scan_json_and_out_file(capsys, tmp_path):
 def test_scan_rejects_bad_range(capsys):
     code, out, err = run(capsys, "scan", "--t-min", "1", "--t-max", "4")
     assert code == 2 and out == "" and "error" in err
+
+
+def first_difference(a, b):
+    """None if a == b, else where they first differ and the text around it,
+    so a failing comparison of megabytes reports in a line instead of the
+    full diff pytest would build."""
+    if a == b:
+        return None
+    i = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+    return i, a[max(0, i - 40):i + 40], b[max(0, i - 40):i + 40]
+
+
+def main_output(*argv):
+    """main's exit code and stdout, outside capsys, for module fixtures."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(list(argv))
+    return code, out.getvalue()
+
+
+@pytest.fixture(scope="module")
+def streamed_200():
+    """The CLI's streamed scan of [2, 200] in each format, beside the
+    list path scan() that check_one builds report by report."""
+    streamed = {fmt: main_output("scan", "--t-min", "2", "--t-max", "200", "--format", fmt)
+                for fmt in ("csv", "json")}
+    return streamed, scan(ScanRange(2, 200))
+
+
+def test_streamed_scan_equals_the_list_path(streamed_200):
+    streamed, reports = streamed_200
+    assert len(reports) == 11085
+    assert (streamed["csv"][0], streamed["json"][0]) == (0, 0)
+    assert first_difference(streamed["csv"][1], emit_csv(reports)) is None
+    assert first_difference(streamed["json"][1], emit_json(reports)) is None
+    # The layout is json.dumps's own, not only what json.loads accepts.
+    expected = json.dumps([report_to_dict(r) for r in reports], indent=2) + "\n"
+    assert first_difference(streamed["json"][1], expected) is None
+
+
+def test_every_streamed_json_object_is_the_check_report(streamed_200):
+    streamed, _ = streamed_200
+    objects = json.loads(streamed["json"][1])
+    pairs = [pair for group in candidates(ScanRange(2, 200)) for pair in group]
+    assert [(obj["s"], obj["t"]) for obj in objects] == pairs
+    for obj in objects:
+        assert obj == report_to_dict(check_one(GQParams(obj["s"], obj["t"])))
+
+
+def test_scan_of_an_empty_range_is_the_header_or_an_empty_array(capsys):
+    assert run(capsys, "scan", "--t-min", "2", "--t-max", "3") == (0, CSV_HEADER + "\n", "")
+    assert run(capsys, "scan", "--t-min", "2", "--t-max", "3", "--format", "json") == (0, "[]\n", "")
+
+
+def test_scan_csv_to_1000_is_pinned(capsys):
+    code, out, err = run(capsys, "scan", "--t-min", "2", "--t-max", "1000")
+    assert (code, err) == (0, "")
+    assert out.count("\n") == 1 + 141472
+    assert hashlib.md5(out.encode("ascii")).hexdigest() == "6f662b890bb4e4f76f1a7df770319a3a"
+
+
+class _CountingStdout(io.StringIO):
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_scan_writes_once_per_t_with_rows(fmt):
+    # [2, 10] has rows at t = 4..10: the CSV header or JSON closer, and one
+    # write per t, not one per row.
+    out = _CountingStdout()
+    with redirect_stdout(out):
+        assert main(["scan", "--t-min", "2", "--t-max", "10", "--format", fmt]) == 0
+    assert sum(1 for group in candidates(ScanRange(2, 10)) if group) == 7
+    assert out.writes == 1 + 7
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("t_range", [("2", "3"), ("5", "5"), ("2", "40"), ("90", "100")],
+                         ids=["2-3", "5-5", "2-40", "90-100"])
+def test_scan_out_file_holds_the_stdout_bytes(capsys, tmp_path, fmt, t_range):
+    argv = ["scan", "--t-min", t_range[0], "--t-max", t_range[1], "--format", fmt]
+    code, out, err = run(capsys, *argv)
+    target = tmp_path / "rows"
+    assert run(capsys, *argv, "--out", str(target)) == (code, "", err) == (0, "", "")
+    assert first_difference(target.read_bytes(), out.encode("ascii")) is None
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "t_min,t_max,code,err",
+    [
+        ("5", "4", 2, "error: require 2 <= t_min <= t_max, got [5, 4]\n"),
+        ("2", str(10**12 + 1), 1, f"usage error: --t-max must be at most {10**12} (10**12)\n"),
+    ],
+    ids=["reversed", "above-limit"],
+)
+def test_rejected_scan_range_leaves_no_out_file(capsys, tmp_path, fmt, t_min, t_max, code, err):
+    target = tmp_path / "rows"
+    argv = ["scan", "--t-min", t_min, "--t-max", t_max, "--format", fmt, "--out", str(target)]
+    assert run(capsys, *argv) == (code, "", err)
+    assert not target.exists()
 
 
 def test_check_exit_codes(capsys):

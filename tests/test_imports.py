@@ -42,10 +42,13 @@ def loaded_modules(tmp_path, *argv):
         (["--help"], {"fractions"}),
         (["bound", "--t", "96"], {"pgq.graph", "pgq.incidence", "pgq.scan"}),
         (["check", "--s", "56", "--t", "4"], {"pgq.graph", "pgq.incidence"}),
-        (["scan", "--t-min", "2", "--t-max", "10"], {"pgq.graph", "pgq.incidence"}),
+        # CSV rows are divisor arithmetic: no JSON and no Fraction.
+        (["scan", "--t-min", "2", "--t-max", "10"],
+         {"pgq.graph", "pgq.incidence", "json", "fractions", "decimal"}),
+        (["scan", "--t-min", "2", "--t-max", "10", "--format", "json"], {"pgq.graph", "pgq.incidence"}),
         (["graph", "verify", "W3"], {"pgq.bounds", "pgq.incidence", "pgq.scan", "fractions"}),
     ],
-    ids=["help", "bound", "check", "scan", "graph-verify"],
+    ids=["help", "bound", "check", "scan", "scan-json", "graph-verify"],
 )
 def test_cli_call_loads_only_its_modules(tmp_path, argv, absent):
     w3 = tmp_path / "w3.pgqgraph"

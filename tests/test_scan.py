@@ -11,12 +11,15 @@ from pgq.scan import (
     CONDITION_ORDER,
     CSV_HEADER,
     GQ_POSSIBLE,
+    MAX_SCAN_T,
     PGQ_POSSIBLE_ONLY,
     RULED_OUT_NEW,
     RULED_OUT_PRIOR,
     TRIVIAL,
     ScanRange,
     check_one,
+    chunks,
+    csv_row,
     emit,
     emit_csv,
     emit_json,
@@ -163,3 +166,30 @@ def test_emit_dispatch():
     assert emit(rows, "json") == emit_json(rows)
     with pytest.raises(ValueError):
         emit(rows, "xml")
+
+
+def test_chunks_stream_the_emitted_bytes():
+    for fmt in ("csv", "json"):
+        for t_min, t_max in ((2, 3), (5, 5), (2, 12)):
+            rng = ScanRange(t_min, t_max)
+            assert "".join(chunks(rng, fmt)) == emit(scan(rng), fmt)
+    with pytest.raises(ValueError):
+        chunks(ScanRange(2, 3), "xml")
+
+
+def test_chunks_are_lazy_one_t_at_a_time():
+    # The whole permitted range, which no list could hold: each chunk is
+    # computed when it is asked for, one t with rows at a time.
+    csv = chunks(ScanRange(2, MAX_SCAN_T), "csv")
+    assert [next(csv) for _ in range(4)] == [
+        CSV_HEADER + "\n", csv_row(56, 4), csv_row(95, 5), csv_row(120, 6) + csv_row(134, 6),
+    ]
+    objects = chunks(ScanRange(2, MAX_SCAN_T), "json")
+    assert next(objects) == emit_json(scan(ScanRange(4, 4)))[:-len("\n]\n")]
+    assert next(objects) == ",\n" + emit_json(scan(ScanRange(5, 5)))[len("[\n"):-len("\n]\n")]
+
+
+def test_csv_row_is_the_derived_srg():
+    for r in scan(ScanRange(2, 12)):
+        q = r.derived
+        assert csv_row(r.params.s, r.params.t) == f"{r.params.s},{r.params.t},{q.v},{q.k},{q.lam},{q.mu}\n"
