@@ -11,7 +11,7 @@ from types import ModuleType as _ModuleType
 
 from .errors import DomainError, FormatError, InternalInconsistencyError, PgqError
 
-__version__ = "1.0.0"
+__version__ = "2.0.0"
 
 #: Submodule -> the names the package re-exports from it.
 _EXPORTS = {
@@ -20,7 +20,6 @@ _EXPORTS = {
         "BoundResult",
         "OptimalBound",
         "claw_bound_terms",
-        "claw_inequality_check",
         "claw_threshold",
         "neumaier_bound",
         "optimal_claw_bound",
@@ -30,18 +29,12 @@ _EXPORTS = {
     "errors": ("DomainError", "FormatError", "InternalInconsistencyError", "PgqError"),
     "graph": (
         "ClawCheck",
-        "CliqueCover",
-        "CoverCheck",
         "Graph",
-        "LocalGraph",
-        "PartitionResult",
         "SrgCheck",
         "claw_lower_bound_check",
         "claw_number",
-        "clique_partition_of_local",
         "local_graph",
         "parse_pgqgraph",
-        "verify_clique_cover",
         "verify_srg",
         "write_pgqgraph",
     ),

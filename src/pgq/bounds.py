@@ -34,7 +34,6 @@ from math import comb, isqrt
 
 from ._record import Record
 from .errors import InternalInconsistencyError
-from .params import FAIL, PASS, SrgParams, Verdict
 
 #: Descriptive tag for each term of the four-term bound, in order.
 TERM_TAGS = (
@@ -54,28 +53,6 @@ def neumaier_bound(t: int) -> int:
     """Neumaier's claw bound: s <= t(t+1)(t+2)/2 (always an integer)."""
     _require_t(t)
     return t * (t + 1) * (t + 2) // 2
-
-
-def claw_inequality_check(q: SrgParams, r: int) -> Verdict:
-    """Claw inequality for strongly regular graphs.
-
-    A vertex of an srg(v,k,lam,mu) can only center an induced r-claw if
-    (mu - 1) C(r,2) >= r(lam + 1) - k.  Pass means an r-claw is not
-    excluded; fail means no vertex has an r-claw.
-    """
-    if not isinstance(r, int) or isinstance(r, bool) or r < 2:
-        raise ValueError(f"require integer r >= 2, got {r!r}")
-    lhs = (q.mu - 1) * comb(r, 2)
-    rhs = r * (q.lam + 1) - q.k
-    if lhs >= rhs:
-        return Verdict(
-            "claw-inequality", PASS,
-            f"(mu-1)C(r,2)={lhs} >= r(lam+1)-k={rhs}: an {r}-claw is not excluded",
-        )
-    return Verdict(
-        "claw-inequality", FAIL,
-        f"(mu-1)C(r,2)={lhs} < r(lam+1)-k={rhs}: no vertex centers an {r}-claw",
-    )
 
 
 class BoundChoice(Record):

@@ -1,5 +1,5 @@
 """Concrete-graph machinery: strongly-regular verification, local graphs,
-claw numbers, clique partitions and clique covers.
+claw numbers and the local clique partition behind them.
 
 Graphs are immutable, with one integer bitmask per adjacency row, so all
 neighborhood algebra (common neighbors, induced subgraphs, independence
@@ -23,11 +23,16 @@ from .params import GQParams, SrgParams, derive_srg
 
 
 def _bits(mask: int):
-    """Yield set-bit positions of mask, ascending."""
-    while mask:
-        lsb = mask & -mask
-        yield lsb.bit_length() - 1
-        mask ^= lsb
+    """Yield set-bit positions of mask, ascending.
+
+    Read backwards, bin(mask) holds bit i at index i, and str.find steps
+    from one set bit to the next: one pass over the mask in all, where
+    mask & -mask would take a pass over the whole mask per set bit."""
+    digits = bin(mask)[:1:-1]
+    i = digits.find("1")
+    while i >= 0:
+        yield i
+        i = digits.find("1", i + 1)
 
 
 class Graph:
@@ -81,10 +86,7 @@ class Graph:
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges (u, v) with u < v, lexicographically sorted."""
-        return [(u, v) for u, r in enumerate(self._rows) for v in _bits(r >> (u + 1) << (u + 1))]
-
-    def common_neighbors(self, u: int, v: int) -> int:
-        return self._rows[u] & self._rows[v]
+        return [(u, u + 1 + i) for u, r in enumerate(self._rows) for i in _bits(r >> (u + 1))]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
@@ -98,33 +100,6 @@ class Graph:
         return f"Graph(n={self.n}, m={self.edge_count})"
 
 
-class LocalGraph(Record):
-    """The subgraph induced on the neighborhood of the vertex center (int).
-
-    vertices (tuple[int, ...]) holds the neighbors by original id,
-    ascending; rows (tuple[int, ...]) is the induced adjacency, as
-    bitmasks over local indices 0..len(vertices)-1.
-    """
-
-    __slots__ = ("center", "vertices", "rows")
-
-    def as_graph(self) -> Graph:
-        n = len(self.vertices)
-        edges = [(u, v) for u in range(n) for v in _bits(self.rows[u]) if u < v]
-        return Graph(n, edges)
-
-
-class CliqueCover(Record):
-    """A family of vertex sets intended to cover every edge exactly once:
-    cliques, a tuple[tuple[int, ...], ...]."""
-
-    __slots__ = ("cliques",)
-
-    @staticmethod
-    def from_sets(sets) -> "CliqueCover":
-        return CliqueCover(tuple(sorted(tuple(sorted(s)) for s in sets)))
-
-
 class SrgCheck(Record):
     """Result of verify_srg: either the SrgParams params, or None and the
     first failure (str); failure defaults to None."""
@@ -135,32 +110,6 @@ class SrgCheck(Record):
     @property
     def ok(self) -> bool:
         return self.params is not None
-
-
-class PartitionResult(Record):
-    """Result of clique_partition_of_local: either the CliqueCover cover,
-    or None, the witness vertex (int) whose candidate set breaks the
-    partition and the reason (str); witness and reason default to None."""
-
-    __slots__ = ("cover", "witness", "reason")
-    _optional = 2
-
-    @property
-    def ok(self) -> bool:
-        return self.cover is not None
-
-
-class CoverCheck(Record):
-    """Result of verify_clique_cover: ok (bool), diagonal
-    (tuple[int, ...]) and the failure (str), which defaults to None.
-
-    diagonal[j] is the number of cliques containing vertex j, i.e. the
-    diagonal of RR^T for the vertex-clique incidence matrix R; ok means
-    RR^T - A is exactly that diagonal (every edge in exactly one clique).
-    """
-
-    __slots__ = ("ok", "diagonal", "failure")
-    _optional = 1
 
 
 class ClawCheck(Record):
@@ -240,13 +189,14 @@ def _require_vertex(g: Graph, x: int) -> None:
         raise ValueError(f"vertex {x} out of range")
 
 
-def local_graph(g: Graph, x: int) -> LocalGraph:
-    """Induced subgraph on the neighborhood of x."""
+def local_graph(g: Graph, x: int) -> tuple[int, ...]:
+    """Adjacency rows of the subgraph induced on the neighborhood of x,
+    as bitmasks over local indices 0..k-1, which number the neighbors of
+    x in ascending order."""
     _require_vertex(g, x)
     vertices = tuple(_bits(g.row(x)))
     index = {v: i for i, v in enumerate(vertices)}
-    rows = tuple(sum(1 << index[w] for w in _bits(g.row(v) & g.row(x))) for v in vertices)
-    return LocalGraph(x, vertices, rows)
+    return tuple(sum(1 << index[w] for w in _bits(g.row(v) & g.row(x))) for v in vertices)
 
 
 def _max_clique_size(rows: tuple[int, ...], cand: int) -> int:
@@ -316,7 +266,7 @@ def claw_number(g: Graph, x: int) -> int:
     masks, _ = _partition_local(g, x)
     if masks is not None:
         return len(masks)
-    return _independence_number(local_graph(g, x).rows)
+    return _independence_number(local_graph(g, x))
 
 
 def _is_clique(rows: tuple[int, ...], mask: int) -> bool:
@@ -339,9 +289,8 @@ def _partition_local(g: Graph, x: int):
     The m masks are cliques covering N(x), and a coclique meets each
     clique at most once, so no coclique is larger than m.
 
-    clique_partition_of_local and extract_gq first require g to be an srg
-    with PGQ(s,t) parameters, and lam = s-1 decides everything but the
-    clique test:
+    extract_gq first requires g to be an srg with PGQ(s,t) parameters,
+    and lam = s-1 decides everything but the clique test:
 
     - every candidate set has 1 + lam = s vertices;
     - an s-clique inside N(x) containing z has its other s-1 members in
@@ -385,57 +334,6 @@ def _require_matching_srg(g: Graph, p: GQParams) -> SrgParams:
             f"requires srg{expected.as_tuple()}"
         )
     return expected
-
-
-def clique_partition_of_local(g: Graph, x: int, p: GQParams) -> PartitionResult:
-    """Partition the local graph at x into t+1 disjoint maximal cliques of
-    order s, the way a GQ collinearity graph decomposes around each point.
-
-    The candidate set {y} + common(x, y) of each neighbor y has s vertices,
-    and an s-clique of the local graph is the candidate set of each of its
-    members (see _partition_local), so the partition exists iff every
-    candidate set is a clique.  It fails with the smallest neighbor y
-    whose candidate set is not; by Caro-Wei this happens exactly when the
-    claw number of x exceeds t+1.  The srg check is kept on g, so
-    partitioning every vertex of g verifies the parameters once.
-    """
-    _require_matching_srg(g, p)
-    masks, witness = _partition_local(g, x)
-    if masks is None:
-        reason = f"candidate set of vertex {witness} is not a clique"
-        return PartitionResult(None, witness, reason)
-    return PartitionResult(CliqueCover.from_sets(tuple(_bits(m)) for m in masks))
-
-
-def verify_clique_cover(g: Graph, cover: CliqueCover) -> CoverCheck:
-    """Check that every edge of g lies in exactly one clique of the cover.
-
-    Raises DomainError if a listed set is not a clique (a structural
-    defect of the cover, distinct from a cover failure).  On success the
-    off-diagonal of RR^T equals the adjacency matrix, so RR^T - A is the
-    diagonal returned here (entry j = number of cliques containing j).
-    """
-    diagonal = [0] * g.n
-    pair_counts: Counter[tuple[int, int]] = Counter()
-    for idx, clique in enumerate(cover.cliques):
-        for i, u in enumerate(clique):
-            if not 0 <= u < g.n:
-                raise DomainError(f"clique #{idx} mentions vertex {u}, out of range")
-            diagonal[u] += 1
-            for v in clique[i + 1:]:
-                if not g.has_edge(u, v):
-                    raise DomainError(f"set #{idx} is not a clique: ({u}, {v}) is not an edge")
-                pair_counts[(u, v)] += 1
-    for u, v in g.edges():
-        c = pair_counts.get((u, v), 0)
-        if c != 1:
-            return CoverCheck(
-                False, tuple(diagonal),
-                f"edge ({u}, {v}) lies in {c} cliques, expected exactly 1",
-            )
-    # Every counted pair is an edge (cliques were verified), so RR^T - A
-    # is diagonal as soon as each edge is covered exactly once.
-    return CoverCheck(True, tuple(diagonal))
 
 
 def _claw_histogram(g: Graph) -> dict[int, int]:

@@ -14,17 +14,7 @@ from types import ModuleType
 
 from pgq.bounds import BoundChoice, BoundResult, OptimalBound, neumaier_bound
 from pgq.errors import FormatError
-from pgq.graph import (
-    MAX_PGQGRAPH_VERTICES,
-    PGQGRAPH_HEADER,
-    ClawCheck,
-    CliqueCover,
-    CoverCheck,
-    Graph,
-    LocalGraph,
-    PartitionResult,
-    SrgCheck,
-)
+from pgq.graph import MAX_PGQGRAPH_VERTICES, PGQGRAPH_HEADER, ClawCheck, Graph, SrgCheck
 from pgq.incidence import AxiomCheck, ExtractionResult, IncidenceStructure
 from pgq.params import GQParams, SrgParams, Verdict
 from pgq.scan import RULED_OUT_NEW, FeasibilityReport, ScanRange, check_one
@@ -32,7 +22,7 @@ from pgq.scan import RULED_OUT_NEW, FeasibilityReport, ScanRange, check_one
 #: The value records of pgq: plain __slots__ classes on pgq._record.Record.
 RECORD_CLASSES = (
     BoundChoice, BoundResult, OptimalBound,
-    ClawCheck, CliqueCover, CoverCheck, LocalGraph, PartitionResult, SrgCheck,
+    ClawCheck, SrgCheck,
     AxiomCheck, ExtractionResult, IncidenceStructure,
     GQParams, SrgParams, Verdict,
     FeasibilityReport, ScanRange,
@@ -91,6 +81,18 @@ def exhaustive_scan(t_min, t_max):
             if report.classification == RULED_OUT_NEW:
                 rows.append(report)
     return rows
+
+
+def claw_inequality_oracle(q, r):
+    """Whether the claw inequality (mu - 1) C(r, 2) >= r(lam + 1) - k of
+    an srg(v, k, lam, mu) q lets a vertex x center an induced r-claw.
+
+    For leaves y_1..y_r, the sets A_i = {y_i} + (N(y_i) & N(x)) lie in
+    N(x) and have lam + 1 vertices each; two leaves are non-adjacent, so
+    A_i & A_j is common(y_i, y_j) minus x, at most mu - 1 vertices.  By
+    Bonferroni, k >= |A_1 | ... | A_r| >= r(lam + 1) - C(r, 2)(mu - 1).
+    """
+    return (q.mu - 1) * comb(r, 2) >= r * (q.lam + 1) - q.k
 
 
 def _theta_terms(t, theta):
@@ -153,6 +155,34 @@ def crossover_oracle(t):
 def edge_set(graph):
     """Edges of a pgq Graph as a set of frozensets."""
     return {frozenset(e) for e in graph.edges()}
+
+
+def clique_cover_oracle(n, edges, cliques):
+    """The identity RR^T = A + D over plain sets: R is the vertex-set
+    incidence matrix of cliques (vertex sets) on 0..n-1, A the adjacency
+    matrix of edges (a set of frozenset pairs), D diagonal.  It holds iff
+    every edge lies in exactly one of the sets and every set is a clique.
+
+    Returns (ok, diagonal, failure): diagonal[j] = (RR^T)[j][j], the
+    number of sets containing j, and failure names the first edge, in
+    sorted order, that lies in c != 1 sets.  A set that mentions a vertex
+    outside 0..n-1 or is not a clique is a defect of the cover, not a
+    failure of the identity: ValueError.
+    """
+    rrt = [[0] * n for _ in range(n)]
+    for idx, clique in enumerate(cliques):
+        if not all(0 <= u < n for u in clique):
+            raise ValueError(f"set #{idx} mentions a vertex out of range")
+        for u, v in product(clique, repeat=2):
+            rrt[u][v] += 1
+    for u, v in combinations(range(n), 2):
+        if rrt[u][v] and frozenset((u, v)) not in edges:
+            raise ValueError(f"({u}, {v}) lies in a set but is not an edge")
+    diagonal = tuple(rrt[j][j] for j in range(n))
+    for u, v in combinations(range(n), 2):
+        if frozenset((u, v)) in edges and rrt[u][v] != 1:
+            return False, diagonal, f"edge ({u}, {v}) lies in {rrt[u][v]} cliques, expected exactly 1"
+    return True, diagonal, None
 
 
 def brute_max_coclique(n, edges) -> int:

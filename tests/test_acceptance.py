@@ -10,7 +10,7 @@ import time
 import pytest
 
 from pgq.bounds import neumaier_bound, optimal_claw_bound, quadratic_claw_bound
-from pgq.graph import CliqueCover, claw_number, verify_clique_cover, verify_srg
+from pgq.graph import claw_number, verify_srg
 from pgq.incidence import (
     collinearity_graph,
     dual,
@@ -25,7 +25,7 @@ from pgq.incidence import (
 from pgq.params import GQParams, derive_srg, multiplicity_integrality
 from pgq.scan import PGQ_POSSIBLE_ONLY, ScanRange, check_one, emit_csv, scan
 
-from oracles import local_coclique_oracle
+from oracles import clique_cover_oracle, edge_set, local_coclique_oracle
 
 # Frozen elimination table for t in [2, 10] (regression baseline):
 # (s, t, v, k, lambda, mu), ordered by t then s.
@@ -217,11 +217,11 @@ def test_gq_extraction_negative():
 def test_clique_cover_identity(extractions):
     problems = []
     for label, g, p, inc in extractions:
-        check = verify_clique_cover(g, CliqueCover(inc.lines))
-        if not check.ok:
-            problems.append(f"{label}: {check.failure}")
-        elif set(check.diagonal) != {p.t + 1}:
-            problems.append(f"{label}: diagonal {sorted(set(check.diagonal))} != t+1")
+        ok, diagonal, failure = clique_cover_oracle(g.n, edge_set(g), inc.lines)
+        if not ok:
+            problems.append(f"{label}: {failure}")
+        elif set(diagonal) != {p.t + 1}:
+            problems.append(f"{label}: diagonal {sorted(set(diagonal))} != t+1")
     _verdict(
         "clique-cover-identity", not problems,
         "; ".join(problems) or "every edge in exactly one line, diagonal t+1 everywhere",

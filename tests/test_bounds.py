@@ -10,7 +10,6 @@ import pytest
 from pgq.bounds import (
     BoundChoice,
     claw_bound_terms,
-    claw_inequality_check,
     claw_threshold,
     neumaier_bound,
     optimal_claw_bound,
@@ -20,7 +19,7 @@ from pgq.bounds import (
 from pgq.errors import InternalInconsistencyError
 from pgq.params import GQParams, SrgParams, derive_srg
 
-from oracles import crossover_oracle
+from oracles import claw_inequality_oracle, crossover_oracle
 
 
 def sweep_oracle(t, theta_cap):
@@ -54,13 +53,11 @@ def test_neumaier_requires_t_at_least_2():
 
 def test_claw_inequality_examples():
     # srg(15,6,1,3) with r=4: 2*6 >= 4*2-6.
-    assert claw_inequality_check(SrgParams(15, 6, 1, 3), 4).ok
+    assert claw_inequality_oracle(SrgParams(15, 6, 1, 3), 4)
     # PGQ form (56,4) at r = 7: 4*21 = 84 < 7*56 - 280 = 112.
-    assert not claw_inequality_check(derive_srg(GQParams(56, 4)), 7).ok
+    assert not claw_inequality_oracle(derive_srg(GQParams(56, 4)), 7)
     # Right side nonpositive passes trivially.
-    assert claw_inequality_check(SrgParams(15, 6, 1, 3), 2).ok
-    with pytest.raises(ValueError):
-        claw_inequality_check(SrgParams(15, 6, 1, 3), 1)
+    assert claw_inequality_oracle(SrgParams(15, 6, 1, 3), 2)
 
 
 @pytest.mark.parametrize(
@@ -189,9 +186,6 @@ def test_claw_inequality_reproduces_first_term():
     # exactly when s(theta - t) > t*C(theta+1, 2), i.e. s > term1.
     for t in range(2, 13):
         for theta in range(t + 2, 3 * t + 1):
-            term1 = Fraction(t * (theta + 1) * theta, 2 * (theta - t))
-            at_most = floor(term1)
-            q_ok = derive_srg(GQParams(at_most, t))
-            assert claw_inequality_check(q_ok, theta + 1).ok
-            q_bad = derive_srg(GQParams(at_most + 1, t))
-            assert not claw_inequality_check(q_bad, theta + 1).ok
+            at_most = floor(claw_bound_terms(t, BoundChoice(theta, 2)).term1)
+            assert claw_inequality_oracle(derive_srg(GQParams(at_most, t)), theta + 1)
+            assert not claw_inequality_oracle(derive_srg(GQParams(at_most + 1, t)), theta + 1)

@@ -451,6 +451,14 @@ def test_gen_rook_writes_pgqgraph(capsys, tmp_path):
     assert g == gen_rook(4)
 
 
+def test_gen_rook_64_is_pinned(capsys):
+    # 4,096 vertices and 258,048 edges, listed row by row by Graph.edges.
+    code, out, err = run(capsys, "gen", "rook", "--m", "64")
+    assert (code, err) == (0, "")
+    assert out.count("\n") == 2 + 258048
+    assert hashlib.md5(out.encode("ascii")).hexdigest() == "92230211115dc1785d7289dc41a8b590"
+
+
 def test_gen_flag_rules(capsys):
     code, _, err = run(capsys, "gen", "rook")
     assert code == 1 and "requires --m" in err

@@ -1,23 +1,22 @@
 """Graph kernel: construction, file format, SRG verification, claw
-numbers, clique partitions and covers."""
+numbers and local clique partitions, plus the RR^T = A + D cover oracle."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pgq.errors import DomainError, FormatError, InternalInconsistencyError
 from pgq.graph import (
-    CliqueCover,
     Graph,
+    _partition_local,
     claw_lower_bound_check,
     claw_number,
-    clique_partition_of_local,
     local_graph,
     parse_pgqgraph,
-    verify_clique_cover,
     verify_srg,
     write_pgqgraph,
 )
 from pgq.incidence import (
+    extract_gq,
     gen_complete_bipartite,
     gen_kneser_6_2,
     gen_rook,
@@ -30,8 +29,10 @@ from oracles import (
     branching_max_coclique,
     brute_max_coclique,
     brute_srg_params,
+    clique_cover_oracle,
     edge_set,
     local_coclique_oracle,
+    local_partition_oracle,
     parse_pgqgraph_oracle,
 )
 from strategies import NOISE, mutated_lines
@@ -92,6 +93,7 @@ def test_pgqgraph_round_trip(g):
     # symmetry survives the parser path
     for u, v in g.edges():
         assert back.has_edge(v, u)
+    assert g.edges() == [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if g.has_edge(u, v)]
 
 
 #: Malformed pgqgraph text -> the exact FormatError message, one per branch.
@@ -229,21 +231,24 @@ def test_verify_srg_first_witness_is_deterministic():
 # Local graphs and claw numbers
 # ---------------------------------------------------------------------------
 
+def local_shape(rows):
+    """(vertex count, edge count, sorted degrees) of local adjacency rows."""
+    degrees = sorted(r.bit_count() for r in rows)
+    return len(rows), sum(degrees) // 2, degrees
+
+
 def test_local_graph_shapes():
-    rook_local = local_graph(gen_rook(4), 0).as_graph()
-    assert rook_local.n == 6 and rook_local.edge_count == 6
-    assert sorted(rook_local.degree(v) for v in range(6)) == [2] * 6  # two triangles
-    shrik_local = local_graph(gen_shrikhande(), 0).as_graph()
-    assert shrik_local.n == 6 and shrik_local.edge_count == 6
-    k33_local = local_graph(gen_complete_bipartite(3), 0).as_graph()
-    assert k33_local.n == 3 and k33_local.edge_count == 0
+    assert local_shape(local_graph(gen_rook(4), 0)) == (6, 6, [2] * 6)  # two triangles
+    assert local_shape(local_graph(gen_shrikhande(), 0)) == (6, 6, [2] * 6)  # a hexagon
+    assert local_shape(local_graph(gen_complete_bipartite(3), 0)) == (3, 0, [0] * 3)
 
 
 def test_local_graph_vertex_set():
+    # Local index i is the i-th neighbor of the center, ascending.
     g = gen_kneser_6_2()
-    lg = local_graph(g, 7)
-    assert lg.center == 7
-    assert set(lg.vertices) == {v for v in range(g.n) if g.has_edge(7, v)}
+    nbrs = [v for v in range(g.n) if g.has_edge(7, v)]
+    rows = tuple(sum(1 << i for i, w in enumerate(nbrs) if g.has_edge(v, w)) for v in nbrs)
+    assert local_graph(g, 7) == rows
     with pytest.raises(ValueError):
         local_graph(g, 15)
 
@@ -292,42 +297,44 @@ def test_branching_coclique_oracle_matches_subset_enumeration(g):
 # Clique partitions of local graphs
 # ---------------------------------------------------------------------------
 
+def members(mask):
+    """The vertices of a bitmask, ascending."""
+    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
+
+
 def test_partition_kneser():
-    g = gen_kneser_6_2()
-    res = clique_partition_of_local(g, 0, GQParams(2, 2))
-    assert res.ok
-    assert [len(c) for c in res.cover.cliques] == [2, 2, 2]
+    masks, witness = _partition_local(gen_kneser_6_2(), 0)
+    assert witness is None
+    assert [m.bit_count() for m in masks] == [2, 2, 2]
 
 
 def test_partition_rook():
-    g = gen_rook(4)
-    res = clique_partition_of_local(g, 0, GQParams(3, 1))
-    assert res.ok
-    assert res.cover.cliques == ((1, 2, 3), (4, 8, 12))  # row and column of cell 0
+    masks, _ = _partition_local(gen_rook(4), 0)
+    assert [members(m) for m in masks] == [(1, 2, 3), (4, 8, 12)]  # row and column of cell 0
 
 
 def test_partition_shrikhande_fails_with_witness():
     g = gen_shrikhande()
-    res = clique_partition_of_local(g, 0, GQParams(3, 1))
-    assert not res.ok
-    assert res.witness is not None
-    assert "not a clique" in res.reason
+    masks, witness = _partition_local(g, 0)
+    assert masks is None
+    assert witness is not None and witness == local_partition_oracle(g, 0)[0]
 
 
 def test_partitioning_every_vertex_verifies_the_srg_once(srg_passes):
-    # Each call requires the srg parameters, but the O(n^2) pass behind
-    # verify_srg must run once per graph, not once per vertex.
+    # The claw census and the extraction each require the srg parameters,
+    # but the O(n^2) pass behind verify_srg must run once per graph.
     g = gen_symplectic_w3()
-    for x in range(g.n):
-        assert clique_partition_of_local(g, x, GQParams(3, 3)).ok
+    assert claw_lower_bound_check(g, GQParams(3, 3)).ok
+    assert extract_gq(g, GQParams(3, 3)).ok
     assert len(srg_passes) == 1
 
 
 def test_partition_requires_matching_parameters():
+    # Extraction, the one caller that partitions under given parameters.
     with pytest.raises(DomainError):
-        clique_partition_of_local(gen_kneser_6_2(), 0, GQParams(3, 1))
+        extract_gq(gen_kneser_6_2(), GQParams(3, 1))
     with pytest.raises(DomainError):
-        clique_partition_of_local(cycle(6), 0, GQParams(2, 2))
+        extract_gq(cycle(6), GQParams(2, 2))
 
 
 @pytest.mark.parametrize("name,g,p", ALL_GENERATORS)
@@ -335,60 +342,56 @@ def test_partition_succeeds_exactly_at_minimum_claw(name, g, p):
     # phi(x) = t+1 is equivalent to the local graph splitting into t+1
     # disjoint s-cliques; by Caro-Wei phi(x) is never below t+1.
     for x in range(g.n):
-        res = clique_partition_of_local(g, x, p)
+        masks, _ = _partition_local(g, x)
         phi = claw_number(g, x)
         assert phi >= p.t + 1
-        assert res.ok == (phi == p.t + 1)
-        if res.ok:
-            assert len(res.cover.cliques) == p.t + 1
-            assert all(len(c) == p.s for c in res.cover.cliques)
+        assert (masks is not None) == (phi == p.t + 1)
+        if masks is not None:
+            assert len(masks) == p.t + 1
+            assert all(m.bit_count() == p.s for m in masks)
 
 
 # ---------------------------------------------------------------------------
-# Clique covers
+# Clique covers: the RR^T = A + D oracle
 # ---------------------------------------------------------------------------
 
-def k4():
-    return Graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
+K4_EDGES = edge_set(Graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)]))
 
 
 def test_cover_k4_double_edge_fails():
-    check = verify_clique_cover(k4(), CliqueCover(((0, 1, 2), (0, 1, 3))))
-    assert not check.ok
-    assert "edge (0, 1) lies in 2 cliques" in check.failure
+    ok, _, failure = clique_cover_oracle(4, K4_EDGES, ((0, 1, 2), (0, 1, 3)))
+    assert not ok
+    assert "edge (0, 1) lies in 2 cliques" in failure
 
 
 def test_cover_k4_missing_edge_fails():
-    check = verify_clique_cover(k4(), CliqueCover(((0, 1, 2),)))
-    assert not check.ok
-    assert "lies in 0 cliques" in check.failure
+    ok, _, failure = clique_cover_oracle(4, K4_EDGES, ((0, 1, 2),))
+    assert not ok
+    assert "lies in 0 cliques" in failure
 
 
 def test_cover_k4_valid_partition():
-    check = verify_clique_cover(k4(), CliqueCover(((0, 1, 2), (0, 3), (1, 3), (2, 3))))
-    assert check.ok
-    assert check.diagonal == (2, 2, 2, 3)
+    ok, diagonal, _ = clique_cover_oracle(4, K4_EDGES, ((0, 1, 2), (0, 3), (1, 3), (2, 3)))
+    assert ok
+    assert diagonal == (2, 2, 2, 3)
 
 
 def test_cover_structural_errors_are_distinct():
-    with pytest.raises(DomainError):
-        verify_clique_cover(cycle(4), CliqueCover(((0, 1, 2),)))  # not a clique
-    with pytest.raises(DomainError):
-        verify_clique_cover(cycle(4), CliqueCover(((0, 9),)))  # out of range
+    c4 = edge_set(cycle(4))
+    with pytest.raises(ValueError):
+        clique_cover_oracle(4, c4, ((0, 1, 2),))  # not a clique
+    with pytest.raises(ValueError):
+        clique_cover_oracle(4, c4, ((0, 9),))  # out of range
 
 
 def test_cover_uniqueness_by_direct_count():
     g = gen_kneser_6_2()
-    lines = []
-    for x in range(g.n):
-        res = clique_partition_of_local(g, x, GQParams(2, 2))
-        lines.extend(tuple(sorted((x,) + c)) for c in res.cover.cliques)
-    cover = CliqueCover(tuple(sorted(set(lines))))
-    check = verify_clique_cover(g, cover)
-    assert check.ok
-    assert set(check.diagonal) == {3}
+    lines = sorted({tuple(sorted((x, *members(m)))) for x in range(g.n) for m in _partition_local(g, x)[0]})
+    ok, diagonal, _ = clique_cover_oracle(g.n, edge_set(g), lines)
+    assert ok
+    assert set(diagonal) == {3}
     for u, v in g.edges():
-        containing = [c for c in cover.cliques if u in c and v in c]
+        containing = [c for c in lines if u in c and v in c]
         assert len(containing) == 1
 
 

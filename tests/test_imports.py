@@ -40,7 +40,7 @@ def loaded_modules(tmp_path, *argv):
     "argv,absent",
     [
         (["--help"], {"fractions"}),
-        (["bound", "--t", "96"], {"pgq.graph", "pgq.incidence", "pgq.scan"}),
+        (["bound", "--t", "96"], {"pgq.graph", "pgq.incidence", "pgq.params", "pgq.scan"}),
         (["check", "--s", "56", "--t", "4"], {"pgq.graph", "pgq.incidence"}),
         # CSV rows are divisor arithmetic: no JSON and no Fraction.
         (["scan", "--t-min", "2", "--t-max", "10"],

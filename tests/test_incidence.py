@@ -15,7 +15,6 @@ from pgq.graph import (
     _independence_number,
     _partition_local,
     claw_number,
-    clique_partition_of_local,
     local_graph,
     verify_srg,
 )
@@ -40,6 +39,7 @@ from oracles import (
     brute_srg_params,
     cameron_graph,
     census_witness,
+    clique_cover_oracle,
     edge_set,
     gathered_lines,
     godsil_mckay_switch,
@@ -244,6 +244,8 @@ def test_extraction_is_a_gq_by_proof(g, p, seed, monkeypatch):
     monkeypatch.undo()
     assert verify_axioms(inc).ok
     assert axioms_oracle(inc) == (True, None, None)
+    # Every edge in exactly one line, and t+1 lines through each point.
+    assert clique_cover_oracle(g.n, edge_set(g), inc.lines) == (True, (p.t + 1,) * g.n, None)
 
 
 def test_census_tests_each_line_once(monkeypatch):
@@ -360,17 +362,11 @@ def test_partition_succeeds_iff_claw_is_t_plus_1(g):
 
 @pytest.mark.parametrize("seed", [None, *range(5)])
 @pytest.mark.parametrize(
-    "g,p",
-    [
-        (gen_rook(4), GQParams(3, 1)),
-        (gen_kneser_6_2(), GQParams(2, 2)),
-        (W3_GRAPH, GQParams(3, 3)),
-        (gen_shrikhande(), GQParams(3, 1)),
-        (SWITCHED_Q43, GQParams(3, 3)),
-    ],
+    "g",
+    [gen_rook(4), gen_kneser_6_2(), W3_GRAPH, gen_shrikhande(), SWITCHED_Q43],
     ids=["rook4", "kneser", "w3", "shrikhande", "switched-q43"],
 )
-def test_partition_witness_matches_oracle(g, p, seed):
+def test_partition_witness_matches_oracle(g, seed):
     # The walk over uncovered neighbors must fail at the smallest neighbor
     # whose candidate set is not a clique, and otherwise return exactly the
     # distinct candidate sets.
@@ -378,13 +374,12 @@ def test_partition_witness_matches_oracle(g, p, seed):
         g = relabel(g, random.Random(seed).sample(range(g.n), g.n))
     for x in range(g.n):
         witness, cliques = local_partition_oracle(g, x)
-        res = clique_partition_of_local(g, x, p)
-        assert res.witness == witness
+        masks, found = _partition_local(g, x)
+        assert found == witness
         if witness is None:
-            assert (res.reason, res.cover.cliques) == (None, cliques)
+            assert tuple(sorted(tuple(v for v in range(g.n) if m >> v & 1) for m in masks)) == cliques
         else:
-            assert res.cover is None
-            assert res.reason == f"candidate set of vertex {witness} is not a clique"
+            assert masks is None
 
 
 @pytest.mark.parametrize("seed", [None, *range(5)])
@@ -409,7 +404,7 @@ def test_walk_claw_number_matches_branch_and_bound(g, walks, seed):
         g = relabel(g, random.Random(seed).sample(range(g.n), g.n))
     succeeded = set()
     for x in range(g.n):
-        exact = _independence_number(local_graph(g, x).rows)
+        exact = _independence_number(local_graph(g, x))
         masks, _ = _partition_local(g, x)
         if masks is not None:
             assert len(masks) == exact

@@ -7,17 +7,7 @@ import pytest
 
 from pgq._record import Record
 from pgq.bounds import BoundChoice, BoundResult, optimal_claw_bound
-from pgq.graph import (
-    CliqueCover,
-    CoverCheck,
-    PartitionResult,
-    SrgCheck,
-    claw_lower_bound_check,
-    clique_partition_of_local,
-    local_graph,
-    verify_clique_cover,
-    verify_srg,
-)
+from pgq.graph import SrgCheck, claw_lower_bound_check, verify_srg
 from pgq.incidence import (
     AxiomCheck,
     ExtractionResult,
@@ -40,12 +30,6 @@ SAMPLES = [
     optimal_claw_bound(2),
     optimal_claw_bound(7),
     claw_lower_bound_check(KNESER, GQParams(2, 2)),
-    CliqueCover(((0, 1), (2, 3))),
-    verify_clique_cover(KNESER, CliqueCover(((0, 9),))),
-    CoverCheck(True, (1, 1)),
-    local_graph(KNESER, 0),
-    clique_partition_of_local(KNESER, 0, GQParams(2, 2)),
-    PartitionResult(None, 4, "candidate set of vertex 4 is not a clique"),
     verify_srg(KNESER),
     SrgCheck(None, "not connected"),
     verify_axioms(GQ22),

@@ -1,6 +1,7 @@
 """Source-level rules for the library under src/pgq."""
 
 import ast
+import re
 from pathlib import Path
 
 import pgq
@@ -17,3 +18,10 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_version_matches_pyproject():
+    # A regex, not tomllib, which Python 3.10 lacks.
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    match = re.search(r'^version = "([^"]+)"$', pyproject, re.MULTILINE)
+    assert match is not None and match.group(1) == pgq.__version__
