@@ -22,10 +22,12 @@ generalized quadrangle over GF(3), and the Shrikhande graph).
 from __future__ import annotations
 
 from itertools import combinations, product
+from math import isqrt
 
 from ._record import Record, set_field
 from .errors import DomainError, FormatError, InternalInconsistencyError
-from .graph import Graph, _bits, _partition_local, _require_matching_srg, claw_number
+from .graph import (MAX_PGQGRAPH_VERTICES, Graph, _bits, _partition_local, _require_matching_srg,
+                    claw_number)
 from .params import GQParams
 
 
@@ -222,19 +224,40 @@ def collinearity_graph(inc: IncidenceStructure) -> Graph:
 # Test-corpus generators
 # ---------------------------------------------------------------------------
 
-def gen_rook(m: int) -> Graph:
-    """m x m rook's graph: cells adjacent iff same row or column.
-    Collinearity graph of the trivial GQ(m-1, 1)."""
+def _require_m(m, largest: int) -> None:
+    """Refuse an m outside [2, largest], where largest is the last m whose
+    graph fits the MAX_PGQGRAPH_VERTICES of a pgqgraph file."""
     if not isinstance(m, int) or m < 2:
         raise ValueError(f"require integer m >= 2, got {m!r}")
-    lines = [range(i * m, i * m + m) for i in range(m)] + [range(i, m * m, m) for i in range(m)]
-    return Graph(m * m, [edge for line in lines for edge in combinations(line, 2)])
+    if m > largest:
+        raise ValueError(
+            f"require m <= {largest}, got {m}: a pgqgraph holds at most {MAX_PGQGRAPH_VERTICES} vertices"
+        )
+
+
+def gen_rook(m: int) -> Graph:
+    """m x m rook's graph: cells adjacent iff same row or column.
+    Collinearity graph of the trivial GQ(m-1, 1).
+
+    Cell i*m + j is adjacent to the rest of row line i and column line j.
+    m is at most 1024, so that the m^2 vertices fit a pgqgraph file; the
+    rows take m^4/8 bytes (32 MiB at m = 128, 128 GiB at m = 1024).
+    """
+    _require_m(m, isqrt(MAX_PGQGRAPH_VERTICES))
+    row_line = (1 << m) - 1
+    column_line = sum(1 << i * m for i in range(m))
+    return Graph._from_rows(m * m, [
+        (row_line << i * m | column_line << j) ^ 1 << i * m + j for i in range(m) for j in range(m)
+    ])
 
 
 def gen_complete_bipartite(m: int) -> Graph:
-    """K_{m,m} on parts {0..m-1} and {m..2m-1}: the trivial GQ(1, m-1)."""
-    if not isinstance(m, int) or m < 2:
-        raise ValueError(f"require integer m >= 2, got {m!r}")
+    """K_{m,m} on parts {0..m-1} and {m..2m-1}: the trivial GQ(1, m-1).
+
+    m is at most 2^19, so that the 2m vertices fit a pgqgraph file; its
+    pgqgraph has m^2 edge lines (2^38 at m = 2^19).
+    """
+    _require_m(m, MAX_PGQGRAPH_VERTICES // 2)
     return Graph(2 * m, [(i, m + j) for i in range(m) for j in range(m)])
 
 

@@ -18,8 +18,8 @@ divisor arithmetic, and csv_row() formats v = (s+1)(st+1), k = s(t+1),
 lambda = s-1 and mu = t+1 directly.  A scan runs check_one only for
 JSON, whose objects carry the verdict witnesses.  chunks() streams
 either format as one string per t, so a scan holds one t's rows at a
-time, whatever its range; scan() and emit() give the same rows as a
-list of reports and as one string.
+time, whatever its range; scan() gives the same rows as a list of
+reports, and emit_csv() and emit_json() format such a list as one string.
 
 The scan is a pure function of its range: rows come out ordered by
 (t, s) ascending and two runs produce byte-identical output.
@@ -226,7 +226,7 @@ def _json_chunks(groups):
 def chunks(rng: ScanRange, fmt: str):
     """The scan of rng in format fmt ("csv" or "json"), one string per t
     that has rows (plus the CSV header and the JSON closer): the bytes of
-    emit(scan(rng), fmt), without holding them."""
+    emit_csv(scan(rng)) or emit_json(scan(rng)), without holding them."""
     if fmt == "csv":
         return _csv_chunks(candidates(rng))
     if fmt == "json":
@@ -246,10 +246,3 @@ def emit_json(reports) -> str:
     """Full diagnostics: JSON array of report objects."""
     return "".join(_json_chunks([reports]))
 
-
-def emit(reports, fmt: str) -> str:
-    if fmt == "csv":
-        return emit_csv(reports)
-    if fmt == "json":
-        return emit_json(reports)
-    raise ValueError(f"unknown format {fmt!r}")

@@ -197,21 +197,29 @@ def brute_max_coclique(n, edges) -> int:
     return 0
 
 
-def brute_srg_params(n, edges):
-    """(v, k, lam, mu) by direct common-neighbor counting, or None if the
-    graph is not strongly regular (regular, connected, non-complete,
-    constant lam and mu)."""
+def srg_oracle(n, edges):
+    """verify_srg by direct common-neighbor counting over plain sets.
+
+    edges is a set of frozenset pairs over vertices 0..n-1.  Returns
+    ((v, k, lam, mu), None) for a strongly regular graph (regular,
+    connected, non-complete, constant lam and mu), else (None, failure):
+    the first violation, with pairs (u, v), u < v, taken in lexicographic
+    order and lam and mu fixed by the first adjacent and the first
+    non-adjacent pair.  No vertices is a ValueError.
+    """
+    if n == 0:
+        raise ValueError("empty graph")
     nbrs = {v: set() for v in range(n)}
     for e in edges:
         u, v = tuple(e)
         nbrs[u].add(v)
         nbrs[v].add(u)
-    degrees = {len(nbrs[v]) for v in range(n)}
-    if len(degrees) != 1:
-        return None
-    k = degrees.pop()
+    k = len(nbrs[0])
+    for v in range(n):
+        if len(nbrs[v]) != k:
+            return None, f"not regular: deg({v})={len(nbrs[v])} but deg(0)={k}"
     if k == n - 1:
-        return None
+        return None, "complete graph"
     seen = {0}
     stack = [0]
     while stack:
@@ -220,15 +228,21 @@ def brute_srg_params(n, edges):
                 seen.add(w)
                 stack.append(w)
     if len(seen) != n:
-        return None
-    lams, mus = set(), set()
-    for u in range(n):
-        for v in range(u + 1, n):
-            c = len(nbrs[u] & nbrs[v])
-            (lams if v in nbrs[u] else mus).add(c)
-    if len(lams) > 1 or len(mus) > 1:
-        return None
-    return (n, k, lams.pop() if lams else None, mus.pop() if mus else None)
+        return None, "not connected"
+    expected = {}
+    for u, v in combinations(range(n), 2):
+        kind = "adjacent" if v in nbrs[u] else "non-adjacent"
+        c = len(nbrs[u] & nbrs[v])
+        if expected.setdefault(kind, c) != c:
+            return None, f"{kind} pair ({u}, {v}) has {c} common neighbors, expected {expected[kind]}"
+    return (n, k, expected["adjacent"], expected["non-adjacent"]), None
+
+
+def rook_edges(m):
+    """Edges of the m x m rook's graph: the pairs of cells on one row line
+    or on one column line, cell i*m + j in row i and column j."""
+    lines = [range(i * m, i * m + m) for i in range(m)] + [range(i, m * m, m) for i in range(m)]
+    return [edge for line in lines for edge in combinations(line, 2)]
 
 
 def branching_max_coclique(adj, vertices) -> int:

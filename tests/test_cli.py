@@ -468,6 +468,17 @@ def test_gen_flag_rules(capsys):
     assert code == 2
 
 
+def test_gen_refuses_more_vertices_than_a_pgqgraph_holds(capsys):
+    # Refused before any row or edge is built: rook has m^2 vertices and
+    # bipartite 2m, and a pgqgraph file declares at most 2^20.
+    for name, largest in (("rook", 1024), ("bipartite", 2**19)):
+        code, out, err = run(capsys, "gen", name, "--m", str(largest + 1))
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: require m <= {largest}, got {largest + 1}: a pgqgraph holds at most 1048576 vertices\n"
+        )
+
+
 def test_gen_determinism(capsys):
     code1, out1, _ = run(capsys, "gen", "w3")
     code2, out2, _ = run(capsys, "gen", "w3")

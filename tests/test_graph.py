@@ -28,12 +28,12 @@ from pgq.params import GQParams
 from oracles import (
     branching_max_coclique,
     brute_max_coclique,
-    brute_srg_params,
     clique_cover_oracle,
     edge_set,
     local_coclique_oracle,
     local_partition_oracle,
     parse_pgqgraph_oracle,
+    srg_oracle,
 )
 from strategies import NOISE, mutated_lines
 
@@ -189,7 +189,7 @@ def test_verify_srg_positives(g, expected):
     check = verify_srg(g)
     assert check.ok
     assert check.params.as_tuple() == expected
-    assert brute_srg_params(g.n, edge_set(g)) == expected
+    assert srg_oracle(g.n, edge_set(g)) == (expected, None)
 
 
 def test_verify_srg_failures():
@@ -225,6 +225,43 @@ def test_verify_srg_first_witness_is_deterministic():
     check = verify_srg(cycle(6))
     # (0, 2) is the first non-adjacent pair in order; (0, 3) disagrees.
     assert "(0, 3)" in check.failure
+
+
+#: Strongly regular graphs on at most 40 vertices, the bases of near_srgs.
+SRG_BASES = [gen_symplectic_w3(), gen_rook(4), gen_rook(5), gen_rook(6), gen_shrikhande(), gen_kneser_6_2()]
+
+
+@st.composite
+def near_srgs(draw):
+    """(n, edges) of a base srg after one to three edits: an edge toggled,
+    or a 2-switch that keeps every degree (edges ab and cd become ac and
+    bd, where those were non-edges)."""
+    g = draw(st.sampled_from(SRG_BASES))
+    edges = edge_set(g)
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            u, v = draw(st.lists(st.integers(0, g.n - 1), min_size=2, max_size=2, unique=True))
+            edges ^= {frozenset((u, v))}
+            continue
+        listed = sorted(tuple(sorted(e)) for e in edges)
+        a, b = draw(st.sampled_from(listed))
+        partners = [
+            (c, d) for e in listed for c, d in (e, e[::-1])
+            if len({a, b, c, d}) == 4 and not {frozenset((a, c)), frozenset((b, d))} & edges
+        ]
+        if partners:
+            c, d = draw(st.sampled_from(partners))
+            edges = edges - {frozenset((a, b)), frozenset((c, d))} | {frozenset((a, c)), frozenset((b, d))}
+    return g.n, edges
+
+
+@settings(max_examples=300)
+@given(near_srgs())
+def test_verify_srg_matches_the_pairwise_oracle(case):
+    # The parameters and the first-violation witness are the contract.
+    n, edges = case
+    check = verify_srg(Graph(n, edges))
+    assert (check.params.as_tuple() if check.ok else None, check.failure) == srg_oracle(n, edges)
 
 
 # ---------------------------------------------------------------------------

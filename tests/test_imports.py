@@ -1,4 +1,5 @@
-"""Start-up: each CLI call imports only the modules its subcommand runs.
+"""Start-up: importing pgq loads no submodule, and each CLI call imports
+only the modules its subcommand runs.
 
 Every call runs in a fresh interpreter, which lists sys.modules after
 main returns, so a module-level import added later shows up here.
@@ -24,14 +25,15 @@ sys.exit(code)
 """
 
 
-def loaded_modules(tmp_path, *argv):
+def run_child(*args):
     src = os.path.dirname(os.path.dirname(pgq.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=60, env=env)
+
+
+def loaded_modules(tmp_path, *argv):
     listing = tmp_path / "modules.txt"
-    proc = subprocess.run(
-        [sys.executable, "-c", CHILD, str(listing), *argv],
-        capture_output=True, text=True, timeout=60, env=env,
-    )
+    proc = run_child("-c", CHILD, str(listing), *argv)
     assert proc.returncode in (0, 3), proc.stderr
     return set(listing.read_text(encoding="ascii").split("\n"))
 
@@ -63,12 +65,6 @@ def test_help_loads_no_pgq_module_but_the_cli(tmp_path):
     assert {m for m in modules if m.split(".")[0] == "pgq"} == {"pgq", "pgq.cli", "pgq.errors"}
 
 
-def test_package_reexports_every_name_lazily():
-    namespace = {}
-    exec("from pgq import *", namespace)
-    assert [name for name in pgq.__all__ if namespace[name] is not getattr(pgq, name)] == []
-    assert set(pgq.__all__) <= set(dir(pgq))
-    # The function, not the submodule of the same name.
-    assert pgq.scan is sys.modules["pgq.scan"].scan
-    with pytest.raises(AttributeError):
-        pgq.not_a_name
+def test_import_pgq_loads_no_submodule():
+    proc = run_child("-c", "import pgq, sys; print(*sorted(m for m in sys.modules if m.split('.')[0] == 'pgq'))")
+    assert (proc.returncode, proc.stdout) == (0, "pgq\n"), proc.stderr

@@ -36,7 +36,6 @@ from pgq.params import GQParams, derive_srg
 
 from oracles import (
     axioms_oracle,
-    brute_srg_params,
     cameron_graph,
     census_witness,
     clique_cover_oracle,
@@ -46,6 +45,8 @@ from oracles import (
     local_coclique_oracle,
     local_partition_oracle,
     relabel,
+    rook_edges,
+    srg_oracle,
     symplectic_graph,
 )
 from strategies import NOISE, mutated_lines
@@ -327,7 +328,7 @@ def test_switched_q43_is_a_pseudo_gq():
 
 def test_cameron_graph_is_a_pseudo_gq():
     assert verify_srg(CAMERON).params == derive_srg(GQParams(10, 2))
-    assert brute_srg_params(CAMERON.n, edge_set(CAMERON)) == (231, 30, 9, 3)
+    assert srg_oracle(CAMERON.n, edge_set(CAMERON)) == ((231, 30, 9, 3), None)
     assert _claw_histogram(CAMERON) == {5: 231}
     result = extract_gq(CAMERON, GQParams(10, 2))
     assert (result.witness_vertex, result.witness_claw) == (0, 5)
@@ -444,7 +445,7 @@ def test_dual_of_rook_gq(gq31):
     check = verify_srg(cg)
     assert check.params.as_tuple() == (8, 4, 0, 4)
     assert check.params == derive_srg(GQParams(1, 3))
-    assert brute_srg_params(cg.n, edge_set(cg)) == (8, 4, 0, 4)
+    assert srg_oracle(cg.n, edge_set(cg)) == ((8, 4, 0, 4), None)
 
 
 def test_dual_is_involution_on_counts(gq22, gq31):
@@ -491,11 +492,21 @@ def test_generator_parameters():
     assert verify_srg(gen_shrikhande()).params.as_tuple() == (16, 6, 2, 2)
 
 
+@pytest.mark.parametrize("m", range(2, 21))
+def test_rook_rows_match_the_edge_list(m):
+    assert gen_rook(m) == Graph(m * m, rook_edges(m))
+
+
 def test_generator_rejects_bad_m():
     with pytest.raises(ValueError):
         gen_rook(1)
     with pytest.raises(ValueError):
         gen_complete_bipartite(0)
+    # The type is checked before m sizes anything (the upper limits are
+    # test_cli::test_gen_refuses_more_vertices_than_a_pgqgraph_holds).
+    for bad in ("4", None, 4.0):
+        with pytest.raises(ValueError, match=r"^require integer m >= 2"):
+            gen_rook(bad)
 
 
 def test_rook_and_shrikhande_share_parameters_but_differ():
