@@ -16,8 +16,8 @@ data only, in the declared format; diagnostics go to stderr.  FILE may be
 
 from __future__ import annotations
 
-import argparse
 import sys
+from types import SimpleNamespace
 
 from .errors import PgqError
 
@@ -32,11 +32,6 @@ EXIT_NEGATIVE = 3
 
 class UsageError(Exception):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # exit 1 instead of argparse's default 2
-        raise UsageError(message)
 
 
 def _read_input(path: str) -> str:
@@ -88,42 +83,98 @@ def _decimal(f) -> str:
     return f"{head}{'.' if tail else ''}{tail}e+{exp}"
 
 
-def _build_parser() -> _Parser:
+_INT = {"type": int}
+_REQUIRED_INT = {"type": int, "required": True}
+_PATH = {}
+
+#: Each subcommand's help and arguments, as argparse's add_argument takes
+#: them: positionals first, then options, each at most once.
+_COMMANDS = {
+    "scan": ("emit parameter sets eliminated by the four-term bound", (
+        ("--t-min", _REQUIRED_INT),
+        ("--t-max", _REQUIRED_INT),
+        ("--format", {"choices": ("csv", "json"), "default": "csv"}),
+        ("--out", _PATH),
+    )),
+    "check": ("feasibility report for one (s, t)", (
+        ("--s", _REQUIRED_INT),
+        ("--t", _REQUIRED_INT),
+        ("--format", {"choices": ("json",)}),
+    )),
+    "bound": ("bound values at t, or the four terms at (theta, beta)", (
+        ("--t", _REQUIRED_INT),
+        ("--theta", _INT),
+        ("--beta", _INT),
+    )),
+    "graph": ("verify/analyze a pgqgraph file", (
+        ("action", {"choices": ("verify", "claw", "extract-gq")}),
+        ("file", _PATH),
+        ("--s", _INT),
+        ("--t", _INT),
+        ("--out", _PATH),
+    )),
+    "gen": ("write a generator graph in pgqgraph format", (
+        ("name", {"choices": ("rook", "bipartite", "kneser", "w3", "shrikhande")}),
+        ("--m", _INT),
+        ("--out", _PATH),
+    )),
+    "inc": ("verify/transform a pgqinc file", (
+        ("action", {"choices": ("verify", "dual", "collinearity")}),
+        ("file", _PATH),
+    )),
+}
+
+
+def _parse_plain(argv: list[str]) -> dict | None:
+    """The arguments argparse parses from argv, if argv has the plain form:
+    a subcommand, its positionals, then options spelled out, each at most
+    once and followed by a value that does not start with "-" (a positional
+    may be "-").  None for any other argv, which argparse then parses or
+    refuses; argparse is the oracle of this function."""
+    spec = _COMMANDS[argv[0]][1] if argv and argv[0] in _COMMANDS else ()
+    positionals = [name for name, _ in spec if name[0] != "-"]
+    n = 1 + len(positionals)
+    given = dict(zip(positionals, argv[1:n]))
+    given.update(zip(argv[n::2], argv[n + 1::2]))
+    # Every token is used once: n - 1 positionals, then distinct flags,
+    # each with its value.
+    if not spec or 2 * len(given) != len(argv) + n - 2:
+        return None
+    args = {"command": argv[0]}
+    for name, kw in spec:
+        value = given.pop(name, None)
+        if value is None:
+            if kw.get("required"):
+                return None
+            value = kw.get("default")
+        else:
+            if value[:1] == "-" and (value != "-" or name[0] == "-"):
+                return None
+            try:
+                value = kw.get("type", str)(value)
+            except ValueError:
+                return None
+            if value not in kw.get("choices", (value,)):
+                return None
+        args[name.lstrip("-").replace("-", "_")] = value
+    return None if given else args
+
+
+def _build_parser():
+    """The argparse parser of _COMMANDS.  It parses every argv that is not
+    plain, and it alone writes help and usage errors."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):  # exit 1 instead of argparse's default 2
+            raise UsageError(message)
+
     parser = _Parser(prog="pgq", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p_scan = sub.add_parser("scan", help="emit parameter sets eliminated by the four-term bound")
-    p_scan.add_argument("--t-min", type=int, required=True)
-    p_scan.add_argument("--t-max", type=int, required=True)
-    p_scan.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_scan.add_argument("--out")
-
-    p_check = sub.add_parser("check", help="feasibility report for one (s, t)")
-    p_check.add_argument("--s", type=int, required=True)
-    p_check.add_argument("--t", type=int, required=True)
-    p_check.add_argument("--format", choices=("json",), default=None)
-
-    p_bound = sub.add_parser("bound", help="bound values at t, or the four terms at (theta, beta)")
-    p_bound.add_argument("--t", type=int, required=True)
-    p_bound.add_argument("--theta", type=int, default=None)
-    p_bound.add_argument("--beta", type=int, default=None)
-
-    p_graph = sub.add_parser("graph", help="verify/analyze a pgqgraph file")
-    p_graph.add_argument("action", choices=("verify", "claw", "extract-gq"))
-    p_graph.add_argument("file")
-    p_graph.add_argument("--s", type=int, default=None)
-    p_graph.add_argument("--t", type=int, default=None)
-    p_graph.add_argument("--out")
-
-    p_gen = sub.add_parser("gen", help="write a generator graph in pgqgraph format")
-    p_gen.add_argument("name", choices=("rook", "bipartite", "kneser", "w3", "shrikhande"))
-    p_gen.add_argument("--m", type=int, default=None)
-    p_gen.add_argument("--out")
-
-    p_inc = sub.add_parser("inc", help="verify/transform a pgqinc file")
-    p_inc.add_argument("action", choices=("verify", "dual", "collinearity"))
-    p_inc.add_argument("file")
-
+    for command, (help_, spec) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_)
+        for name, kw in spec:
+            p.add_argument(name, **kw)
     return parser
 
 
@@ -324,9 +375,10 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        plain = _parse_plain(argv)
+        args = _build_parser().parse_args(argv) if plain is None else SimpleNamespace(**plain)
         return _HANDLERS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

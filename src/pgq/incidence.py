@@ -254,11 +254,13 @@ def gen_rook(m: int) -> Graph:
 def gen_complete_bipartite(m: int) -> Graph:
     """K_{m,m} on parts {0..m-1} and {m..2m-1}: the trivial GQ(1, m-1).
 
-    m is at most 2^19, so that the 2m vertices fit a pgqgraph file; its
-    pgqgraph has m^2 edge lines (2^38 at m = 2^19).
+    Each vertex is adjacent to the whole other part.  m is at most 2^19,
+    so that the 2m vertices fit a pgqgraph file; its pgqgraph has m^2 edge
+    lines (2^38 at m = 2^19).
     """
     _require_m(m, MAX_PGQGRAPH_VERTICES // 2)
-    return Graph(2 * m, [(i, m + j) for i in range(m) for j in range(m)])
+    left = (1 << m) - 1
+    return Graph._from_rows(2 * m, [left << m] * m + [left] * m)
 
 
 def gen_kneser_6_2() -> Graph:

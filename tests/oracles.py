@@ -245,6 +245,11 @@ def rook_edges(m):
     return [edge for line in lines for edge in combinations(line, 2)]
 
 
+def bipartite_edges(m):
+    """Edges of K_{m,m}: every pair of a vertex in 0..m-1 and one in m..2m-1."""
+    return [(i, m + j) for i in range(m) for j in range(m)]
+
+
 def branching_max_coclique(adj, vertices) -> int:
     """Maximum independent set size among vertices (a set), by exhaustive
     branching with plain sets; adj maps each vertex to its neighbor set.

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pgq
-from pgq.cli import _decimal, main
+from pgq.cli import UsageError, _build_parser, _decimal, _parse_plain, main
 from pgq.graph import Graph, claw_number, parse_pgqgraph, write_pgqgraph
 from pgq.incidence import (
     collinearity_graph,
@@ -459,6 +459,14 @@ def test_gen_rook_64_is_pinned(capsys):
     assert hashlib.md5(out.encode("ascii")).hexdigest() == "92230211115dc1785d7289dc41a8b590"
 
 
+def test_gen_bipartite_64_is_pinned(capsys):
+    # 128 vertices and 64^2 edges.
+    code, out, err = run(capsys, "gen", "bipartite", "--m", "64")
+    assert (code, err) == (0, "")
+    assert out.count("\n") == 2 + 64 * 64
+    assert hashlib.md5(out.encode("ascii")).hexdigest() == "4581c28ac41ef1f899a2584dc5472026"
+
+
 def test_gen_flag_rules(capsys):
     code, _, err = run(capsys, "gen", "rook")
     assert code == 1 and "requires --m" in err
@@ -711,3 +719,119 @@ def test_any_argv_exits_cleanly(argv_dir, argv, stdin):
     finally:
         os.chdir(cwd)
     assert code in (0, 1, 2, 3)
+
+
+# ---------------------------------------------------------------------------
+# argument parsing: the plain form without argparse, argparse for the rest
+# ---------------------------------------------------------------------------
+
+def argparse_args(argv):
+    """vars() of argparse's namespace for argv, or None if it refuses argv
+    or prints help."""
+    try:
+        with redirect_stdout(io.StringIO()):
+            return vars(_build_parser().parse_args(argv))
+    except (UsageError, SystemExit):
+        return None
+
+
+#: Tokens a plain argv must not have, or that int() reads in its own way.
+PLAIN_JUNK = st.sampled_from(["-", "--", "-h", "--t=3", "--t-m", " 5", "+5", "1_0", "\u0661", ""])
+
+
+@st.composite
+def junk_argvs(draw):
+    """An argv of argvs() with up to two of its tokens replaced by, or two
+    tokens inserted from, PLAIN_JUNK."""
+    argv = draw(argvs())
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(argv)))
+        if i < len(argv) and draw(st.booleans()):
+            argv[i] = draw(PLAIN_JUNK)
+        else:
+            argv.insert(i, draw(PLAIN_JUNK))
+    return argv
+
+
+@settings(max_examples=1000)
+@given(junk_argvs())
+def test_plain_parse_equals_argparse(argv):
+    plain = _parse_plain(argv)
+    if plain is not None:
+        assert plain == argparse_args(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    # every argv form of the benchmark but --help
+    ["scan", "--t-min", "2", "--t-max", "30"],
+    ["bound", "--t", "96"],
+    ["check", "--s", "100", "--t", "96", "--format", "json"],
+    ["graph", "verify", "w7.pgqgraph"],
+    ["graph", "claw", "w7.pgqgraph"],
+    ["graph", "extract-gq", "-"],
+    ["inc", "verify", "w7.pgqinc"],
+    ["inc", "dual", "w7.pgqinc"],
+    ["inc", "collinearity", "w7dual.pgqinc"],
+    ["gen", "shrikhande"],
+    # and every other option, in any order
+    ["scan", "--out", "x.json", "--format", "json", "--t-max", "+5", "--t-min", "1_0"],
+    ["check", "--t", "3", "--s", "\u0661"],
+    ["bound", "--beta", "2", "--theta", "4", "--t", " 3"],
+    ["graph", "claw", "", "--t", "2", "--s", "3", "--out", "o"],
+    ["gen", "rook", "--out", "x", "--m", "4"],
+])
+def test_plain_argv_is_parsed_without_argparse(argv):
+    plain = _parse_plain(argv)
+    assert plain is not None and plain == argparse_args(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound", "--t=7"],
+    ["scan", "--t-mi", "2", "--t-ma", "10"],
+    ["bound", "--t", "-7"],
+    ["bound", "--t", "7", "--t", "8"],
+    ["gen", "--m", "4", "rook"],
+    ["graph", "verify", "--", "-x"],
+    ["gen", "rook", "--out", "-"],
+    ["check", "--s", "3", "--t", "3", "--format", "xml"],
+    ["bound", "--t", "10" * 2500],
+    ["bound", "-h"],
+    [],
+])
+def test_other_argvs_are_left_to_argparse(argv):
+    assert _parse_plain(argv) is None
+
+
+EMPTY_MD5 = hashlib.md5(b"").hexdigest()
+#: (exit code, md5 of stdout, stderr) of each argv, recorded from the
+#: hand-written parser at COLUMNS=80 before it was built from a table.
+PARSER_TEXT = {
+    ("--help",): (0, "b706e17290579082b763d8f2cab5d8f4", ""),
+    ("scan", "--help"): (0, "1581f7490b45d9a43ff8ac6a500b80ea", ""),
+    ("check", "--help"): (0, "b3a6e53508efc089b2c15910ccdf3478", ""),
+    ("bound", "--help"): (0, "2bfb39a1c5141f04405d6830164af3c0", ""),
+    ("graph", "--help"): (0, "5309719ada95c3343d4f3b498e1226ef", ""),
+    ("gen", "--help"): (0, "9a28adfcc63a98a98e4b577caffa79ab", ""),
+    ("inc", "--help"): (0, "69715cfee5ff9e6b8a7e62c4064dc265", ""),
+    ("bound",): (1, EMPTY_MD5, "usage error: the following arguments are required: --t\n"),
+    ("check", "--s", "3", "--t", "3", "--format", "xml"): (
+        1, EMPTY_MD5, "usage error: argument --format: invalid choice: 'xml' (choose from 'json')\n"),
+    ("bound", "--t", "x"): (1, EMPTY_MD5, "usage error: argument --t: invalid int value: 'x'\n"),
+    ("scan", "--t", "3", "--t-max", "4"): (
+        1, EMPTY_MD5, "usage error: ambiguous option: --t could match --t-min, --t-max\n"),
+    ("bound", "--t", "3", "extra"): (1, EMPTY_MD5, "usage error: unrecognized arguments: extra\n"),
+    ("frobnicate",): (
+        1, EMPTY_MD5, "usage error: argument command: invalid choice: 'frobnicate' "
+        "(choose from 'scan', 'check', 'bound', 'graph', 'gen', 'inc')\n"),
+    (): (1, EMPTY_MD5, "usage error: the following arguments are required: command\n"),
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="argparse words and lays out help and errors differently in other versions; "
+                    "these bytes were recorded on Python 3.11")
+@pytest.mark.parametrize("argv", PARSER_TEXT, ids=lambda argv: " ".join(argv) or "no-argv")
+def test_parser_text_is_pinned(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run(capsys, *argv)
+    assert (code, hashlib.md5(out.encode()).hexdigest(), err) == PARSER_TEXT[argv]

@@ -1,5 +1,5 @@
 """Start-up: importing pgq loads no submodule, and each CLI call imports
-only the modules its subcommand runs.
+only the modules its subcommand runs (a plain argv not even argparse).
 
 Every call runs in a fresh interpreter, which lists sys.modules after
 main returns, so a module-level import added later shows up here.
@@ -38,17 +38,22 @@ def loaded_modules(tmp_path, *argv):
     return set(listing.read_text(encoding="ascii").split("\n"))
 
 
+#: What argparse loads; a plain argv is parsed without it.
+ARGPARSE = {"argparse", "gettext", "locale"}
+
+
 @pytest.mark.parametrize(
     "argv,absent",
     [
         (["--help"], {"fractions"}),
-        (["bound", "--t", "96"], {"pgq.graph", "pgq.incidence", "pgq.params", "pgq.scan"}),
-        (["check", "--s", "56", "--t", "4"], {"pgq.graph", "pgq.incidence"}),
+        (["bound", "--t", "96"], {"pgq.graph", "pgq.incidence", "pgq.params", "pgq.scan", *ARGPARSE}),
+        (["check", "--s", "56", "--t", "4"], {"pgq.graph", "pgq.incidence", *ARGPARSE}),
         # CSV rows are divisor arithmetic: no JSON and no Fraction.
         (["scan", "--t-min", "2", "--t-max", "10"],
-         {"pgq.graph", "pgq.incidence", "json", "fractions", "decimal"}),
-        (["scan", "--t-min", "2", "--t-max", "10", "--format", "json"], {"pgq.graph", "pgq.incidence"}),
-        (["graph", "verify", "W3"], {"pgq.bounds", "pgq.incidence", "pgq.scan", "fractions"}),
+         {"pgq.graph", "pgq.incidence", "json", "fractions", "decimal", *ARGPARSE}),
+        (["scan", "--t-min", "2", "--t-max", "10", "--format", "json"],
+         {"pgq.graph", "pgq.incidence", *ARGPARSE}),
+        (["graph", "verify", "W3"], {"pgq.bounds", "pgq.incidence", "pgq.scan", "fractions", *ARGPARSE}),
     ],
     ids=["help", "bound", "check", "scan", "scan-json", "graph-verify"],
 )
@@ -63,6 +68,8 @@ def test_cli_call_loads_only_its_modules(tmp_path, argv, absent):
 def test_help_loads_no_pgq_module_but_the_cli(tmp_path):
     modules = loaded_modules(tmp_path, "--help")
     assert {m for m in modules if m.split(".")[0] == "pgq"} == {"pgq", "pgq.cli", "pgq.errors"}
+    # argparse writes all help and usage errors.
+    assert "argparse" in modules
 
 
 def test_import_pgq_loads_no_submodule():

@@ -36,6 +36,7 @@ from pgq.params import GQParams, derive_srg
 
 from oracles import (
     axioms_oracle,
+    bipartite_edges,
     cameron_graph,
     census_witness,
     clique_cover_oracle,
@@ -495,6 +496,11 @@ def test_generator_parameters():
 @pytest.mark.parametrize("m", range(2, 21))
 def test_rook_rows_match_the_edge_list(m):
     assert gen_rook(m) == Graph(m * m, rook_edges(m))
+
+
+def test_bipartite_rows_match_the_edge_list():
+    for m in range(2, 21):
+        assert gen_complete_bipartite(m) == Graph(2 * m, bipartite_edges(m))
 
 
 def test_generator_rejects_bad_m():
