@@ -1,23 +1,25 @@
 """Independent brute-force oracles used to pin expected values.
 
-These deliberately avoid the library's bitset branch-and-bound paths and
-its divisor-based scan: graphs are plain edge sets and searches are
-exhaustive enumerations.
+These deliberately avoid the library's bitset branch-and-bound paths,
+its divisor-based scan and its condition pipeline: graphs are plain edge
+sets, searches are exhaustive enumerations and parameter pairs are
+classified from the conditions' own inequalities.
 """
 
 import sys
 from dataclasses import dataclass, make_dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from functools import lru_cache
 from math import comb, floor, isqrt
 from types import ModuleType
 
-from pgq.bounds import BoundChoice, BoundResult, OptimalBound, neumaier_bound
+from pgq.bounds import BoundChoice, BoundResult, OptimalBound
 from pgq.errors import FormatError
 from pgq.graph import MAX_PGQGRAPH_VERTICES, PGQGRAPH_HEADER, ClawCheck, Graph, SrgCheck
 from pgq.incidence import AxiomCheck, ExtractionResult, IncidenceStructure
 from pgq.params import GQParams, SrgParams, Verdict
-from pgq.scan import RULED_OUT_NEW, FeasibilityReport, ScanRange, check_one
+from pgq.scan import FeasibilityReport, ScanRange
 
 #: The value records of pgq: plain __slots__ classes on pgq._record.Record.
 RECORD_CLASSES = (
@@ -64,23 +66,63 @@ class Spectrum:
 
 def spectrum_of(p):
     """Exact spectrum of a putative srg with PGQ-form parameters: the
-    multiplicities are integers exactly when multiplicity_integrality
-    passes, which decides the same by one divisibility test."""
+    multiplicities are integers exactly when check_one's divisibility
+    verdict passes, which decides the same by one divisibility test."""
     s, t = p.s, p.t
     mult_pos = Fraction(s * t * (s + 1) * (t + 1), s + t)
     return Spectrum(s - 1, -(t + 1), mult_pos, p.v - 1 - mult_pos)
 
 
+#: The verdict statuses of trivial parameters, in CONDITION_ORDER: the
+#: identity holds, and no bound applies.
+TRIVIAL_STATUSES = ("pass", "fail", "na", "na", "na", "na", "na")
+
+
+@lru_cache(maxsize=None)
+def _claw_threshold_oracle(t):
+    return crossover_oracle(t).threshold
+
+
+def classify_oracle(s, t):
+    """The verdict statuses of (s, t), in CONDITION_ORDER, and its
+    classification, decided without check_one or pgq.bounds: integrality
+    from spectrum_of, Krein as t <= s^2, Neumaier as s <= t(t+1)(t+2)/2,
+    gq-duality as s <= t^2 and the claw bound from the threshold of
+    crossover_oracle."""
+    if s == 1 or t == 1:
+        return TRIVIAL_STATUSES, "trivial"
+    krein = t <= s * s
+    integral = spectrum_of(GQParams(s, t)).mult_pos.denominator == 1
+    neumaier = s <= t * (t + 1) * (t + 2) // 2
+    gq = s <= t * t
+    claw = s <= _claw_threshold_oracle(t)
+    statuses = ("pass", "pass") + tuple(
+        "pass" if ok else "fail" for ok in (krein, integral, neumaier, gq, claw)
+    )
+    if not (krein and integral and neumaier):
+        return statuses, "ruled-out-by-prior-conditions"
+    if gq:
+        return statuses, "gq-possible"
+    return statuses, "pgq-possible-only" if claw else "ruled-out-by-new-bound"
+
+
 def exhaustive_scan(t_min, t_max):
-    """The scan by brute force: the full pipeline on every s from 2 up to
-    Neumaier's bound, keeping the rows ruled out by the new bound alone."""
-    rows = []
-    for t in range(t_min, t_max + 1):
-        for s in range(2, neumaier_bound(t) + 1):
-            report = check_one(GQParams(s, t))
-            if report.classification == RULED_OUT_NEW:
-                rows.append(report)
-    return rows
+    """The scan by brute force: the (s, t) pairs, ordered by (t, s), that
+    classify_oracle rules out by the new bound alone, over every s from 2
+    up to Neumaier's bound."""
+    return [
+        (s, t)
+        for t in range(t_min, t_max + 1)
+        for s in range(2, t * (t + 1) * (t + 2) // 2 + 1)
+        if classify_oracle(s, t)[1] == "ruled-out-by-new-bound"
+    ]
+
+
+def csv_oracle(pairs):
+    """The scan CSV of (s, t) pairs: the header, then s, t and the srg
+    parameters v = (s+1)(st+1), k = s(t+1), lambda = s-1, mu = t+1."""
+    rows = [(s, t, (s + 1) * (s * t + 1), s * (t + 1), s - 1, t + 1) for s, t in pairs]
+    return "".join(",".join(map(str, row)) + "\n" for row in [("s", "t", "v", "k", "lambda", "mu"), *rows])
 
 
 def claw_inequality_oracle(q, r):

@@ -22,8 +22,8 @@ from pgq.incidence import (
     gen_symplectic_w3,
     verify_axioms,
 )
-from pgq.params import GQParams, derive_srg, multiplicity_integrality
-from pgq.scan import PGQ_POSSIBLE_ONLY, ScanRange, check_one, emit_csv, scan
+from pgq.params import GQParams, derive_srg
+from pgq.scan import PGQ_POSSIBLE_ONLY, ScanRange, check_one, chunks, report_to_dict
 
 from oracles import clique_cover_oracle, edge_set, local_coclique_oracle
 
@@ -88,16 +88,13 @@ def extractions():
 
 def test_table_reproduction():
     start = time.perf_counter()
-    rows = scan(ScanRange(2, 10))
+    csv = "".join(chunks(ScanRange(2, 10), "csv"))
     elapsed = time.perf_counter() - start
-    got = [
-        (r.params.s, r.params.t, r.derived.v, r.derived.k, r.derived.lam, r.derived.mu)
-        for r in rows
-    ]
+    got = [tuple(map(int, line.split(","))) for line in csv.splitlines()[1:]]
     expected_csv = "s,t,v,k,lambda,mu\n" + "".join(
         ",".join(str(x) for x in row) + "\n" for row in EXPECTED_ELIMINATED
     )
-    ok = got == EXPECTED_ELIMINATED and emit_csv(rows) == expected_csv and elapsed < 5.0
+    ok = got == EXPECTED_ELIMINATED and csv == expected_csv and elapsed < 5.0
     _verdict(
         "table-reproduction", ok,
         f"{len(got)} rows in {elapsed:.3f}s" if ok
@@ -139,8 +136,10 @@ def test_bound_ordering():
 
 
 def test_t2_divisibility():
-    passing = [s for s in range(2, 13) if multiplicity_integrality(GQParams(s, 2)).ok]
-    cameron = check_one(GQParams(10, 2)).classification
+    reports = {s: report_to_dict(check_one(GQParams(s, 2))) for s in range(2, 13)}
+    passing = [s for s, r in reports.items()
+               if {v["name"]: v["verdict"] for v in r["verdicts"]}["divisibility"] == "pass"]
+    cameron = reports[10]["classification"]
     ok = passing == [2, 4, 10] and cameron == PGQ_POSSIBLE_ONLY
     _verdict(
         "t2-divisibility", ok,

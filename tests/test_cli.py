@@ -30,19 +30,15 @@ from pgq.incidence import (
     write_pgqinc,
 )
 from pgq.params import GQParams
-from pgq.scan import (
-    CSV_HEADER,
-    MAX_SCAN_T,
-    ScanRange,
-    candidates,
-    check_one,
-    emit_csv,
-    emit_json,
-    report_to_dict,
-    scan,
-)
+from pgq.scan import CSV_HEADER, MAX_SCAN_T, ScanRange, candidates, check_one, report_to_dict
 
-from oracles import cameron_graph
+from oracles import cameron_graph, csv_oracle, exhaustive_scan
+
+
+def json_reports(pairs):
+    """The JSON a scan writes for (s, t) pairs: check_one's reports,
+    dumped as one list."""
+    return json.dumps([report_to_dict(check_one(GQParams(s, t))) for s, t in pairs], indent=2) + "\n"
 
 
 def run(capsys, *argv):
@@ -80,7 +76,7 @@ def gq22_file(tmp_path):
 def test_scan_csv_matches_library(capsys):
     code, out, err = run(capsys, "scan", "--t-min", "2", "--t-max", "10")
     assert code == 0
-    assert out == emit_csv(scan(ScanRange(2, 10)))
+    assert out == csv_oracle(exhaustive_scan(2, 10))
     assert out.count("\n") == 26  # header + 25 rows
 
 
@@ -91,7 +87,7 @@ def test_scan_json_and_out_file(capsys, tmp_path):
         "--out", str(target),
     )
     assert code == 0 and out == ""
-    assert target.read_text(encoding="ascii") == emit_json(scan(ScanRange(5, 5)))
+    assert target.read_text(encoding="ascii") == json_reports([(95, 5)])
 
 
 def test_scan_rejects_bad_range(capsys):
@@ -120,27 +116,26 @@ def main_output(*argv):
 @pytest.fixture(scope="module")
 def streamed_200():
     """The CLI's streamed scan of [2, 200] in each format, beside the
-    list path scan() that check_one builds report by report."""
+    candidate pairs it covers."""
     streamed = {fmt: main_output("scan", "--t-min", "2", "--t-max", "200", "--format", fmt)
                 for fmt in ("csv", "json")}
-    return streamed, scan(ScanRange(2, 200))
+    return streamed, [pair for group in candidates(ScanRange(2, 200)) for pair in group]
 
 
 def test_streamed_scan_equals_the_list_path(streamed_200):
-    streamed, reports = streamed_200
-    assert len(reports) == 11085
+    # Each format against bytes formatted in one piece: CSV rows from the
+    # srg formulas, and the JSON layout json.dumps's own for the list of
+    # reports, not only what json.loads accepts.
+    streamed, pairs = streamed_200
+    assert len(pairs) == 11085
     assert (streamed["csv"][0], streamed["json"][0]) == (0, 0)
-    assert first_difference(streamed["csv"][1], emit_csv(reports)) is None
-    assert first_difference(streamed["json"][1], emit_json(reports)) is None
-    # The layout is json.dumps's own, not only what json.loads accepts.
-    expected = json.dumps([report_to_dict(r) for r in reports], indent=2) + "\n"
-    assert first_difference(streamed["json"][1], expected) is None
+    assert first_difference(streamed["csv"][1], csv_oracle(pairs)) is None
+    assert first_difference(streamed["json"][1], json_reports(pairs)) is None
 
 
 def test_every_streamed_json_object_is_the_check_report(streamed_200):
-    streamed, _ = streamed_200
+    streamed, pairs = streamed_200
     objects = json.loads(streamed["json"][1])
-    pairs = [pair for group in candidates(ScanRange(2, 200)) for pair in group]
     assert [(obj["s"], obj["t"]) for obj in objects] == pairs
     for obj in objects:
         assert obj == report_to_dict(check_one(GQParams(obj["s"], obj["t"])))
@@ -156,6 +151,12 @@ def test_scan_csv_to_1000_is_pinned(capsys):
     assert (code, err) == (0, "")
     assert out.count("\n") == 1 + 141472
     assert hashlib.md5(out.encode("ascii")).hexdigest() == "6f662b890bb4e4f76f1a7df770319a3a"
+
+
+def test_scan_json_to_100_is_pinned(capsys):
+    code, out, err = run(capsys, "scan", "--t-min", "2", "--t-max", "100", "--format", "json")
+    assert (code, err) == (0, "")
+    assert hashlib.md5(out.encode("ascii")).hexdigest() == "95780abc8332899c666733e237850422"
 
 
 class _CountingStdout(io.StringIO):

@@ -4,18 +4,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pgq.errors import InternalInconsistencyError
-from pgq.params import (
-    GQParams,
-    SrgParams,
-    Verdict,
-    derive_srg,
-    gq_possible,
-    identify_gq_form,
-    krein_check,
-    multiplicity_integrality,
-)
+from pgq.params import GQParams, SrgParams, Verdict, derive_srg, identify_gq_form
+from pgq.scan import check_one, report_to_dict
 
 from oracles import spectrum_of
+
+
+def verdict(s, t, name):
+    """check_one's verdict named name at (s, t)."""
+    report = report_to_dict(check_one(GQParams(s, t)))
+    return next(v for v in report["verdicts"] if v["name"] == name)
 
 
 @pytest.mark.parametrize(
@@ -93,13 +91,13 @@ def test_identity_large(s, t):
     ],
 )
 def test_multiplicity_integrality_examples(s, t, ok, fragment):
-    v = multiplicity_integrality(GQParams(s, t))
-    assert v.ok is ok
-    assert fragment in v.witness
+    v = verdict(s, t, "divisibility")
+    assert v["verdict"] == ("pass" if ok else "fail")
+    assert fragment in v["witness"]
 
 
 def test_multiplicity_integrality_trivial_is_na():
-    assert multiplicity_integrality(GQParams(1, 4)).status == "na"
+    assert verdict(1, 4, "divisibility")["verdict"] == "na"
 
 
 def test_spectrum_examples():
@@ -115,7 +113,8 @@ def test_spectrum_invariants_and_divisibility_crosscheck():
             spec = spectrum_of(p)
             assert spec.mult_pos + spec.mult_neg == p.v - 1
             assert p.k + spec.mult_pos * spec.theta_pos + spec.mult_neg * spec.theta_neg == 0
-            assert multiplicity_integrality(p).ok == (spec.mult_pos.denominator == 1)
+            divides = verdict(s, t, "divisibility")["verdict"] == "pass"
+            assert divides == (spec.mult_pos.denominator == 1)
 
 
 def test_broken_invariants_raise_internal_error(monkeypatch):
@@ -139,7 +138,9 @@ def test_spectrum_invariants_large(s, t):
     [(10, 2, True), (2, 4, True), (2, 5, False)],
 )
 def test_krein_examples(s, t, ok):
-    assert krein_check(GQParams(s, t)).ok is ok
+    v = verdict(s, t, "krein")
+    assert v["verdict"] == ("pass" if ok else "fail")
+    assert v["witness"] == f"t={t} {'<=' if ok else '>'} s^2={s * s}"
 
 
 @pytest.mark.parametrize(
@@ -147,10 +148,11 @@ def test_krein_examples(s, t, ok):
     [(10, 2, False), (4, 2, True), (56, 4, False)],
 )
 def test_gq_possible_examples(s, t, ok):
-    assert gq_possible(GQParams(s, t)).ok is ok
+    v = verdict(s, t, "gq-duality")
+    assert v["verdict"] == ("pass" if ok else "fail")
+    assert v["witness"].endswith("a GQ is not excluded" if ok else "no GQ exists")
 
 
 def test_bound_checks_na_on_trivial():
-    p = GQParams(3, 1)
-    assert krein_check(p).status == "na"
-    assert gq_possible(p).status == "na"
+    assert verdict(3, 1, "krein")["verdict"] == "na"
+    assert verdict(3, 1, "gq-duality")["verdict"] == "na"

@@ -6,7 +6,7 @@ from math import isqrt
 import pytest
 
 from pgq.bounds import neumaier_bound, optimal_claw_bound, quadratic_claw_bound
-from pgq.params import GQParams
+from pgq.params import GQParams, derive_srg
 from pgq.scan import (
     CONDITION_ORDER,
     CSV_HEADER,
@@ -17,16 +17,38 @@ from pgq.scan import (
     RULED_OUT_PRIOR,
     TRIVIAL,
     ScanRange,
+    candidates,
     check_one,
     chunks,
     csv_row,
-    emit_csv,
-    emit_json,
     multiplicity_divisors,
-    scan,
+    report_to_dict,
 )
 
-from oracles import exhaustive_scan
+from oracles import classify_oracle, csv_oracle, exhaustive_scan
+
+
+def report(s, t):
+    """check_one's report of (s, t), as it is written out."""
+    return report_to_dict(check_one(GQParams(s, t)))
+
+
+def verdicts(s, t):
+    """check_one's verdicts of (s, t) by name."""
+    return {v["name"]: v for v in report(s, t)["verdicts"]}
+
+
+def pairs_of(rng):
+    return [pair for group in candidates(rng) for pair in group]
+
+
+def scanned(rng, fmt):
+    return "".join(chunks(rng, fmt))
+
+
+def json_oracle(pairs):
+    """The scan JSON of (s, t) pairs: their reports, dumped as one list."""
+    return json.dumps([report(s, t) for s, t in pairs], indent=2) + "\n"
 
 
 @pytest.mark.parametrize(
@@ -47,75 +69,87 @@ from oracles import exhaustive_scan
     ],
 )
 def test_check_one_classifications(s, t, expected):
-    assert check_one(GQParams(s, t)).classification == expected
+    assert report(s, t)["classification"] == expected
 
 
 def test_verdict_order_is_fixed():
-    for p in (GQParams(56, 4), GQParams(2, 2), GQParams(3, 1)):
-        report = check_one(p)
-        assert tuple(v.name for v in report.verdicts) == CONDITION_ORDER
+    for s, t in ((56, 4), (2, 2), (3, 1)):
+        assert tuple(v["name"] for v in report(s, t)["verdicts"]) == CONDITION_ORDER
+
+
+def test_report_keys_are_in_output_order():
+    assert list(report(56, 4)) == ["s", "t", "v", "k", "lambda", "mu", "verdicts", "classification"]
+    for v in report(56, 4)["verdicts"]:
+        assert list(v) == ["name", "verdict", "witness"]
 
 
 def test_trivial_report_marks_bound_checks_na():
-    report = check_one(GQParams(3, 1))
-    by_name = {v.name: v for v in report.verdicts}
-    assert by_name["consistency"].ok
-    assert by_name["trivial"].status == "fail"
+    by_name = verdicts(3, 1)
+    assert by_name["consistency"]["verdict"] == "pass"
+    assert by_name["trivial"] == {"name": "trivial", "verdict": "fail", "witness": "t=1: trivial parameters"}
     for name in ("krein", "divisibility", "neumaier", "gq-duality", "claw-bound"):
-        assert by_name[name].status == "na"
+        assert by_name[name]["verdict"] == "na"
+        assert by_name[name]["witness"] == "not applicable: requires s >= 2 and t >= 2"
 
 
 def test_ruled_out_verdict_pattern():
-    report = check_one(GQParams(56, 4))
-    by_name = {v.name: v for v in report.verdicts}
-    assert by_name["krein"].ok and by_name["divisibility"].ok and by_name["neumaier"].ok
-    assert by_name["gq-duality"].status == "fail"
-    assert by_name["claw-bound"].status == "fail"
+    by_name = verdicts(56, 4)
+    assert [by_name[name]["verdict"] for name in ("krein", "divisibility", "neumaier")] == ["pass"] * 3
+    assert by_name["gq-duality"]["verdict"] == "fail"
+    assert by_name["claw-bound"]["verdict"] == "fail"
+    assert by_name["claw-bound"]["witness"] == "s=56 > 44 (four-term bound at theta=6, beta=4)"
+
+
+def test_check_one_matches_the_classification_oracle():
+    # Every verdict status and the classification, over every s up to
+    # Neumaier's bound, against conditions decided without check_one.
+    for t in range(1, 21):
+        for s in range(1, t * (t + 1) * (t + 2) // 2 + 1):
+            got = report(s, t)
+            statuses = tuple(v["verdict"] for v in got["verdicts"])
+            assert (statuses, got["classification"]) == classify_oracle(s, t), (s, t)
 
 
 def test_scan_full_range_shape():
-    rows = scan(ScanRange(2, 10))
-    assert len(rows) == 25
-    assert rows[0].derived.as_tuple() == (12825, 280, 55, 5)
-    assert (rows[0].params.s, rows[0].params.t) == (56, 4)
-    assert rows[-1].derived.as_tuple() == (4232151, 7150, 649, 11)
-    assert (rows[-1].params.s, rows[-1].params.t) == (650, 10)
-    keys = [(r.params.t, r.params.s) for r in rows]
-    assert keys == sorted(keys)
+    pairs = pairs_of(ScanRange(2, 10))
+    assert len(pairs) == 25
+    assert (pairs[0], pairs[-1]) == ((56, 4), (650, 10))
+    assert [(t, s) for s, t in pairs] == sorted((t, s) for s, t in pairs)
+    lines = scanned(ScanRange(2, 10), "csv").splitlines()
+    assert (lines[1], lines[-1]) == ("56,4,12825,280,55,5", "650,10,4232151,7150,649,11")
 
 
 def test_scan_empty_and_single_ranges():
-    assert scan(ScanRange(2, 3)) == []
-    rows = scan(ScanRange(5, 5))
-    assert len(rows) == 1
-    assert rows[0].derived.as_tuple() == (45696, 570, 94, 6)
+    assert scanned(ScanRange(2, 3), "csv") == CSV_HEADER + "\n"
+    assert scanned(ScanRange(2, 3), "json") == "[]\n"
+    assert scanned(ScanRange(5, 5), "csv") == CSV_HEADER + "\n95,5,45696,570,94,6\n"
 
 
 def test_scan_rows_satisfy_conditions_by_recomputation():
-    for r in scan(ScanRange(2, 10)):
-        s, t = r.params.s, r.params.t
+    for s, t in pairs_of(ScanRange(2, 10)):
         assert (s * (s + 1) * t * (t + 1)) % (s + t) == 0
         assert s <= neumaier_bound(t)
         assert s > t * t
         assert s > quadratic_claw_bound(t)
         assert s > optimal_claw_bound(t).threshold
-        assert r.classification == RULED_OUT_NEW
+        assert report(s, t)["classification"] == RULED_OUT_NEW
 
 
 def test_scan_deterministic_and_monotone():
-    full = scan(ScanRange(2, 10))
-    assert emit_csv(full) == emit_csv(scan(ScanRange(2, 10)))
-    partial = scan(ScanRange(2, 8))
-    assert partial == [r for r in full if r.params.t <= 8]
+    full = scanned(ScanRange(2, 10), "csv")
+    assert full == scanned(ScanRange(2, 10), "csv")
+    rows = full.splitlines(keepends=True)
+    partial = [row for row in rows[1:] if int(row.split(",")[1]) <= 8]
+    assert scanned(ScanRange(2, 8), "csv") == rows[0] + "".join(partial)
 
 
 def test_scan_matches_exhaustive_oracle():
-    # Every s up to Neumaier's bound through the full pipeline, against
+    # Every s up to Neumaier's bound, classified without check_one, against
     # the divisor candidates only: the emitted bytes must be identical.
-    rows = scan(ScanRange(2, 40))
-    oracle = exhaustive_scan(2, 40)
-    assert emit_csv(rows) == emit_csv(oracle)
-    assert emit_json(rows) == emit_json(oracle)
+    rng, oracle = ScanRange(2, 40), exhaustive_scan(2, 40)
+    assert pairs_of(rng) == oracle
+    assert scanned(rng, "csv") == csv_oracle(oracle)
+    assert scanned(rng, "json") == json_oracle(oracle)
 
 
 def test_multiplicity_divisors_match_brute_force():
@@ -134,13 +168,12 @@ def test_scan_range_validation():
 
 
 def test_emit_csv_exact_bytes():
-    assert emit_csv(scan(ScanRange(5, 5))) == "s,t,v,k,lambda,mu\n95,5,45696,570,94,6\n"
-    assert emit_csv([]) == CSV_HEADER + "\n"
+    assert scanned(ScanRange(5, 5), "csv") == "s,t,v,k,lambda,mu\n95,5,45696,570,94,6\n"
+    assert scanned(ScanRange(2, 3), "csv") == CSV_HEADER + "\n"
 
 
 def test_emit_json_schema():
-    rows = scan(ScanRange(4, 4))
-    payload = json.loads(emit_json(rows))
+    payload = json.loads(scanned(ScanRange(4, 4), "json"))
     assert isinstance(payload, list) and len(payload) == 1
     obj = payload[0]
     assert set(obj) == {"s", "t", "v", "k", "lambda", "mu", "verdicts", "classification"}
@@ -154,16 +187,18 @@ def test_emit_json_schema():
 
 
 def test_emit_single_report_json():
-    payload = json.loads(emit_json([check_one(GQParams(10, 2))]))
-    assert len(payload) == 1
-    assert payload[0]["classification"] == PGQ_POSSIBLE_ONLY
+    # A report is plain JSON data: it survives a round trip unchanged.
+    got = report(10, 2)
+    assert json.loads(json.dumps(got)) == got
+    assert got["classification"] == PGQ_POSSIBLE_ONLY
 
 
 def test_chunks_stream_the_emitted_bytes():
-    for fmt, emit in (("csv", emit_csv), ("json", emit_json)):
-        for t_min, t_max in ((2, 3), (5, 5), (2, 12)):
-            rng = ScanRange(t_min, t_max)
-            assert "".join(chunks(rng, fmt)) == emit(scan(rng))
+    for t_min, t_max in ((2, 3), (5, 5), (2, 12)):
+        rng = ScanRange(t_min, t_max)
+        pairs = exhaustive_scan(t_min, t_max)
+        assert scanned(rng, "csv") == csv_oracle(pairs)
+        assert scanned(rng, "json") == json_oracle(pairs)
     with pytest.raises(ValueError):
         chunks(ScanRange(2, 3), "xml")
 
@@ -176,11 +211,11 @@ def test_chunks_are_lazy_one_t_at_a_time():
         CSV_HEADER + "\n", csv_row(56, 4), csv_row(95, 5), csv_row(120, 6) + csv_row(134, 6),
     ]
     objects = chunks(ScanRange(2, MAX_SCAN_T), "json")
-    assert next(objects) == emit_json(scan(ScanRange(4, 4)))[:-len("\n]\n")]
-    assert next(objects) == ",\n" + emit_json(scan(ScanRange(5, 5)))[len("[\n"):-len("\n]\n")]
+    assert next(objects) == scanned(ScanRange(4, 4), "json")[:-len("\n]\n")]
+    assert next(objects) == ",\n" + scanned(ScanRange(5, 5), "json")[len("[\n"):-len("\n]\n")]
 
 
 def test_csv_row_is_the_derived_srg():
-    for r in scan(ScanRange(2, 12)):
-        q = r.derived
-        assert csv_row(r.params.s, r.params.t) == f"{r.params.s},{r.params.t},{q.v},{q.k},{q.lam},{q.mu}\n"
+    for s, t in pairs_of(ScanRange(2, 12)):
+        q = derive_srg(GQParams(s, t))
+        assert csv_row(s, t) == f"{s},{t},{q.v},{q.k},{q.lam},{q.mu}\n"
