@@ -191,14 +191,12 @@ def _cmd_scan(args) -> int:
 
 def _cmd_check(args) -> int:
     from .params import GQParams
-    from .scan import RULED_OUT_NEW, RULED_OUT_PRIOR, check_one, report_to_dict
+    from .scan import RULED_OUT_NEW, RULED_OUT_PRIOR, check_one
 
     report = check_one(GQParams(args.s, args.t))
-    if args.format == "json":
-        sys.stdout.write(_json(report_to_dict(report)))
-    else:
-        sys.stdout.write(report.classification + "\n")
-    ruled_out = report.classification in (RULED_OUT_NEW, RULED_OUT_PRIOR)
+    classification = report["classification"]
+    sys.stdout.write(_json(report) if args.format == "json" else classification + "\n")
+    ruled_out = classification in (RULED_OUT_NEW, RULED_OUT_PRIOR)
     return EXIT_NEGATIVE if ruled_out else EXIT_OK
 
 

@@ -6,40 +6,17 @@ regular with parameters ((s+1)(st+1), s(t+1), s-1, t+1).  A strongly
 regular graph with these parameters that is not the collinearity graph of
 any GQ is a pseudo-generalized quadrangle, PGQ(s,t).
 
-Everything in this module is exact integer arithmetic; no verdict ever
-depends on floating point.  Python integers are unbounded, so products
-such as s(s+1)t(t+1) are always exact.  All types are immutable and all
-operations are pure functions, safe to call from any number of workers
-concurrently.
+Everything in this module is exact integer arithmetic.  Python integers
+are unbounded, so products such as (s+1)(st+1) are always exact.  All
+types are immutable and all operations are pure functions, safe to call
+from any number of workers concurrently.  The feasibility conditions on
+(s, t) are decided in pgq.scan.check_one.
 """
 
 from __future__ import annotations
 
 from ._record import Record, set_field
 from .errors import InternalInconsistencyError
-
-PASS = "pass"
-FAIL = "fail"
-NA = "na"
-
-_NA_WITNESS = "not applicable: requires s >= 2 and t >= 2"
-
-
-class Verdict(Record):
-    """Outcome of one feasibility condition with a human-readable witness."""
-
-    __slots__ = ("name", "status", "witness")
-
-    def __init__(self, name: str, status: str, witness: str = ""):
-        if status not in (PASS, FAIL, NA):
-            raise ValueError(f"bad verdict status {status!r}")
-        set_field(self, "name", name)
-        set_field(self, "status", status)
-        set_field(self, "witness", witness)
-
-    @property
-    def ok(self) -> bool:
-        return self.status == PASS
 
 
 def _check_int(name: str, value) -> int:
@@ -137,48 +114,3 @@ def identify_gq_form(q: SrgParams) -> GQParams | None:
     if derive_srg(p) != q:
         return None
     return p
-
-
-def multiplicity_integrality(p: GQParams) -> Verdict:
-    """Eigenvalue multiplicities must be integers: (s+t) | s(s+1)t(t+1).
-
-    The witness carries the quotient on pass and the remainder on fail.
-    """
-    if p.is_trivial:
-        return Verdict("divisibility", NA, _NA_WITNESS)
-    s, t = p.s, p.t
-    product = s * (s + 1) * t * (t + 1)
-    quotient, remainder = divmod(product, s + t)
-    if remainder == 0:
-        return Verdict(
-            "divisibility", PASS,
-            f"(s+t)={s + t} divides s(s+1)t(t+1)={product}, quotient {quotient}",
-        )
-    return Verdict(
-        "divisibility", FAIL,
-        f"(s+t)={s + t} does not divide s(s+1)t(t+1)={product}, remainder {remainder}",
-    )
-
-
-def krein_check(p: GQParams) -> Verdict:
-    """Krein condition specialized to PGQ form: t <= s^2."""
-    if p.is_trivial:
-        return Verdict("krein", NA, _NA_WITNESS)
-    s, t = p.s, p.t
-    if t <= s * s:
-        return Verdict("krein", PASS, f"t={t} <= s^2={s * s}")
-    return Verdict("krein", FAIL, f"t={t} > s^2={s * s}")
-
-
-def gq_possible(p: GQParams) -> Verdict:
-    """Dual-order bound for genuine GQs: s <= t^2.
-
-    Fail means no GQ(s,t) exists, so any srg with these parameters is a
-    pseudo-generalized quadrangle.
-    """
-    if p.is_trivial:
-        return Verdict("gq-duality", NA, _NA_WITNESS)
-    s, t = p.s, p.t
-    if s <= t * t:
-        return Verdict("gq-duality", PASS, f"s={s} <= t^2={t * t}, a GQ is not excluded")
-    return Verdict("gq-duality", FAIL, f"s={s} > t^2={t * t}, no GQ exists")

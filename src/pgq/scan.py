@@ -16,10 +16,11 @@ bound.
 So a CSV row needs only (s, t): candidates() yields the pairs from the
 divisor arithmetic, and csv_row() formats v = (s+1)(st+1), k = s(t+1),
 lambda = s-1 and mu = t+1 directly.  A scan runs check_one only for
-JSON, whose objects carry the verdict witnesses.  chunks() streams
-either format as one string per t, so a scan holds one t's rows at a
-time, whatever its range; scan() gives the same rows as a list of
-reports, and emit_csv() and emit_json() format such a list as one string.
+JSON, whose objects carry the verdict witnesses: check_one returns the
+report as the very dict that is written, and the JSON of a scan is
+json.dumps(reports, indent=2) + "\n" for the list of its reports.
+chunks() streams either format as one string per t, so a scan holds one
+t's rows at a time, whatever its range, and never that list.
 
 The scan is a pure function of its range: rows come out ordered by
 (t, s) ascending and two runs produce byte-identical output.
@@ -29,26 +30,13 @@ from __future__ import annotations
 
 from ._record import Record, set_field
 from .bounds import claw_threshold, neumaier_bound, optimal_claw_bound
-from .params import (
-    FAIL,
-    NA,
-    PASS,
-    _NA_WITNESS,
-    GQParams,
-    Verdict,
-    derive_srg,
-    gq_possible,
-    krein_check,
-    multiplicity_integrality,
-)
+from .params import GQParams, derive_srg
 
 GQ_POSSIBLE = "gq-possible"
 PGQ_POSSIBLE_ONLY = "pgq-possible-only"
 RULED_OUT_NEW = "ruled-out-by-new-bound"
 RULED_OUT_PRIOR = "ruled-out-by-prior-conditions"
 TRIVIAL = "trivial"
-
-CLASSIFICATIONS = (GQ_POSSIBLE, PGQ_POSSIBLE_ONLY, RULED_OUT_NEW, RULED_OUT_PRIOR, TRIVIAL)
 
 #: Fixed order of the per-condition verdicts in every report.
 CONDITION_ORDER = (
@@ -70,15 +58,6 @@ CSV_HEADER = "s,t,v,k,lambda,mu"
 MAX_SCAN_T = 10**12
 
 
-class FeasibilityReport(Record):
-    """All condition verdicts and the resulting classification for one
-    parameter pair: params (GQParams), derived (SrgParams), verdicts
-    (tuple[Verdict, ...], in CONDITION_ORDER) and classification (str,
-    one of CLASSIFICATIONS)."""
-
-    __slots__ = ("params", "derived", "verdicts", "classification")
-
-
 class ScanRange(Record):
     """Range of t to scan; s runs over the candidates of multiplicity_divisors(t)."""
 
@@ -93,48 +72,61 @@ class ScanRange(Record):
         set_field(self, "t_max", t_max)
 
 
-def check_one(p: GQParams) -> FeasibilityReport:
-    """Run the full condition pipeline on one parameter pair."""
+def _verdict(name: str, ok: bool, witness: str) -> dict:
+    return {"name": name, "verdict": "pass" if ok else "fail", "witness": witness}
+
+
+def check_one(p: GQParams) -> dict:
+    """The feasibility report of one parameter pair, as the JSON object
+    that check and scan write, a fresh dict for each call: s, t, v, k,
+    lambda and mu, then "verdicts", one {"name", "verdict", "witness"}
+    per condition in CONDITION_ORDER, each verdict "pass" or "fail" (or
+    "na" for a condition that trivial parameters leave open), and
+    "classification", the decision those verdicts make."""
     q = derive_srg(p)
     s, t = p.s, p.t
-    verdicts = [
-        # derive_srg has raised InternalInconsistencyError if the identity fails.
-        Verdict("consistency", PASS, f"k(k-lambda-1) = {q.k * (q.k - q.lam - 1)} = (v-k-1)mu")
-    ]
+    # derive_srg has raised InternalInconsistencyError if the identity fails.
+    verdicts = [_verdict("consistency", True, f"k(k-lambda-1) = {q.k * (q.k - q.lam - 1)} = (v-k-1)mu")]
     if p.is_trivial:
-        which = "s=1" if s == 1 else "t=1"
-        verdicts.append(Verdict("trivial", FAIL, f"{which}: trivial parameters"))
-        for name in CONDITION_ORDER[2:]:
-            verdicts.append(Verdict(name, NA, _NA_WITNESS))
-        return FeasibilityReport(p, q, tuple(verdicts), TRIVIAL)
-    verdicts.append(Verdict("trivial", PASS, "s >= 2 and t >= 2"))
-    verdicts.append(krein_check(p))
-    verdicts.append(multiplicity_integrality(p))
-    nb = neumaier_bound(t)
-    verdicts.append(
-        Verdict("neumaier", PASS if s <= nb else FAIL,
-                f"s={s} {'<=' if s <= nb else '>'} t(t+1)(t+2)/2 = {nb}")
-    )
-    verdicts.append(gq_possible(p))
-    opt = optimal_claw_bound(t)
-    claw_ok = s <= opt.threshold
-    verdicts.append(
-        Verdict(
-            "claw-bound", PASS if claw_ok else FAIL,
-            f"s={s} {'<=' if claw_ok else '>'} {opt.threshold} "
-            f"(four-term bound at theta={opt.choice.theta}, beta={opt.choice.beta})",
-        )
-    )
-    by_name = {v.name: v for v in verdicts}
-    if not (by_name["krein"].ok and by_name["divisibility"].ok and by_name["neumaier"].ok):
-        classification = RULED_OUT_PRIOR
-    elif by_name["gq-duality"].ok:
-        classification = GQ_POSSIBLE
-    elif not claw_ok:
-        classification = RULED_OUT_NEW
+        verdicts.append(_verdict("trivial", False, f"{'s=1' if s == 1 else 't=1'}: trivial parameters"))
+        verdicts += [
+            {"name": name, "verdict": "na", "witness": "not applicable: requires s >= 2 and t >= 2"}
+            for name in CONDITION_ORDER[2:]
+        ]
+        classification = TRIVIAL
     else:
-        classification = PGQ_POSSIBLE_ONLY
-    return FeasibilityReport(p, q, tuple(verdicts), classification)
+        krein = t <= s * s
+        product = s * (s + 1) * t * (t + 1)
+        quotient, remainder = divmod(product, s + t)
+        divisible = remainder == 0
+        nb = neumaier_bound(t)
+        neumaier = s <= nb
+        gq = s <= t * t
+        opt = optimal_claw_bound(t)
+        claw = s <= opt.threshold
+        verdicts += [
+            _verdict("trivial", True, "s >= 2 and t >= 2"),
+            _verdict("krein", krein, f"t={t} {'<=' if krein else '>'} s^2={s * s}"),
+            _verdict("divisibility", divisible,
+                     f"(s+t)={s + t} {'divides' if divisible else 'does not divide'} "
+                     f"s(s+1)t(t+1)={product}, "
+                     + (f"quotient {quotient}" if divisible else f"remainder {remainder}")),
+            _verdict("neumaier", neumaier, f"s={s} {'<=' if neumaier else '>'} t(t+1)(t+2)/2 = {nb}"),
+            _verdict("gq-duality", gq, f"s={s} {'<=' if gq else '>'} t^2={t * t}, "
+                     + ("a GQ is not excluded" if gq else "no GQ exists")),
+            _verdict("claw-bound", claw, f"s={s} {'<=' if claw else '>'} {opt.threshold} "
+                     f"(four-term bound at theta={opt.choice.theta}, beta={opt.choice.beta})"),
+        ]
+        if not (krein and divisible and neumaier):
+            classification = RULED_OUT_PRIOR
+        elif gq:
+            classification = GQ_POSSIBLE
+        elif claw:
+            classification = PGQ_POSSIBLE_ONLY
+        else:
+            classification = RULED_OUT_NEW
+    return {"s": s, "t": t, "v": q.v, "k": q.k, "lambda": q.lam, "mu": q.mu,
+            "verdicts": verdicts, "classification": classification}
 
 
 def _factorize(n: int, exponents: dict[int, int]) -> None:
@@ -172,28 +164,6 @@ def candidates(rng: ScanRange):
         yield [(d - t, t) for d in multiplicity_divisors(t) if low < d - t <= high]
 
 
-def scan(rng: ScanRange) -> list[FeasibilityReport]:
-    """The reports of every candidate in range, ordered by (t, s) ascending."""
-    return [check_one(GQParams(s, t)) for pairs in candidates(rng) for s, t in pairs]
-
-
-def report_to_dict(report: FeasibilityReport) -> dict:
-    q = report.derived
-    return {
-        "s": report.params.s,
-        "t": report.params.t,
-        "v": q.v,
-        "k": q.k,
-        "lambda": q.lam,
-        "mu": q.mu,
-        "verdicts": [
-            {"name": v.name, "verdict": v.status, "witness": v.witness}
-            for v in report.verdicts
-        ],
-        "classification": report.classification,
-    }
-
-
 def csv_row(s: int, t: int) -> str:
     """One CSV line, s,t,v,k,lambda,mu, from the (P)GQ(s,t) formulas."""
     return f"{s},{t},{(s + 1) * (s * t + 1)},{s * (t + 1)},{s - 1},{t + 1}\n"
@@ -216,7 +186,7 @@ def _json_chunks(groups):
     opener = "[\n  "
     for reports in groups:
         # Each object in a list dumped at indent=2 is indented two more spaces.
-        items = [json.dumps(report_to_dict(r), indent=2).replace("\n", "\n  ") for r in reports]
+        items = [json.dumps(r, indent=2).replace("\n", "\n  ") for r in reports]
         if items:
             yield opener + ",\n  ".join(items)
             opener = ",\n  "
@@ -225,8 +195,9 @@ def _json_chunks(groups):
 
 def chunks(rng: ScanRange, fmt: str):
     """The scan of rng in format fmt ("csv" or "json"), one string per t
-    that has rows (plus the CSV header and the JSON closer): the bytes of
-    emit_csv(scan(rng)) or emit_json(scan(rng)), without holding them."""
+    that has rows (plus the CSV header and the JSON closer), without
+    holding them all: the CSV header and csv_row of every candidate, or
+    json.dumps of the list of their reports, indent=2, and a newline."""
     if fmt == "csv":
         return _csv_chunks(candidates(rng))
     if fmt == "json":
@@ -234,15 +205,3 @@ def chunks(rng: ScanRange, fmt: str):
             (check_one(GQParams(s, t)) for s, t in pairs) for pairs in candidates(rng)
         )
     raise ValueError(f"unknown format {fmt!r}")
-
-
-def emit_csv(reports) -> str:
-    """Canonical reproduction artifact: header s,t,v,k,lambda,mu then one
-    comma-separated row per report, no padding."""
-    return "".join(_csv_chunks([[(r.params.s, r.params.t) for r in reports]]))
-
-
-def emit_json(reports) -> str:
-    """Full diagnostics: JSON array of report objects."""
-    return "".join(_json_chunks([reports]))
-

@@ -18,16 +18,15 @@ from pgq.bounds import BoundChoice, BoundResult, OptimalBound
 from pgq.errors import FormatError
 from pgq.graph import MAX_PGQGRAPH_VERTICES, PGQGRAPH_HEADER, ClawCheck, Graph, SrgCheck
 from pgq.incidence import AxiomCheck, ExtractionResult, IncidenceStructure
-from pgq.params import GQParams, SrgParams, Verdict
-from pgq.scan import FeasibilityReport, ScanRange
+from pgq.params import GQParams, SrgParams
+from pgq.scan import ScanRange
 
 #: The value records of pgq: plain __slots__ classes on pgq._record.Record.
 RECORD_CLASSES = (
     BoundChoice, BoundResult, OptimalBound,
     ClawCheck, SrgCheck,
     AxiomCheck, ExtractionResult, IncidenceStructure,
-    GQParams, SrgParams, Verdict,
-    FeasibilityReport, ScanRange,
+    GQParams, SrgParams, ScanRange,
 )
 
 # The dataclass twins live in a module of their own, so that pickle finds

@@ -23,7 +23,7 @@ from pgq.incidence import (
     verify_axioms,
 )
 from pgq.params import GQParams, derive_srg
-from pgq.scan import PGQ_POSSIBLE_ONLY, ScanRange, check_one, chunks, report_to_dict
+from pgq.scan import PGQ_POSSIBLE_ONLY, ScanRange, check_one, chunks
 
 from oracles import clique_cover_oracle, edge_set, local_coclique_oracle
 
@@ -136,7 +136,7 @@ def test_bound_ordering():
 
 
 def test_t2_divisibility():
-    reports = {s: report_to_dict(check_one(GQParams(s, 2))) for s in range(2, 13)}
+    reports = {s: check_one(GQParams(s, 2)) for s in range(2, 13)}
     passing = [s for s, r in reports.items()
                if {v["name"]: v["verdict"] for v in r["verdicts"]}["divisibility"] == "pass"]
     cameron = reports[10]["classification"]

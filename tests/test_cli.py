@@ -30,7 +30,7 @@ from pgq.incidence import (
     write_pgqinc,
 )
 from pgq.params import GQParams
-from pgq.scan import CSV_HEADER, MAX_SCAN_T, ScanRange, candidates, check_one, report_to_dict
+from pgq.scan import CSV_HEADER, MAX_SCAN_T, ScanRange, candidates, check_one
 
 from oracles import cameron_graph, csv_oracle, exhaustive_scan
 
@@ -38,7 +38,7 @@ from oracles import cameron_graph, csv_oracle, exhaustive_scan
 def json_reports(pairs):
     """The JSON a scan writes for (s, t) pairs: check_one's reports,
     dumped as one list."""
-    return json.dumps([report_to_dict(check_one(GQParams(s, t))) for s, t in pairs], indent=2) + "\n"
+    return json.dumps([check_one(GQParams(s, t)) for s, t in pairs], indent=2) + "\n"
 
 
 def run(capsys, *argv):
@@ -138,7 +138,7 @@ def test_every_streamed_json_object_is_the_check_report(streamed_200):
     objects = json.loads(streamed["json"][1])
     assert [(obj["s"], obj["t"]) for obj in objects] == pairs
     for obj in objects:
-        assert obj == report_to_dict(check_one(GQParams(obj["s"], obj["t"])))
+        assert obj == check_one(GQParams(obj["s"], obj["t"]))
 
 
 def test_scan_of_an_empty_range_is_the_header_or_an_empty_array(capsys):

@@ -4,16 +4,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pgq.errors import InternalInconsistencyError
-from pgq.params import GQParams, SrgParams, Verdict, derive_srg, identify_gq_form
-from pgq.scan import check_one, report_to_dict
+from pgq.params import GQParams, SrgParams, derive_srg, identify_gq_form
+from pgq.scan import check_one
 
 from oracles import spectrum_of
 
 
 def verdict(s, t, name):
     """check_one's verdict named name at (s, t)."""
-    report = report_to_dict(check_one(GQParams(s, t)))
-    return next(v for v in report["verdicts"] if v["name"] == name)
+    return next(v for v in check_one(GQParams(s, t))["verdicts"] if v["name"] == name)
 
 
 @pytest.mark.parametrize(
@@ -49,11 +48,6 @@ def test_srgparams_validation():
         SrgParams(10, 3, 0, 0)  # mu < 1
     with pytest.raises(ValueError):
         SrgParams(3, 3, 0, 1)  # k >= v
-
-
-def test_verdict_status_validation():
-    with pytest.raises(ValueError):
-        Verdict("x", "maybe")
 
 
 def test_identify_gq_form_examples():

@@ -16,8 +16,8 @@ from pgq.incidence import (
     gen_shrikhande,
     verify_axioms,
 )
-from pgq.params import GQParams, SrgParams, Verdict
-from pgq.scan import ScanRange, check_one
+from pgq.params import GQParams, SrgParams
+from pgq.scan import ScanRange
 
 from oracles import RECORD_CLASSES, RECORD_TWINS
 
@@ -41,10 +41,6 @@ SAMPLES = [
     GQParams(3, 3),
     GQParams(2, 4),
     SrgParams(15, 6, 1, 3),
-    Verdict("krein", "pass", "t=2 <= s^2=4"),
-    Verdict("trivial", "na"),
-    check_one(GQParams(56, 4)),
-    check_one(GQParams(3, 1)),
     ScanRange(2, 30),
 ]
 

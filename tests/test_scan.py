@@ -22,15 +22,14 @@ from pgq.scan import (
     chunks,
     csv_row,
     multiplicity_divisors,
-    report_to_dict,
 )
 
 from oracles import classify_oracle, csv_oracle, exhaustive_scan
 
 
 def report(s, t):
-    """check_one's report of (s, t), as it is written out."""
-    return report_to_dict(check_one(GQParams(s, t)))
+    """check_one's report of (s, t)."""
+    return check_one(GQParams(s, t))
 
 
 def verdicts(s, t):
@@ -81,6 +80,14 @@ def test_report_keys_are_in_output_order():
     assert list(report(56, 4)) == ["s", "t", "v", "k", "lambda", "mu", "verdicts", "classification"]
     for v in report(56, 4)["verdicts"]:
         assert list(v) == ["name", "verdict", "witness"]
+
+
+def test_each_call_builds_a_fresh_report():
+    first = report(56, 4)
+    first["verdicts"][0]["verdict"] = "changed"
+    first["verdicts"].clear()
+    assert report(56, 4)["verdicts"][0]["verdict"] == "pass"
+    assert len(report(56, 4)["verdicts"]) == len(CONDITION_ORDER)
 
 
 def test_trivial_report_marks_bound_checks_na():
