@@ -162,17 +162,21 @@ def _parse_plain(argv: list[str]) -> dict | None:
 
 def _build_parser():
     """The argparse parser of _COMMANDS.  It parses every argv that is not
-    plain, and it alone writes help and usage errors."""
+    plain, and it alone writes help and usage errors.  Help is wrapped at
+    78 columns, the width argparse derives from an 80-column terminal,
+    whatever COLUMNS says, so its bytes do not depend on the terminal."""
     import argparse
+    from functools import partial
 
     class _Parser(argparse.ArgumentParser):
         def error(self, message):  # exit 1 instead of argparse's default 2
             raise UsageError(message)
 
-    parser = _Parser(prog="pgq", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser = _Parser(prog="pgq", description=__doc__,
+                     formatter_class=partial(argparse.RawDescriptionHelpFormatter, width=78))
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     for command, (help_, spec) in _COMMANDS.items():
-        p = sub.add_parser(command, help=help_)
+        p = sub.add_parser(command, help=help_, formatter_class=partial(argparse.HelpFormatter, width=78))
         for name, kw in spec:
             p.add_argument(name, **kw)
     return parser

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pgq
-from pgq.cli import UsageError, _build_parser, _decimal, _parse_plain, main
+from pgq.cli import _COMMANDS, UsageError, _build_parser, _decimal, _parse_plain, main
 from pgq.graph import Graph, claw_number, parse_pgqgraph, write_pgqgraph
 from pgq.incidence import (
     collinearity_graph,
@@ -677,10 +677,14 @@ ARGV_TOKENS = st.one_of(
 
 
 @st.composite
-def argvs(draw):
+def argvs(draw, well_formed=False):
     """A subcommand with its positionals, its required flags and up to
     three other flags, each followed by a value of its kind; then at most
-    one token of any kind inserted anywhere."""
+    one token of any kind inserted anywhere.
+
+    A well-formed argv has no inserted token, no repeated flag and no
+    --help, and its --format is one its subcommand accepts, so argparse
+    parses it and a handler runs."""
     command = draw(st.sampled_from(tuple(ARGV_GRAMMAR)))
     positionals, required, optional = ARGV_GRAMMAR[command]
     argv = [command]
@@ -690,6 +694,12 @@ def argvs(draw):
         argv.append(draw(ARGV_PATHS))
     for flag in required:
         argv += [flag, draw(ARGV_INTS)]
+    if well_formed:
+        flags = [flag for flag in optional if flag != "--help"]
+        for flag in draw(st.lists(st.sampled_from(flags), unique=True, max_size=3)) if flags else ():
+            choices = dict(_COMMANDS[command][1])[flag].get("choices")
+            argv += [flag, draw(st.sampled_from(choices) if choices else ARGV_VALUES.get(flag, ARGV_INTS))]
+        return argv
     for _ in range(draw(st.integers(0, 3))):
         flag = draw(st.sampled_from(optional))
         argv += [flag, draw(ARGV_VALUES.get(flag, ARGV_INTS))]
@@ -703,11 +713,11 @@ def argv_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("argv")
 
 
-@settings(max_examples=300)
-@given(argvs(), st.sampled_from(tuple(ARGV_FILES.values())))
-def test_any_argv_exits_cleanly(argv_dir, argv, stdin):
-    # Relative paths resolve in argv_dir; the files are rewritten for each
-    # example, as --out may have overwritten one.
+def main_in(argv_dir, argv, stdin):
+    """main's exit code for argv, run in argv_dir with stdin as input.
+
+    Relative paths resolve in argv_dir; the files are rewritten for each
+    call, as --out may have overwritten one."""
     (argv_dir / "dir").mkdir(exist_ok=True)
     for name, text in ARGV_FILES.items():
         (argv_dir / name).write_text(text, encoding="ascii")
@@ -716,10 +726,31 @@ def test_any_argv_exits_cleanly(argv_dir, argv, stdin):
     try:
         with mock.patch("sys.stdin", io.StringIO(stdin)), \
                 redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-            code = main(argv)
+            return main(argv)
     finally:
         os.chdir(cwd)
-    assert code in (0, 1, 2, 3)
+
+
+@settings(max_examples=300)
+@given(argvs(), st.sampled_from(tuple(ARGV_FILES.values())))
+def test_any_argv_exits_cleanly(argv_dir, argv, stdin):
+    assert main_in(argv_dir, argv, stdin) in (0, 1, 2, 3)
+
+
+def test_well_formed_argvs_reach_the_handlers(argv_dir):
+    # A well-formed argv is parsed, so a handler, not argparse, answers
+    # it: all 300 examples parse today, and at least 250 must.
+    parsed = []
+
+    @settings(max_examples=300)
+    @given(argvs(well_formed=True), st.sampled_from(tuple(ARGV_FILES.values())))
+    def exits_cleanly(argv, stdin):
+        parsed.append(argparse_args(argv) is not None)
+        assert main_in(argv_dir, argv, stdin) in (0, 1, 2, 3)
+
+    exits_cleanly()
+    assert len(parsed) == 300
+    assert sum(parsed) >= 250, sum(parsed)
 
 
 # ---------------------------------------------------------------------------
@@ -836,3 +867,18 @@ def test_parser_text_is_pinned(capsys, monkeypatch, argv):
     monkeypatch.setenv("COLUMNS", "80")
     code, out, err = run(capsys, *argv)
     assert (code, hashlib.md5(out.encode()).hexdigest(), err) == PARSER_TEXT[argv]
+
+
+HELP_ARGVS = [argv for argv in PARSER_TEXT if argv[-1:] == ("--help",)]
+
+
+@pytest.mark.parametrize("columns", ["40", "200"])
+@pytest.mark.parametrize("argv", HELP_ARGVS, ids=" ".join)
+def test_help_does_not_depend_on_the_terminal_width(capsys, monkeypatch, argv, columns):
+    # Help is wrapped at a fixed width, so these bytes are the ones pinned
+    # in PARSER_TEXT at COLUMNS=80.
+    monkeypatch.setenv("COLUMNS", "80")
+    at_80 = run(capsys, *argv)
+    monkeypatch.setenv("COLUMNS", columns)
+    assert run(capsys, *argv) == at_80
+
