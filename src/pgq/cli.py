@@ -233,7 +233,7 @@ def _cmd_bound(args) -> int:
         "quadratic_bound": quadratic_claw_bound(t),
         "optimal_bound": {
             "threshold": opt.threshold,
-            "exact": _frac(opt.exact),
+            "exact": _frac(opt.terms.bound),
             "theta": opt.choice.theta,
             "beta": opt.choice.beta,
             "terms": {tag: _frac(term) for tag, term in opt.terms.tagged_terms()},
@@ -269,7 +269,7 @@ def _graph_params(args, g) -> GQParams:
 
 
 def _cmd_graph(args) -> int:
-    from .graph import _claw_histogram, claw_lower_bound_check, parse_pgqgraph, verify_srg
+    from .graph import _claw_histogram, _require_matching_srg, parse_pgqgraph, verify_srg
     from .params import derive_srg
 
     g = parse_pgqgraph(_read_input(args.file))
@@ -289,19 +289,21 @@ def _cmd_graph(args) -> int:
         sys.stdout.write(_json(payload))
         return EXIT_OK
     if args.action == "claw":
-        if args.s is None and args.t is None:
-            hist, extra, code = _claw_histogram(g), {}, EXIT_OK
-        else:
-            check = claw_lower_bound_check(g, _graph_params(args, g))
-            hist, extra = check.histogram, {"threshold": check.threshold, "ok": check.ok}
-            code = EXIT_OK if check.ok else EXIT_NEGATIVE
+        p = _explicit_params(args)
+        extra = {}
+        if p is not None:
+            _require_matching_srg(g, p)
+            # Every local graph is then (s-1)-regular on s(t+1) vertices, so
+            # by Caro-Wei every claw number is at least t+1.
+            extra = {"threshold": p.t + 1, "ok": True}
+        hist = _claw_histogram(g)
         sys.stdout.write(_json({
             "histogram": {str(r): c for r, c in hist.items()},
             "min": min(hist),
             "max": max(hist),
             **extra,
         }))
-        return code
+        return EXIT_OK
     # extract-gq
     from .incidence import extract_gq, write_pgqinc
 

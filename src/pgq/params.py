@@ -16,7 +16,6 @@ from any number of workers concurrently.  The feasibility conditions on
 from __future__ import annotations
 
 from ._record import Record, set_field
-from .errors import InternalInconsistencyError
 
 
 def _check_int(name: str, value) -> int:
@@ -85,30 +84,27 @@ class SrgParams(Record):
         set_field(self, "lam", lam)
         set_field(self, "mu", mu)
 
-    @property
-    def counting_identity_holds(self) -> bool:
-        """k(k - lam - 1) = (v - k - 1) mu, the two-way count of paths of
-        length two from a fixed vertex."""
-        return self.k * (self.k - self.lam - 1) == (self.v - self.k - 1) * self.mu
-
     def as_tuple(self) -> tuple[int, int, int, int]:
         return (self.v, self.k, self.lam, self.mu)
 
 
 def derive_srg(p: GQParams) -> SrgParams:
-    """SRG parameters ((s+1)(st+1), s(t+1), s-1, t+1) of a (P)GQ(s,t)."""
-    q = SrgParams(p.v, p.k, p.lam, p.mu)
-    # Forced algebraically; a failure here would be a bug, not bad input.
-    if not q.counting_identity_holds:
-        raise InternalInconsistencyError(f"counting identity fails for srg{q.as_tuple()}")
-    return q
+    """SRG parameters ((s+1)(st+1), s(t+1), s-1, t+1) of a (P)GQ(s,t).
+
+    They satisfy the counting identity k(k - lam - 1) = (v - k - 1) mu of
+    every srg, the two-way count of paths of length two from a fixed
+    vertex, by algebra: k - lam - 1 = s(t+1) - s = st, so the left side is
+    s(t+1) st; and v - k - 1 = (s+1)(st+1) - s(t+1) - 1 = s^2 t, so the
+    right side is s^2 t (t+1).  Both are s^2 t (t+1).
+    """
+    return SrgParams(p.v, p.k, p.lam, p.mu)
 
 
 def identify_gq_form(q: SrgParams) -> GQParams | None:
     """Inverse of derive_srg: recover (s, t) = (lam+1, mu-1), or None if
     the quadruple is not of PGQ form."""
     s, t = q.lam + 1, q.mu - 1
-    if s < 1 or t < 1:
+    if t < 1:  # s >= 1 always, as SrgParams requires lam >= 0
         return None
     p = GQParams(s, t)
     if derive_srg(p) != q:

@@ -85,7 +85,7 @@ def check_one(p: GQParams) -> dict:
     "classification", the decision those verdicts make."""
     q = derive_srg(p)
     s, t = p.s, p.t
-    # derive_srg has raised InternalInconsistencyError if the identity fails.
+    # The counting identity holds by algebra; derive_srg proves it.
     verdicts = [_verdict("consistency", True, f"k(k-lambda-1) = {q.k * (q.k - q.lam - 1)} = (v-k-1)mu")]
     if p.is_trivial:
         verdicts.append(_verdict("trivial", False, f"{'s=1' if s == 1 else 't=1'}: trivial parameters"))

@@ -16,7 +16,7 @@ from types import ModuleType
 
 from pgq.bounds import BoundChoice, BoundResult, OptimalBound
 from pgq.errors import FormatError
-from pgq.graph import MAX_PGQGRAPH_VERTICES, PGQGRAPH_HEADER, ClawCheck, Graph, SrgCheck
+from pgq.graph import MAX_PGQGRAPH_VERTICES, PGQGRAPH_HEADER, Graph, SrgCheck
 from pgq.incidence import AxiomCheck, ExtractionResult, IncidenceStructure
 from pgq.params import GQParams, SrgParams
 from pgq.scan import ScanRange
@@ -24,7 +24,7 @@ from pgq.scan import ScanRange
 #: The value records of pgq: plain __slots__ classes on pgq._record.Record.
 RECORD_CLASSES = (
     BoundChoice, BoundResult, OptimalBound,
-    ClawCheck, SrgCheck,
+    SrgCheck,
     AxiomCheck, ExtractionResult, IncidenceStructure,
     GQParams, SrgParams, ScanRange,
 )
@@ -190,7 +190,7 @@ def crossover_oracle(t):
     pairs = -(-weight * theta * exact.denominator // exact.numerator)
     beta = _smallest_beta(pairs)
     terms = (*_theta_terms(t, theta), *_beta_terms(t, theta, beta))
-    return OptimalBound(floor(exact), exact, BoundChoice(theta, beta), BoundResult(*terms, max(terms)))
+    return OptimalBound(floor(exact), BoundChoice(theta, beta), BoundResult(*terms, exact))
 
 
 def edge_set(graph):

@@ -16,7 +16,6 @@ from pgq.bounds import (
     quadratic_bound_witness,
     quadratic_claw_bound,
 )
-from pgq.errors import InternalInconsistencyError
 from pgq.params import GQParams, SrgParams, derive_srg
 
 from oracles import claw_inequality_oracle, crossover_oracle
@@ -102,7 +101,7 @@ def test_optimal_bound_matches_uncapped_oracle():
     for t in range(2, 26):
         opt = optimal_claw_bound(t)
         value, theta, beta, _ = sweep_oracle(t, 8 * t)
-        assert opt.exact == value
+        assert opt.terms.bound == value
         assert (opt.choice.theta, opt.choice.beta) == (theta, beta)
         assert opt.threshold == floor(value)
 
@@ -113,14 +112,15 @@ def test_optimal_bound_matches_rectangle_sweep():
     for t in range(2, 61):
         opt = optimal_claw_bound(t)
         value, theta, beta, terms = sweep_oracle(t, 4 * t)
-        assert (opt.exact, opt.choice, opt.terms.terms) == (
+        assert (opt.terms.bound, opt.choice, opt.terms.terms) == (
             value, BoundChoice(theta, beta), terms
         ), t
 
 
 def test_closed_form_matches_crossover_oracle():
     # The closed form against a per-theta search that assumes none, on
-    # (exact, choice, terms) and the threshold.
+    # the threshold, the choice and the terms, whose maximum must be the
+    # minimum that search finds.
     for t in range(2, 1001):
         assert optimal_claw_bound(t) == crossover_oracle(t), t
 
@@ -138,18 +138,13 @@ def test_claw_threshold_is_the_optimal_threshold():
             claw_threshold(bad)
 
 
-def test_optimal_bound_checks_its_winner(monkeypatch):
-    # The terms recomputed at the chosen (theta, beta) must reproduce the
-    # minimum; a disagreement is reported as a bug, also under python -O.
-    real = claw_bound_terms
-
-    def off_by_one(t, choice):
-        result = real(t, choice)
-        return type(result)(*result.terms, result.bound + 1)
-
-    monkeypatch.setattr("pgq.bounds.claw_bound_terms", off_by_one)
-    with pytest.raises(InternalInconsistencyError):
-        optimal_claw_bound.__wrapped__(7)
+def test_optimal_bound_terms_reach_the_threshold():
+    # What the optimal_claw_bound docstring proves, and the library no
+    # longer checks at run time: the terms at the chosen (theta, beta)
+    # have the maximum claw_threshold(t).
+    for t in range(2, 10**4 + 1):
+        opt = optimal_claw_bound(t)
+        assert opt.terms.bound == opt.threshold == claw_threshold(t), t
 
 
 def test_optimal_equals_quadratic_closed_form():

@@ -22,6 +22,7 @@ from pgq.incidence import (
     collinearity_graph,
     dual,
     extract_gq,
+    gen_complete_bipartite,
     gen_kneser_6_2,
     gen_rook,
     gen_shrikhande,
@@ -32,7 +33,7 @@ from pgq.incidence import (
 from pgq.params import GQParams
 from pgq.scan import CSV_HEADER, MAX_SCAN_T, ScanRange, candidates, check_one
 
-from oracles import cameron_graph, csv_oracle, exhaustive_scan
+from oracles import cameron_graph, csv_oracle, exhaustive_scan, godsil_mckay_switch, symplectic_graph
 
 
 def json_reports(pairs):
@@ -396,6 +397,56 @@ def test_graph_claw_runs_branch_and_bound_only_where_the_walk_fails(
     code, out, _ = run(capsys, "graph", "claw", str(path))
     assert code == 0
     assert json.loads(out) == {"histogram": histogram, "min": 4, "max": 4}
+
+
+#: Graphs with srg parameters of PGQ(s, t) form: the GQ corpus, then the
+#: pseudo-GQs Shrikhande, switched Q(4,3) and Cameron.
+PGQ_FORM_CORPUS = {
+    "kneser": (gen_kneser_6_2(), 2, 2),
+    "rook3": (gen_rook(3), 2, 1),
+    "rook4": (gen_rook(4), 3, 1),
+    "rook5": (gen_rook(5), 4, 1),
+    "bipartite2": (gen_complete_bipartite(2), 1, 1),
+    "bipartite3": (gen_complete_bipartite(3), 1, 2),
+    "bipartite4": (gen_complete_bipartite(4), 1, 3),
+    "w3": (W3_GRAPH, 3, 3),
+    "q43": (Q43_GRAPH, 3, 3),
+    "w5": (symplectic_graph(5), 5, 5),
+    "w7": (symplectic_graph(7), 7, 7),
+    "shrikhande": (gen_shrikhande(), 3, 1),
+    "switched-q43": (godsil_mckay_switch(Q43_GRAPH, (0, 5, 10, 15)), 3, 3),
+    "cameron": (cameron_graph(), 10, 2),
+}
+
+
+@pytest.mark.parametrize("g,s,t", PGQ_FORM_CORPUS.values(), ids=PGQ_FORM_CORPUS.keys())
+def test_graph_claw_verdict_holds_on_the_corpus(capsys, tmp_path, g, s, t):
+    # The verdict is written without a check: once the srg parameters
+    # match, Caro-Wei puts every claw number at t+1 or above.
+    path = tmp_path / "g.pgqgraph"
+    path.write_text(write_pgqgraph(g), encoding="ascii")
+    code, out, err = run(capsys, "graph", "claw", str(path), "--s", str(s), "--t", str(t))
+    data = json.loads(out)
+    assert (code, err, data["ok"], data["threshold"]) == (0, "", True, t + 1)
+    assert data["min"] >= t + 1
+
+
+@pytest.mark.parametrize(
+    "g,flags,code,err",
+    [
+        (gen_shrikhande(), ["--s", "2", "--t", "2"], 2,
+         "error: graph is srg(16, 6, 2, 2) but (s=2, t=2) requires srg(15, 6, 1, 3)\n"),
+        (Graph(6, [(i, (i + 1) % 6) for i in range(6)]), ["--s", "2", "--t", "2"], 2,
+         "error: graph is not strongly regular: non-adjacent pair (0, 3) has 0 common neighbors, expected 1\n"),
+        (gen_shrikhande(), ["--s", "3"], 1, "usage error: --s and --t must be given together\n"),
+        (gen_shrikhande(), ["--t", "1"], 1, "usage error: --s and --t must be given together\n"),
+    ],
+    ids=["mismatched", "not-srg", "s-only", "t-only"],
+)
+def test_graph_claw_refuses_unmatched_parameters(capsys, tmp_path, g, flags, code, err):
+    path = tmp_path / "g.pgqgraph"
+    path.write_text(write_pgqgraph(g), encoding="ascii")
+    assert run(capsys, "graph", "claw", str(path), *flags) == (code, "", err)
 
 
 def test_graph_claw_of_a_deep_clique_does_not_recurse(capsys, tmp_path):

@@ -4,11 +4,12 @@ numbers and local clique partitions, plus the RR^T = A + D cover oracle."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pgq.errors import DomainError, FormatError, InternalInconsistencyError
+from pgq.errors import DomainError, FormatError
 from pgq.graph import (
     Graph,
+    _claw_histogram,
     _partition_local,
-    claw_lower_bound_check,
+    _require_matching_srg,
     claw_number,
     local_graph,
     parse_pgqgraph,
@@ -205,12 +206,16 @@ def test_verify_srg_failures():
         verify_srg(Graph(0, []))
 
 
-def test_verify_srg_missing_pair_type_is_internal_error(monkeypatch):
-    # A connected non-complete graph has both an adjacent and a
-    # non-adjacent pair; force the connectivity check to lie.
-    monkeypatch.setattr("pgq.graph._connected", lambda g: True)
-    with pytest.raises(InternalInconsistencyError):
-        verify_srg(Graph(3, []))
+def test_verify_srg_matches_the_oracle_on_every_small_graph():
+    # Every graph on at most 6 vertices: a connected non-complete graph has
+    # an adjacent and a non-adjacent pair, so lam and mu are always found.
+    for n in range(1, 7):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        for chosen in range(1 << len(pairs)):
+            edges = [e for i, e in enumerate(pairs) if chosen >> i & 1]
+            check = verify_srg(Graph(n, edges))
+            expected = srg_oracle(n, {frozenset(e) for e in edges})
+            assert (check.params.as_tuple() if check.ok else None, check.failure) == expected
 
 
 def test_verify_srg_result_is_kept_on_the_graph(srg_passes):
@@ -340,28 +345,27 @@ def members(mask):
 
 
 def test_partition_kneser():
-    masks, witness = _partition_local(gen_kneser_6_2(), 0)
-    assert witness is None
+    masks = _partition_local(gen_kneser_6_2(), 0)
     assert [m.bit_count() for m in masks] == [2, 2, 2]
 
 
 def test_partition_rook():
-    masks, _ = _partition_local(gen_rook(4), 0)
+    masks = _partition_local(gen_rook(4), 0)
     assert [members(m) for m in masks] == [(1, 2, 3), (4, 8, 12)]  # row and column of cell 0
 
 
 def test_partition_shrikhande_fails_with_witness():
     g = gen_shrikhande()
-    masks, witness = _partition_local(g, 0)
-    assert masks is None
-    assert witness is not None and witness == local_partition_oracle(g, 0)[0]
+    assert _partition_local(g, 0) is None
+    assert local_partition_oracle(g, 0)[0] is not None
 
 
 def test_partitioning_every_vertex_verifies_the_srg_once(srg_passes):
     # The claw census and the extraction each require the srg parameters,
     # but the O(n^2) pass behind verify_srg must run once per graph.
     g = gen_symplectic_w3()
-    assert claw_lower_bound_check(g, GQParams(3, 3)).ok
+    _require_matching_srg(g, GQParams(3, 3))
+    assert _claw_histogram(g) == {4: 40}
     assert extract_gq(g, GQParams(3, 3)).ok
     assert len(srg_passes) == 1
 
@@ -379,7 +383,7 @@ def test_partition_succeeds_exactly_at_minimum_claw(name, g, p):
     # phi(x) = t+1 is equivalent to the local graph splitting into t+1
     # disjoint s-cliques; by Caro-Wei phi(x) is never below t+1.
     for x in range(g.n):
-        masks, _ = _partition_local(g, x)
+        masks = _partition_local(g, x)
         phi = claw_number(g, x)
         assert phi >= p.t + 1
         assert (masks is not None) == (phi == p.t + 1)
@@ -423,7 +427,7 @@ def test_cover_structural_errors_are_distinct():
 
 def test_cover_uniqueness_by_direct_count():
     g = gen_kneser_6_2()
-    lines = sorted({tuple(sorted((x, *members(m)))) for x in range(g.n) for m in _partition_local(g, x)[0]})
+    lines = sorted({tuple(sorted((x, *members(m)))) for x in range(g.n) for m in _partition_local(g, x)})
     ok, diagonal, _ = clique_cover_oracle(g.n, edge_set(g), lines)
     assert ok
     assert set(diagonal) == {3}
@@ -437,14 +441,17 @@ def test_cover_uniqueness_by_direct_count():
 # ---------------------------------------------------------------------------
 
 def test_claw_lower_bound_histograms():
-    check = claw_lower_bound_check(gen_kneser_6_2(), GQParams(2, 2))
-    assert check.ok and check.histogram == {3: 15} and check.minimum == 3
-    check = claw_lower_bound_check(gen_shrikhande(), GQParams(3, 1))
-    assert check.ok and check.histogram == {3: 16}  # 3 >= t+1 = 2
-    check = claw_lower_bound_check(gen_rook(4), GQParams(3, 1))
-    assert check.ok and check.histogram == {2: 16}
+    # Under matching srg parameters every local graph is (s-1)-regular on
+    # s(t+1) vertices, so by Caro-Wei every claw number is at least t+1.
+    for g, p, histogram in [
+        (gen_kneser_6_2(), GQParams(2, 2), {3: 15}),
+        (gen_shrikhande(), GQParams(3, 1), {3: 16}),
+        (gen_rook(4), GQParams(3, 1), {2: 16}),
+    ]:
+        _require_matching_srg(g, p)
+        assert _claw_histogram(g) == histogram and min(histogram) >= p.t + 1
 
 
 def test_claw_lower_bound_requires_matching_srg():
     with pytest.raises(DomainError):
-        claw_lower_bound_check(gen_rook(4), GQParams(2, 2))
+        _require_matching_srg(gen_rook(4), GQParams(2, 2))

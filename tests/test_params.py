@@ -3,7 +3,6 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from pgq.errors import InternalInconsistencyError
 from pgq.params import GQParams, SrgParams, derive_srg, identify_gq_form
 from pgq.scan import check_one
 
@@ -60,11 +59,13 @@ def test_identify_gq_form_examples():
 
 
 def test_identity_on_range():
+    # The counting identity k(k-lam-1) = (v-k-1)mu, both sides s^2 t(t+1),
+    # which the derive_srg docstring proves.
     for s in range(1, 201):
         for t in range(1, 201):
             p = GQParams(s, t)
             q = derive_srg(p)
-            assert q.counting_identity_holds
+            assert q.k * (q.k - q.lam - 1) == (q.v - q.k - 1) * q.mu == s * s * t * (t + 1)
             assert identify_gq_form(q) == p
 
 
@@ -72,7 +73,7 @@ def test_identity_on_range():
 def test_identity_large(s, t):
     p = GQParams(s, t)
     q = derive_srg(p)
-    assert q.counting_identity_holds
+    assert q.k * (q.k - q.lam - 1) == (q.v - q.k - 1) * q.mu == s * s * t * (t + 1)
     assert identify_gq_form(q) == p
 
 
@@ -109,14 +110,6 @@ def test_spectrum_invariants_and_divisibility_crosscheck():
             assert p.k + spec.mult_pos * spec.theta_pos + spec.mult_neg * spec.theta_neg == 0
             divides = verdict(s, t, "divisibility")["verdict"] == "pass"
             assert divides == (spec.mult_pos.denominator == 1)
-
-
-def test_broken_invariants_raise_internal_error(monkeypatch):
-    # These identities hold algebraically; if one ever fails it is a bug,
-    # reported by an exception that python -O does not strip.
-    monkeypatch.setattr(SrgParams, "counting_identity_holds", property(lambda q: False))
-    with pytest.raises(InternalInconsistencyError):
-        derive_srg(GQParams(2, 2))
 
 
 @given(st.integers(2, 10**4), st.integers(2, 10**4))

@@ -7,7 +7,7 @@ import pytest
 
 from pgq._record import Record
 from pgq.bounds import BoundChoice, BoundResult, optimal_claw_bound
-from pgq.graph import SrgCheck, claw_lower_bound_check, verify_srg
+from pgq.graph import SrgCheck, verify_srg
 from pgq.incidence import (
     AxiomCheck,
     ExtractionResult,
@@ -29,7 +29,6 @@ SAMPLES = [
     BoundResult(Fraction(15, 2), Fraction(27), Fraction(9), Fraction(27), Fraction(27)),
     optimal_claw_bound(2),
     optimal_claw_bound(7),
-    claw_lower_bound_check(KNESER, GQParams(2, 2)),
     verify_srg(KNESER),
     SrgCheck(None, "not connected"),
     verify_axioms(GQ22),
