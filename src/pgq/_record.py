@@ -7,12 +7,10 @@ argument count raises TypeError.  Only a record that validates its
 arguments writes its own __init__, setting its fields through set_field
 (and calling Record.__init__(self, ...), never super(), if it delegates).
 
-A record is false exactly when it has an ok field or property and that
-is false; a record without ok is always true.  Record also supplies what
-dataclass(frozen=True) would: equality only between instances of the
-same class, the hash of the field tuple, a repr of the form
-Name(field=value, ...), an AttributeError on assignment or deletion, and
-pickling through the constructor.  Plain classes are used because
+Record supplies what dataclass(frozen=True) would: equality only
+between instances of the same class, the hash of the field tuple, a repr
+of the form Name(field=value, ...), an AttributeError on assignment or
+deletion, and pickling through the constructor.  Plain classes are used because
 generating those methods with dataclasses costs every command-line call
 a large share of its start-up.
 """
@@ -37,9 +35,6 @@ class Record:
             )
         for name, value in zip(names, values + (None,) * missing):
             set_field(self, name, value)
-
-    def __bool__(self) -> bool:
-        return getattr(self, "ok", True)
 
     def _fields(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])

@@ -16,23 +16,20 @@ Two families of necessary conditions are implemented exactly:
   For t >= 3 the optimum over (theta, beta) is the closed form
   s <= t * floor(8t/3 + 1), quadratic in t, attained at
   theta = floor(4t/3) + 1; at t = 2 it is 14.  claw_threshold(t) is
-  that integer, the one implementation of the threshold: the scan
-  enumeration compares against it directly, and optimal_claw_bound
-  attaches the (theta, beta) attaining it and its exact terms.  Neither
+  that integer, the one implementation of the threshold, and
+  optimal_claw_bound(t) is the pair (theta, beta) attaining it.  Neither
   searches anything; the optimal_claw_bound docstring holds the proof.
+  claw_bound_terms gives the four exact terms at any (theta, beta).
 
 All comparisons are exact (integers and fractions.Fraction); bounds such
 as t(theta+1)theta / (2(theta-t)) are never rounded before a verdict.
-fractions is imported only where a Fraction is built, so a caller of
-claw_threshold and neumaier_bound alone never loads it.
+fractions is imported only where a Fraction is built, in
+claw_bound_terms, so a caller of the other functions never loads it.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import comb, isqrt
-
-from ._record import Record
 
 #: Descriptive tag for each term of the four-term bound, in order.
 TERM_TAGS = (
@@ -54,33 +51,9 @@ def neumaier_bound(t: int) -> int:
     return t * (t + 1) * (t + 2) // 2
 
 
-class BoundChoice(Record):
-    """A choice of the free parameters (theta, beta) of the four-term
-    bound, both int.
-
-    Validity is relative to the t under test: theta >= t+2 and
-    2 <= beta <= t+1 (claw_bound_terms enforces this).
-    """
-
-    __slots__ = ("theta", "beta")
-
-
-class BoundResult(Record):
-    """The four terms of the bound, term1 ... term4, and their maximum,
-    bound, all exact Fractions."""
-
-    __slots__ = ("term1", "term2", "term3", "term4", "bound")
-
-    @property
-    def terms(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        return (self.term1, self.term2, self.term3, self.term4)
-
-    def tagged_terms(self) -> tuple[tuple[str, Fraction], ...]:
-        return tuple(zip(TERM_TAGS, self.terms))
-
-
-def claw_bound_terms(t: int, choice: BoundChoice) -> BoundResult:
-    """Evaluate the four-term bound at one (theta, beta).
+def claw_bound_terms(t: int, theta: int, beta: int) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    """The four terms of the bound at one (theta, beta), as exact
+    Fractions in TERM_TAGS order; the bound there is their max.
 
     term2 and term3 are integers by construction; term1 and term4 are
     kept as exact rationals.
@@ -88,7 +61,6 @@ def claw_bound_terms(t: int, choice: BoundChoice) -> BoundResult:
     from fractions import Fraction
 
     _require_t(t)
-    theta, beta = choice.theta, choice.beta
     if not isinstance(theta, int) or theta < t + 2:
         raise ValueError(f"require theta >= t+2 = {t + 2}, got {theta!r}")
     if not isinstance(beta, int) or not 2 <= beta <= t + 1:
@@ -98,7 +70,7 @@ def claw_bound_terms(t: int, choice: BoundChoice) -> BoundResult:
     term2 = Fraction(t * (2 * theta - 1))
     term3 = Fraction(pairs * t)
     term4 = Fraction((t + 1) ** 2 * theta, pairs)
-    return BoundResult(term1, term2, term3, term4, max(term1, term2, term3, term4))
+    return term1, term2, term3, term4
 
 
 def _smallest_beta(pairs: int) -> int:
@@ -129,36 +101,9 @@ def claw_threshold(t: int) -> int:
     return 14 if t == 2 else quadratic_claw_bound(t)
 
 
-def quadratic_bound_witness(t: int) -> BoundChoice:
-    """The (theta, beta) choice certifying the closed form for t >= 3:
-    theta = floor(4t/3 + 1), beta = ceil(2 sqrt(t)).
-
-    beta is computed by integer square root, never floating point.
-    """
-    if t < 3:
-        # floor(4t/3 + 1) < t + 2 for t < 3, so no witness exists there.
-        raise ValueError(f"witness choice requires t >= 3, got {t!r}")
-    theta = (4 * t + 3) // 3
-    root = isqrt(4 * t)
-    beta = root if root * root == 4 * t else root + 1
-    return BoundChoice(theta, beta)
-
-
-class OptimalBound(Record):
-    """Best four-term bound over all valid (theta, beta) for a given t:
-    threshold (int), the BoundChoice choice attaining it and its
-    BoundResult terms.
-
-    A parameter s is ruled out iff s > threshold (strict).  The optimum is
-    an integer, so terms.bound, the exact Fraction, equals threshold.
-    """
-
-    __slots__ = ("threshold", "choice", "terms")
-
-
-@lru_cache(maxsize=None)
-def optimal_claw_bound(t: int) -> OptimalBound:
-    """Minimize the four-term bound over all theta >= t+2, 2 <= beta <= t+1.
+def optimal_claw_bound(t: int) -> tuple[int, int]:
+    """The (theta, beta) minimizing the four-term bound over all
+    theta >= t+2, 2 <= beta <= t+1; the minimum is claw_threshold(t).
 
     Ties go to the smallest theta, then the smallest beta.  The optimum is
     a closed form, proven below, so nothing is searched:
@@ -167,9 +112,8 @@ def optimal_claw_bound(t: int) -> OptimalBound:
       theta allowed, with term1 = 10 and term2 = 14; beta = 3 gives
       term3 = 6 and term4 = 12, while beta = 2 gives term4 = 36.  Every
       larger theta has term2 = 2(2 theta - 1) >= 18.
-    * t >= 3: theta* = floor(4t/3) + 1, the theta of
-      quadratic_bound_witness, and the value E = quadratic_claw_bound(t)
-      = t * floor(8t/3 + 1).
+    * t >= 3: theta* = floor(4t/3) + 1 = (4t+3)//3, and the value
+      E = quadratic_claw_bound(t) = t * floor(8t/3 + 1).
 
     In both cases beta is the smallest one whose term4 is at most the
     value.  The terms are
@@ -208,13 +152,12 @@ def optimal_claw_bound(t: int) -> OptimalBound:
         smallest beta reaching E.
 
     theta* <= 4t, so this is also the optimum over the rectangle
-    theta <= 4t.  So the terms that claw_bound_terms evaluates at the chosen
-    (theta, beta) have the maximum terms.bound = threshold, with nothing
-    left to check at run time; the tests compare the two for every t up
-    to 10^4.
+    theta <= 4t.  So max(claw_bound_terms(t, theta, beta)) at the pair
+    returned is exactly claw_threshold(t), with nothing left to check at
+    run time; the tests compare the two for every t up to 10^4.  A t that
+    is not an integer >= 2 raises claw_threshold's ValueError.
     """
     threshold = claw_threshold(t)
-    theta = 4 if t == 2 else quadratic_bound_witness(t).theta
+    theta = 4 if t == 2 else (4 * t + 3) // 3
     # term4 <= threshold  <=>  C(beta, 2) >= (t+1)^2 theta / threshold.
-    choice = BoundChoice(theta, _smallest_beta(-(-(t + 1) ** 2 * theta // threshold)))
-    return OptimalBound(threshold, choice, claw_bound_terms(t, choice))
+    return theta, _smallest_beta(-(-(t + 1) ** 2 * theta // threshold))

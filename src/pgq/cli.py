@@ -206,8 +206,9 @@ def _cmd_check(args) -> int:
 
 def _cmd_bound(args) -> int:
     from .bounds import (
-        BoundChoice,
+        TERM_TAGS,
         claw_bound_terms,
+        claw_threshold,
         neumaier_bound,
         optimal_claw_bound,
         quadratic_claw_bound,
@@ -217,26 +218,27 @@ def _cmd_bound(args) -> int:
     if (args.theta is None) != (args.beta is None):
         raise UsageError("--theta and --beta must be given together")
     if args.theta is not None:
-        result = claw_bound_terms(t, BoundChoice(args.theta, args.beta))
+        terms = claw_bound_terms(t, args.theta, args.beta)
         sys.stdout.write(_json({
             "t": t,
             "theta": args.theta,
             "beta": args.beta,
-            "terms": {tag: _frac(term) for tag, term in result.tagged_terms()},
-            "bound": _frac(result.bound),
+            "terms": {tag: _frac(term) for tag, term in zip(TERM_TAGS, terms)},
+            "bound": _frac(max(terms)),
         }))
         return EXIT_OK
-    opt = optimal_claw_bound(t)
+    theta, beta = optimal_claw_bound(t)
+    terms = claw_bound_terms(t, theta, beta)
     sys.stdout.write(_json({
         "t": t,
         "neumaier_bound": neumaier_bound(t),
         "quadratic_bound": quadratic_claw_bound(t),
         "optimal_bound": {
-            "threshold": opt.threshold,
-            "exact": _frac(opt.terms.bound),
-            "theta": opt.choice.theta,
-            "beta": opt.choice.beta,
-            "terms": {tag: _frac(term) for tag, term in opt.terms.tagged_terms()},
+            "threshold": claw_threshold(t),
+            "exact": _frac(max(terms)),
+            "theta": theta,
+            "beta": beta,
+            "terms": {tag: _frac(term) for tag, term in zip(TERM_TAGS, terms)},
         },
     }))
     return EXIT_OK

@@ -102,8 +102,9 @@ def check_one(p: GQParams) -> dict:
         nb = neumaier_bound(t)
         neumaier = s <= nb
         gq = s <= t * t
-        opt = optimal_claw_bound(t)
-        claw = s <= opt.threshold
+        threshold = claw_threshold(t)
+        theta, beta = optimal_claw_bound(t)
+        claw = s <= threshold
         verdicts += [
             _verdict("trivial", True, "s >= 2 and t >= 2"),
             _verdict("krein", krein, f"t={t} {'<=' if krein else '>'} s^2={s * s}"),
@@ -114,8 +115,8 @@ def check_one(p: GQParams) -> dict:
             _verdict("neumaier", neumaier, f"s={s} {'<=' if neumaier else '>'} t(t+1)(t+2)/2 = {nb}"),
             _verdict("gq-duality", gq, f"s={s} {'<=' if gq else '>'} t^2={t * t}, "
                      + ("a GQ is not excluded" if gq else "no GQ exists")),
-            _verdict("claw-bound", claw, f"s={s} {'<=' if claw else '>'} {opt.threshold} "
-                     f"(four-term bound at theta={opt.choice.theta}, beta={opt.choice.beta})"),
+            _verdict("claw-bound", claw, f"s={s} {'<=' if claw else '>'} {threshold} "
+                     f"(four-term bound at theta={theta}, beta={beta})"),
         ]
         if not (krein and divisible and neumaier):
             classification = RULED_OUT_PRIOR

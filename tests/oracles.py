@@ -14,7 +14,6 @@ from functools import lru_cache
 from math import comb, floor, isqrt
 from types import ModuleType
 
-from pgq.bounds import BoundChoice, BoundResult, OptimalBound
 from pgq.errors import FormatError
 from pgq.graph import MAX_PGQGRAPH_VERTICES, PGQGRAPH_HEADER, Graph, SrgCheck
 from pgq.incidence import AxiomCheck, ExtractionResult, IncidenceStructure
@@ -23,7 +22,6 @@ from pgq.scan import ScanRange
 
 #: The value records of pgq: plain __slots__ classes on pgq._record.Record.
 RECORD_CLASSES = (
-    BoundChoice, BoundResult, OptimalBound,
     SrgCheck,
     AxiomCheck, ExtractionResult, IncidenceStructure,
     GQParams, SrgParams, ScanRange,
@@ -79,7 +77,7 @@ TRIVIAL_STATUSES = ("pass", "fail", "na", "na", "na", "na", "na")
 
 @lru_cache(maxsize=None)
 def _claw_threshold_oracle(t):
-    return crossover_oracle(t).threshold
+    return crossover_oracle(t)[0]
 
 
 def classify_oracle(s, t):
@@ -157,8 +155,10 @@ def _smallest_beta(pairs):
 
 
 def crossover_oracle(t):
-    """The four-term optimum as an OptimalBound, by a search over theta in
-    [t+2, 4t] that assumes no closed form.
+    """The four-term optimum as (threshold, theta, beta, terms), by a
+    search over theta in [t+2, 4t] that assumes no closed form: threshold
+    is the floor of the minimum, and terms are the four Fractions at the
+    (theta, beta) attaining it.
 
     Ties go to the smallest theta, then the smallest beta.  For a fixed
     theta, term1 and term2 are constants, term3 increases with beta and
@@ -190,7 +190,16 @@ def crossover_oracle(t):
     pairs = -(-weight * theta * exact.denominator // exact.numerator)
     beta = _smallest_beta(pairs)
     terms = (*_theta_terms(t, theta), *_beta_terms(t, theta, beta))
-    return OptimalBound(floor(exact), BoundChoice(theta, beta), BoundResult(*terms, exact))
+    return floor(exact), theta, beta, terms
+
+
+def quadratic_witness(t):
+    """The (theta, beta) of proof step (c) in the optimal_claw_bound
+    docstring: theta = floor(4t/3) + 1 and beta = ceil(2 sqrt t), by
+    integer square root.  Valid, and certifying the closed form, for
+    t >= 3; at t = 2 theta is 3 < t+2."""
+    root = isqrt(4 * t)
+    return (4 * t + 3) // 3, root if root * root == 4 * t else root + 1
 
 
 def edge_set(graph):

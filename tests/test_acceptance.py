@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from pgq.bounds import neumaier_bound, optimal_claw_bound, quadratic_claw_bound
+from pgq.bounds import claw_bound_terms, neumaier_bound, optimal_claw_bound, quadratic_claw_bound
 from pgq.graph import claw_number, verify_srg
 from pgq.incidence import (
     collinearity_graph,
@@ -106,20 +106,21 @@ def test_table_reproduction():
 def test_quadratic_bound_tightness():
     bad = []
     for t in range(3, 51):
-        opt = optimal_claw_bound(t)
+        theta, beta = optimal_claw_bound(t)
+        value = max(claw_bound_terms(t, theta, beta))
         closed = t * ((8 * t + 3) // 3)
-        if opt.threshold != closed:
+        if value != closed:
             bad.append(
-                f"t={t}: sweep {opt.threshold} at (theta={opt.choice.theta}, "
-                f"beta={opt.choice.beta}) vs closed form {closed}"
+                f"t={t}: optimum {value} at (theta={theta}, "
+                f"beta={beta}) vs closed form {closed}"
             )
     _verdict("quadratic-bound-tightness", not bad, "; ".join(bad) or "t in [3, 50]")
 
 
 def test_bound_ordering():
-    # The four-term optimum is certified as the closed form only for t >= 3
-    # (quadratic_bound_witness); at t = 2 the sweep gives 14, and the closed
-    # form's 12 (from divisibility) merely equals Neumaier's bound.
+    # The four-term optimum is certified as the closed form only for t >= 3;
+    # at t = 2 the sweep gives 14, and the closed form's 12 (from
+    # divisibility) merely equals Neumaier's bound.
     q2, n2 = quadratic_claw_bound(2), neumaier_bound(2)
     violations = [] if q2 == n2 == 12 else [
         f"t=2: quadratic {q2}, neumaier {n2} (want both 12)"

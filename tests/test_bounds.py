@@ -8,17 +8,15 @@ from math import floor
 import pytest
 
 from pgq.bounds import (
-    BoundChoice,
     claw_bound_terms,
     claw_threshold,
     neumaier_bound,
     optimal_claw_bound,
-    quadratic_bound_witness,
     quadratic_claw_bound,
 )
 from pgq.params import GQParams, SrgParams, derive_srg
 
-from oracles import claw_inequality_oracle, crossover_oracle
+from oracles import claw_inequality_oracle, crossover_oracle, quadratic_witness
 
 
 def sweep_oracle(t, theta_cap):
@@ -68,16 +66,16 @@ def test_claw_inequality_examples():
     ],
 )
 def test_claw_bound_terms_examples(t, theta, beta, terms, bound):
-    result = claw_bound_terms(t, BoundChoice(theta, beta))
-    assert result.terms == tuple(Fraction(x) for x in terms)
-    assert result.bound == bound
-    assert result.term2.denominator == 1 and result.term3.denominator == 1
+    got = claw_bound_terms(t, theta, beta)
+    assert got == tuple(Fraction(x) for x in terms)
+    assert max(got) == bound
+    assert got[1].denominator == 1 and got[2].denominator == 1
 
 
 @pytest.mark.parametrize("theta,beta", [(5, 3), (6, 1), (6, 6), (3, 3)])
 def test_claw_bound_terms_domain_errors(theta, beta):
     with pytest.raises(ValueError):
-        claw_bound_terms(4, BoundChoice(theta, beta))
+        claw_bound_terms(4, theta, beta)
 
 
 @pytest.mark.parametrize("t,expected", [(2, 12), (4, 44), (10, 270)])
@@ -86,43 +84,44 @@ def test_quadratic_bound_examples(t, expected):
 
 
 def test_optimal_bound_examples():
-    opt4 = optimal_claw_bound(4)
-    assert opt4.threshold == 44 and opt4.choice == BoundChoice(6, 4)
-    assert optimal_claw_bound(3).threshold == 27
+    assert optimal_claw_bound(4) == (6, 4) and claw_threshold(4) == 44
+    assert max(claw_bound_terms(3, *optimal_claw_bound(3))) == claw_threshold(3) == 27
     # At t = 2 the four-term sweep bottoms out at 14 (theta=4, beta=3);
     # the quadratic closed form still holds there (12) because the
     # divisibility condition alone gives s <= 10 at t = 2.
-    opt2 = optimal_claw_bound(2)
-    assert opt2.threshold == 14 and opt2.choice == BoundChoice(4, 3)
+    assert optimal_claw_bound(2) == (4, 3) and claw_threshold(2) == 14
 
 
 def test_optimal_bound_matches_uncapped_oracle():
     # Sweeping theta to 8t finds nothing better: the 4t cap is sound.
     for t in range(2, 26):
-        opt = optimal_claw_bound(t)
+        choice = optimal_claw_bound(t)
         value, theta, beta, _ = sweep_oracle(t, 8 * t)
-        assert opt.terms.bound == value
-        assert (opt.choice.theta, opt.choice.beta) == (theta, beta)
-        assert opt.threshold == floor(value)
+        assert max(claw_bound_terms(t, *choice)) == value
+        assert choice == (theta, beta)
+        assert claw_threshold(t) == floor(value)
 
 
 def test_optimal_bound_matches_rectangle_sweep():
     # The closed form agrees with the exhaustive sweep over the
     # same rectangle, including the tie-break and the reported terms.
     for t in range(2, 61):
-        opt = optimal_claw_bound(t)
+        choice = optimal_claw_bound(t)
+        got = claw_bound_terms(t, *choice)
         value, theta, beta, terms = sweep_oracle(t, 4 * t)
-        assert (opt.terms.bound, opt.choice, opt.terms.terms) == (
-            value, BoundChoice(theta, beta), terms
-        ), t
+        assert (max(got), choice, got) == (value, (theta, beta), terms), t
 
 
 def test_closed_form_matches_crossover_oracle():
     # The closed form against a per-theta search that assumes none, on
-    # the threshold, the choice and the terms, whose maximum must be the
-    # minimum that search finds.
+    # the threshold, the choice and the terms.  Their maximum is at least
+    # the searched minimum, whose floor is the threshold, so equal to the
+    # threshold it is that minimum.
     for t in range(2, 1001):
-        assert optimal_claw_bound(t) == crossover_oracle(t), t
+        theta, beta = optimal_claw_bound(t)
+        terms = claw_bound_terms(t, theta, beta)
+        assert (claw_threshold(t), theta, beta, terms) == crossover_oracle(t), t
+        assert max(terms) == claw_threshold(t), t
 
 
 def test_claw_threshold_is_the_optimal_threshold():
@@ -130,12 +129,13 @@ def test_claw_threshold_is_the_optimal_threshold():
     # a search that assumes no closed form, and against the optimizer.
     assert claw_threshold(2) == 14
     for t in range(2, 201):
-        assert claw_threshold(t) == crossover_oracle(t).threshold, t
+        assert claw_threshold(t) == crossover_oracle(t)[0], t
     for t in (1000, 4096, 10**12, 10**100):
-        assert claw_threshold(t) == optimal_claw_bound(t).threshold == quadratic_claw_bound(t)
+        assert claw_threshold(t) == max(claw_bound_terms(t, *optimal_claw_bound(t))) == quadratic_claw_bound(t)
     for bad in (1, 0, 2.0, True):
-        with pytest.raises(ValueError):
-            claw_threshold(bad)
+        for function in (claw_threshold, optimal_claw_bound):
+            with pytest.raises(ValueError, match=r"^require integer t >= 2, got "):
+                function(bad)
 
 
 def test_optimal_bound_terms_reach_the_threshold():
@@ -143,29 +143,32 @@ def test_optimal_bound_terms_reach_the_threshold():
     # longer checks at run time: the terms at the chosen (theta, beta)
     # have the maximum claw_threshold(t).
     for t in range(2, 10**4 + 1):
-        opt = optimal_claw_bound(t)
-        assert opt.terms.bound == opt.threshold == claw_threshold(t), t
+        assert max(claw_bound_terms(t, *optimal_claw_bound(t))) == claw_threshold(t), t
 
 
 def test_optimal_equals_quadratic_closed_form():
     # The closed form is the tightest value of the four-term bound for
     # every t >= 3; a counterexample must surface here with its witness.
     for t in [*range(3, 201), 1000, 4096, 10000]:
-        opt = optimal_claw_bound(t)
-        assert opt.threshold == quadratic_claw_bound(t), (
-            f"t={t}: optimizer gives {opt.threshold} at "
-            f"(theta={opt.choice.theta}, beta={opt.choice.beta}), "
+        theta, beta = optimal_claw_bound(t)
+        value = max(claw_bound_terms(t, theta, beta))
+        assert value == quadratic_claw_bound(t), (
+            f"t={t}: optimizer gives {value} at (theta={theta}, beta={beta}), "
             f"closed form gives {quadratic_claw_bound(t)}"
         )
 
 
 def test_quadratic_witness_certifies_closed_form():
-    for t in range(3, 51):
-        choice = quadratic_bound_witness(t)
-        assert choice.theta >= t + 2 and 2 <= choice.beta <= t + 1
-        assert claw_bound_terms(t, choice).bound <= quadratic_claw_bound(t)
+    # Proof step (c) of optimal_claw_bound: beta = ceil(2 sqrt t) at the
+    # optimal theta keeps all four terms at most the closed form.
+    for t in range(3, 10**4 + 1):
+        theta, beta = quadratic_witness(t)
+        assert theta == optimal_claw_bound(t)[0], t
+        assert theta >= t + 2 and 2 <= beta <= t + 1, t
+        assert max(claw_bound_terms(t, theta, beta)) <= quadratic_claw_bound(t), t
+    # At t = 2 the witness theta is below t+2, so it is no valid choice.
     with pytest.raises(ValueError):
-        quadratic_bound_witness(2)
+        claw_bound_terms(2, *quadratic_witness(2))
 
 
 def test_quadratic_never_exceeds_neumaier():
@@ -181,6 +184,6 @@ def test_claw_inequality_reproduces_first_term():
     # exactly when s(theta - t) > t*C(theta+1, 2), i.e. s > term1.
     for t in range(2, 13):
         for theta in range(t + 2, 3 * t + 1):
-            at_most = floor(claw_bound_terms(t, BoundChoice(theta, 2)).term1)
+            at_most = floor(claw_bound_terms(t, theta, 2)[0])
             assert claw_inequality_oracle(derive_srg(GQParams(at_most, t)), theta + 1)
             assert not claw_inequality_oracle(derive_srg(GQParams(at_most + 1, t)), theta + 1)

@@ -46,13 +46,16 @@ ARGPARSE = {"argparse", "gettext", "locale"}
     "argv,absent",
     [
         (["--help"], {"fractions"}),
-        (["bound", "--t", "96"], {"pgq.graph", "pgq.incidence", "pgq.params", "pgq.scan", *ARGPARSE}),
-        (["check", "--s", "56", "--t", "4"], {"pgq.graph", "pgq.incidence", *ARGPARSE}),
+        (["bound", "--t", "96"],
+         {"pgq.graph", "pgq.incidence", "pgq.params", "pgq.scan", "pgq._record", *ARGPARSE}),
+        # The verdicts need the threshold and (theta, beta), no Fraction.
+        (["check", "--s", "56", "--t", "4"],
+         {"pgq.graph", "pgq.incidence", "fractions", "decimal", *ARGPARSE}),
         # CSV rows are divisor arithmetic: no JSON and no Fraction.
         (["scan", "--t-min", "2", "--t-max", "10"],
          {"pgq.graph", "pgq.incidence", "json", "fractions", "decimal", *ARGPARSE}),
         (["scan", "--t-min", "2", "--t-max", "10", "--format", "json"],
-         {"pgq.graph", "pgq.incidence", *ARGPARSE}),
+         {"pgq.graph", "pgq.incidence", "fractions", "decimal", *ARGPARSE}),
         (["graph", "verify", "W3"], {"pgq.bounds", "pgq.incidence", "pgq.scan", "fractions", *ARGPARSE}),
     ],
     ids=["help", "bound", "check", "scan", "scan-json", "graph-verify"],

@@ -1,12 +1,10 @@
 """Value records: each behaves like a frozen dataclass with its fields."""
 
 import pickle
-from fractions import Fraction
 
 import pytest
 
 from pgq._record import Record
-from pgq.bounds import BoundChoice, BoundResult, optimal_claw_bound
 from pgq.graph import SrgCheck, verify_srg
 from pgq.incidence import (
     AxiomCheck,
@@ -25,10 +23,6 @@ KNESER = gen_kneser_6_2()
 GQ22 = extract_gq(KNESER, GQParams(2, 2)).structure
 
 SAMPLES = [
-    BoundChoice(5, 3),
-    BoundResult(Fraction(15, 2), Fraction(27), Fraction(9), Fraction(27), Fraction(27)),
-    optimal_claw_bound(2),
-    optimal_claw_bound(7),
     verify_srg(KNESER),
     SrgCheck(None, "not connected"),
     verify_axioms(GQ22),
@@ -61,6 +55,7 @@ def test_record_behaves_like_its_dataclass_twin(record):
     cls, values, twin = type(record), _values(record), _twin(record)
     again, twin_again = cls(*values), _twin(record)
     assert repr(record) == repr(twin)
+    assert bool(record) == bool(twin)
     assert (record == again, record != again) == (twin == twin_again, twin != twin_again)
     assert (record == values, record != values) == (twin == values, twin != values)
     assert record != values and not record == values

@@ -5,7 +5,7 @@ from math import isqrt
 
 import pytest
 
-from pgq.bounds import neumaier_bound, optimal_claw_bound, quadratic_claw_bound
+from pgq.bounds import claw_threshold, neumaier_bound, quadratic_claw_bound
 from pgq.params import GQParams, derive_srg
 from pgq.scan import (
     CONDITION_ORDER,
@@ -138,7 +138,7 @@ def test_scan_rows_satisfy_conditions_by_recomputation():
         assert s <= neumaier_bound(t)
         assert s > t * t
         assert s > quadratic_claw_bound(t)
-        assert s > optimal_claw_bound(t).threshold
+        assert s > claw_threshold(t)
         assert report(s, t)["classification"] == RULED_OUT_NEW
 
 
