@@ -265,7 +265,7 @@ def _graph_params(args, g) -> GQParams:
     p = identify_gq_form(check.params)
     if p is None:
         raise PgqError(
-            f"srg{check.params.as_tuple()} is not of (P)GQ form; pass --s and --t explicitly"
+            f"srg{tuple(check.params)} is not of (P)GQ form; pass --s and --t explicitly"
         )
     return p
 

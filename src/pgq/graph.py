@@ -15,9 +15,8 @@ the local graph.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 
-from ._record import Record
 from .errors import DomainError, FormatError
 from .params import GQParams, SrgParams, derive_srg
 
@@ -100,12 +99,11 @@ class Graph:
         return f"Graph(n={self.n}, m={self.edge_count})"
 
 
-class SrgCheck(Record):
+class SrgCheck(namedtuple("SrgCheck", "params failure", defaults=(None,))):
     """Result of verify_srg: either the SrgParams params, or None and the
     first failure (str); failure defaults to None."""
 
-    __slots__ = ("params", "failure")
-    _optional = 1
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -323,8 +321,8 @@ def _require_matching_srg(g: Graph, p: GQParams) -> SrgParams:
         raise DomainError(f"graph is not strongly regular: {check.failure}")
     if check.params != expected:
         raise DomainError(
-            f"graph is srg{check.params.as_tuple()} but (s={p.s}, t={p.t}) "
-            f"requires srg{expected.as_tuple()}"
+            f"graph is srg{tuple(check.params)} but (s={p.s}, t={p.t}) "
+            f"requires srg{tuple(expected)}"
         )
     return expected
 

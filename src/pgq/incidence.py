@@ -21,24 +21,24 @@ generalized quadrangle over GF(3), and the Shrikhande graph).
 
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import combinations, product
 from math import isqrt
 
-from ._record import Record, set_field
 from .errors import DomainError, FormatError
 from .graph import (MAX_PGQGRAPH_VERTICES, Graph, _bits, _partition_local, _require_matching_srg,
                     claw_number)
 from .params import GQParams
 
 
-class IncidenceStructure(Record):
+class IncidenceStructure(namedtuple("IncidenceStructure", "points lines s t")):
     """Points 0..points-1 plus lines (sorted point tuples), with the
     declared orders (s, t).  Construction normalizes and range-checks the
     lines; the geometric axioms are checked by verify_axioms."""
 
-    __slots__ = ("points", "lines", "s", "t")
+    __slots__ = ()
 
-    def __init__(self, points: int, lines, s: int, t: int):
+    def __new__(cls, points: int, lines, s: int, t: int):
         if not isinstance(points, int) or points < 1:
             raise ValueError(f"point count must be a positive integer, got {points!r}")
         if s < 1 or t < 1:
@@ -51,29 +51,25 @@ class IncidenceStructure(Record):
             if pts and not (0 <= pts[0] and pts[-1] < points):
                 raise ValueError(f"line #{i} mentions a point out of range")
             norm.append(pts)
-        set_field(self, "points", points)
-        set_field(self, "lines", tuple(norm))
-        set_field(self, "s", s)
-        set_field(self, "t", t)
+        return super().__new__(cls, points, tuple(norm), s, t)
 
 
-class AxiomCheck(Record):
+class AxiomCheck(namedtuple("AxiomCheck", "ok axiom witness", defaults=(None, None))):
     """Axiom verdict ok (bool); on failure, axiom is "i", "ii" or "iii"
     and the witness (str) pinpoints the first violating object in
     lexicographic order.  axiom and witness default to None."""
 
-    __slots__ = ("ok", "axiom", "witness")
-    _optional = 2
+    __slots__ = ()
 
 
-class ExtractionResult(Record):
+class ExtractionResult(namedtuple("ExtractionResult", "structure witness_vertex witness_claw reason",
+                                  defaults=(None, None, None))):
     """Either the extracted IncidenceStructure structure, or None and
     pseudo-GQ evidence: a witness_vertex (int) whose claw number
     witness_claw (int) exceeds t+1, and the reason (str).  The last
     three default to None."""
 
-    __slots__ = ("structure", "witness_vertex", "witness_claw", "reason")
-    _optional = 3
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

@@ -15,7 +15,7 @@ from any number of workers concurrently.  The feasibility conditions on
 
 from __future__ import annotations
 
-from ._record import Record, set_field
+from collections import namedtuple
 
 
 def _check_int(name: str, value) -> int:
@@ -24,7 +24,7 @@ def _check_int(name: str, value) -> int:
     return value
 
 
-class GQParams(Record):
+class GQParams(namedtuple("GQParams", "s t")):
     """The pair (s, t) of generalized-quadrangle orders.
 
     Lines carry s+1 points, points carry t+1 lines.  s = 1 or t = 1 is
@@ -32,15 +32,14 @@ class GQParams(Record):
     graphs); the feasibility conditions only apply for s, t >= 2.
     """
 
-    __slots__ = ("s", "t")
+    __slots__ = ()
 
-    def __init__(self, s: int, t: int):
+    def __new__(cls, s: int, t: int):
         _check_int("s", s)
         _check_int("t", t)
         if s < 1 or t < 1:
             raise ValueError(f"require s >= 1 and t >= 1, got ({s}, {t})")
-        set_field(self, "s", s)
-        set_field(self, "t", t)
+        return super().__new__(cls, s, t)
 
     @property
     def is_trivial(self) -> bool:
@@ -63,12 +62,12 @@ class GQParams(Record):
         return self.t + 1
 
 
-class SrgParams(Record):
+class SrgParams(namedtuple("SrgParams", "v k lam mu")):
     """A general strongly-regular-graph parameter quadruple (v, k, lam, mu)."""
 
-    __slots__ = ("v", "k", "lam", "mu")
+    __slots__ = ()
 
-    def __init__(self, v: int, k: int, lam: int, mu: int):
+    def __new__(cls, v: int, k: int, lam: int, mu: int):
         _check_int("v", v)
         _check_int("k", k)
         _check_int("lam", lam)
@@ -79,13 +78,7 @@ class SrgParams(Record):
             raise ValueError(f"require 1 <= mu <= k, got mu={mu}, k={k}")
         if not k < v:
             raise ValueError(f"require k < v, got k={k}, v={v}")
-        set_field(self, "v", v)
-        set_field(self, "k", k)
-        set_field(self, "lam", lam)
-        set_field(self, "mu", mu)
-
-    def as_tuple(self) -> tuple[int, int, int, int]:
-        return (self.v, self.k, self.lam, self.mu)
+        return super().__new__(cls, v, k, lam, mu)
 
 
 def derive_srg(p: GQParams) -> SrgParams:

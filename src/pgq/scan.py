@@ -28,7 +28,8 @@ The scan is a pure function of its range: rows come out ordered by
 
 from __future__ import annotations
 
-from ._record import Record, set_field
+from collections import namedtuple
+
 from .bounds import claw_threshold, neumaier_bound, optimal_claw_bound
 from .params import GQParams, derive_srg
 
@@ -58,18 +59,17 @@ CSV_HEADER = "s,t,v,k,lambda,mu"
 MAX_SCAN_T = 10**12
 
 
-class ScanRange(Record):
+class ScanRange(namedtuple("ScanRange", "t_min t_max")):
     """Range of t to scan; s runs over the candidates of multiplicity_divisors(t)."""
 
-    __slots__ = ("t_min", "t_max")
+    __slots__ = ()
 
-    def __init__(self, t_min: int, t_max: int):
+    def __new__(cls, t_min: int, t_max: int):
         if not (isinstance(t_min, int) and isinstance(t_max, int)):
             raise ValueError("t_min and t_max must be integers")
         if not 2 <= t_min <= t_max:
             raise ValueError(f"require 2 <= t_min <= t_max, got [{t_min}, {t_max}]")
-        set_field(self, "t_min", t_min)
-        set_field(self, "t_max", t_max)
+        return super().__new__(cls, t_min, t_max)
 
 
 def _verdict(name: str, ok: bool, witness: str) -> dict:

@@ -6,44 +6,15 @@ sets, searches are exhaustive enumerations and parameter pairs are
 classified from the conditions' own inequalities.
 """
 
-import sys
-from dataclasses import dataclass, make_dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from functools import lru_cache
 from math import comb, floor, isqrt
-from types import ModuleType
 
 from pgq.errors import FormatError
-from pgq.graph import MAX_PGQGRAPH_VERTICES, PGQGRAPH_HEADER, Graph, SrgCheck
-from pgq.incidence import AxiomCheck, ExtractionResult, IncidenceStructure
-from pgq.params import GQParams, SrgParams
-from pgq.scan import ScanRange
-
-#: The value records of pgq: plain __slots__ classes on pgq._record.Record.
-RECORD_CLASSES = (
-    SrgCheck,
-    AxiomCheck, ExtractionResult, IncidenceStructure,
-    GQParams, SrgParams, ScanRange,
-)
-
-# The dataclass twins live in a module of their own, so that pickle finds
-# each twin by its class name, which it shares with its record class.
-TWINS = ModuleType("record_twins")
-sys.modules[TWINS.__name__] = TWINS
-
-
-def _twin(cls):
-    twin = make_dataclass(
-        cls.__name__, cls.__slots__, frozen=True, namespace={"__module__": TWINS.__name__}
-    )
-    setattr(TWINS, cls.__name__, twin)
-    return twin
-
-
-#: Record class -> a frozen dataclass with the same name and fields, the
-#: reference for equality, hash, repr, immutability and pickling.
-RECORD_TWINS = {cls: _twin(cls) for cls in RECORD_CLASSES}
+from pgq.graph import MAX_PGQGRAPH_VERTICES, PGQGRAPH_HEADER, Graph
+from pgq.params import GQParams
 
 
 @dataclass(frozen=True)

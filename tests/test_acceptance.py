@@ -198,7 +198,7 @@ def test_gq_extraction_negative():
     rook_ok = extract_gq(gen_rook(4), p).ok
     ok = (
         check.ok
-        and check.params.as_tuple() == (16, 6, 2, 2)
+        and check.params == (16, 6, 2, 2)
         and check.params == verify_srg(gen_rook(4)).params
         and claws == {3}
         and not result.ok
@@ -238,7 +238,7 @@ def test_duality(extractions):
             problems.append(f"{label}: dual fails axioms")
     rook_dual = dual(extract_gq(gen_rook(4), GQParams(3, 1)).structure)
     dual_check = verify_srg(collinearity_graph(rook_dual))
-    if not dual_check.ok or dual_check.params.as_tuple() != (8, 4, 0, 4):
+    if not dual_check.ok or dual_check.params != (8, 4, 0, 4):
         problems.append(
             f"dual of GQ(3,1): collinearity graph gives {dual_check.params}"
         )

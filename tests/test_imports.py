@@ -47,7 +47,7 @@ ARGPARSE = {"argparse", "gettext", "locale"}
     [
         (["--help"], {"fractions"}),
         (["bound", "--t", "96"],
-         {"pgq.graph", "pgq.incidence", "pgq.params", "pgq.scan", "pgq._record", *ARGPARSE}),
+         {"pgq.graph", "pgq.incidence", "pgq.params", "pgq.scan", *ARGPARSE}),
         # The verdicts need the threshold and (theta, beta), no Fraction.
         (["check", "--s", "56", "--t", "4"],
          {"pgq.graph", "pgq.incidence", "fractions", "decimal", *ARGPARSE}),

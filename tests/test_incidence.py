@@ -442,7 +442,7 @@ def test_dual_of_rook_gq(gq31):
     assert (d.points, len(d.lines)) == (8, 16)
     cg = collinearity_graph(d)
     check = verify_srg(cg)
-    assert check.params.as_tuple() == (8, 4, 0, 4)
+    assert check.params == (8, 4, 0, 4)
     assert check.params == derive_srg(GQParams(1, 3))
     assert srg_oracle(cg.n, edge_set(cg)) == ((8, 4, 0, 4), None)
 
@@ -475,7 +475,7 @@ def test_dual_rejects_broken_structure(gq22):
 
 
 def test_collinearity_of_gq22(gq22):
-    assert verify_srg(collinearity_graph(gq22)).params.as_tuple() == (15, 6, 1, 3)
+    assert verify_srg(collinearity_graph(gq22)).params == (15, 6, 1, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -483,12 +483,12 @@ def test_collinearity_of_gq22(gq22):
 # ---------------------------------------------------------------------------
 
 def test_generator_parameters():
-    assert verify_srg(gen_rook(4)).params.as_tuple() == (16, 6, 2, 2)
-    assert verify_srg(gen_rook(3)).params.as_tuple() == (9, 4, 1, 2)
-    assert verify_srg(gen_complete_bipartite(4)).params.as_tuple() == (8, 4, 0, 4)
-    assert verify_srg(gen_kneser_6_2()).params.as_tuple() == (15, 6, 1, 3)
-    assert verify_srg(gen_symplectic_w3()).params.as_tuple() == (40, 12, 2, 4)
-    assert verify_srg(gen_shrikhande()).params.as_tuple() == (16, 6, 2, 2)
+    assert verify_srg(gen_rook(4)).params == (16, 6, 2, 2)
+    assert verify_srg(gen_rook(3)).params == (9, 4, 1, 2)
+    assert verify_srg(gen_complete_bipartite(4)).params == (8, 4, 0, 4)
+    assert verify_srg(gen_kneser_6_2()).params == (15, 6, 1, 3)
+    assert verify_srg(gen_symplectic_w3()).params == (40, 12, 2, 4)
+    assert verify_srg(gen_shrikhande()).params == (16, 6, 2, 2)
 
 
 @pytest.mark.parametrize("m", range(2, 21))

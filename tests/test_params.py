@@ -24,7 +24,7 @@ def verdict(s, t, name):
     ],
 )
 def test_derive_srg_examples(s, t, expected):
-    assert derive_srg(GQParams(s, t)).as_tuple() == expected
+    assert derive_srg(GQParams(s, t)) == expected
 
 
 def test_trivial_flag():
