@@ -19,10 +19,11 @@ from __future__ import annotations
 import sys
 from types import SimpleNamespace
 
-from .errors import PgqError
-
 # Each handler imports the modules of its own subcommand, so a process
-# loads only what its subcommand runs (and `--help` none of them).
+# loads only what its subcommand runs (and `--help` none of them).  It
+# returns (exit code, output), and main writes the output, a string or an
+# iterable of strings, to --out or stdout (nothing for None).  A handler
+# refuses its input before it returns, so a refused call opens no --out.
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -41,16 +42,16 @@ def _read_input(path: str) -> str:
         return fh.read()
 
 
-def _write_output(chunks, out: str | None) -> None:
-    """Write an iterable of strings to --out, or to stdout if none, one
-    write() per chunk: each reaches the OS when stdout is unbuffered."""
+def _write_output(output, out: str | None) -> None:
+    """Write a string, or an iterable of strings, to --out, or to stdout
+    if none, one write() per string: each reaches the OS when stdout is
+    unbuffered."""
+    chunks = (output,) if isinstance(output, str) else output
     if out is None:
-        for chunk in chunks:
-            sys.stdout.write(chunk)
+        sys.stdout.writelines(chunks)
     else:
         with open(out, "w", encoding="ascii") as fh:
-            for chunk in chunks:
-                fh.write(chunk)
+            fh.writelines(chunks)
 
 
 def _json(obj) -> str:
@@ -182,29 +183,27 @@ def _build_parser():
     return parser
 
 
-def _cmd_scan(args) -> int:
+def _cmd_scan(args):
     from .scan import MAX_SCAN_T, ScanRange, chunks
 
     if args.t_max > MAX_SCAN_T:
         raise UsageError(f"--t-max must be at most {MAX_SCAN_T} (10**12)")
-    # The range is validated before --out is opened; the rows stream, one
-    # write per t.
-    _write_output(chunks(ScanRange(args.t_min, args.t_max), args.format), args.out)
-    return EXIT_OK
+    # The rows stream, one write per t.
+    return EXIT_OK, chunks(ScanRange(args.t_min, args.t_max), args.format)
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args):
     from .params import GQParams
     from .scan import RULED_OUT_NEW, RULED_OUT_PRIOR, check_one
 
     report = check_one(GQParams(args.s, args.t))
     classification = report["classification"]
-    sys.stdout.write(_json(report) if args.format == "json" else classification + "\n")
     ruled_out = classification in (RULED_OUT_NEW, RULED_OUT_PRIOR)
-    return EXIT_NEGATIVE if ruled_out else EXIT_OK
+    return (EXIT_NEGATIVE if ruled_out else EXIT_OK,
+            _json(report) if args.format == "json" else classification + "\n")
 
 
-def _cmd_bound(args) -> int:
+def _cmd_bound(args):
     from .bounds import (
         TERM_TAGS,
         claw_bound_terms,
@@ -217,19 +216,19 @@ def _cmd_bound(args) -> int:
     t = args.t
     if (args.theta is None) != (args.beta is None):
         raise UsageError("--theta and --beta must be given together")
-    if args.theta is not None:
-        terms = claw_bound_terms(t, args.theta, args.beta)
-        sys.stdout.write(_json({
-            "t": t,
-            "theta": args.theta,
-            "beta": args.beta,
-            "terms": {tag: _frac(term) for tag, term in zip(TERM_TAGS, terms)},
-            "bound": _frac(max(terms)),
-        }))
-        return EXIT_OK
-    theta, beta = optimal_claw_bound(t)
+    given = args.theta is not None
+    theta, beta = (args.theta, args.beta) if given else optimal_claw_bound(t)
     terms = claw_bound_terms(t, theta, beta)
-    sys.stdout.write(_json({
+    tagged = {tag: _frac(term) for tag, term in zip(TERM_TAGS, terms)}
+    if given:
+        return EXIT_OK, _json({
+            "t": t,
+            "theta": theta,
+            "beta": beta,
+            "terms": tagged,
+            "bound": _frac(max(terms)),
+        })
+    return EXIT_OK, _json({
         "t": t,
         "neumaier_bound": neumaier_bound(t),
         "quadratic_bound": quadratic_claw_bound(t),
@@ -238,10 +237,9 @@ def _cmd_bound(args) -> int:
             "exact": _frac(max(terms)),
             "theta": theta,
             "beta": beta,
-            "terms": {tag: _frac(term) for tag, term in zip(TERM_TAGS, terms)},
+            "terms": tagged,
         },
-    }))
-    return EXIT_OK
+    })
 
 
 def _explicit_params(args) -> GQParams | None:
@@ -261,16 +259,16 @@ def _graph_params(args, g) -> GQParams:
         return p
     check = verify_srg(g)
     if not check.ok:
-        raise PgqError(f"graph is not strongly regular: {check.failure}")
+        raise ValueError(f"graph is not strongly regular: {check.failure}")
     p = identify_gq_form(check.params)
     if p is None:
-        raise PgqError(
+        raise ValueError(
             f"srg{tuple(check.params)} is not of (P)GQ form; pass --s and --t explicitly"
         )
     return p
 
 
-def _cmd_graph(args) -> int:
+def _cmd_graph(args):
     from .graph import _claw_histogram, _require_matching_srg, parse_pgqgraph, verify_srg
     from .params import derive_srg
 
@@ -278,18 +276,13 @@ def _cmd_graph(args) -> int:
     if args.action == "verify":
         check = verify_srg(g)
         if not check.ok:
-            sys.stdout.write(_json({"srg": False, "failure": check.failure}))
-            return EXIT_NEGATIVE
+            return EXIT_NEGATIVE, _json({"srg": False, "failure": check.failure})
         q = check.params
         payload = {"srg": True, "v": q.v, "k": q.k, "lambda": q.lam, "mu": q.mu}
         p = _explicit_params(args)
         if p is not None:
-            expected = derive_srg(p)
-            payload["matches_params"] = q == expected
-            sys.stdout.write(_json(payload))
-            return EXIT_OK if q == expected else EXIT_NEGATIVE
-        sys.stdout.write(_json(payload))
-        return EXIT_OK
+            payload["matches_params"] = q == derive_srg(p)
+        return EXIT_OK if payload.get("matches_params", True) else EXIT_NEGATIVE, _json(payload)
     if args.action == "claw":
         p = _explicit_params(args)
         extra = {}
@@ -299,53 +292,37 @@ def _cmd_graph(args) -> int:
             # by Caro-Wei every claw number is at least t+1.
             extra = {"threshold": p.t + 1, "ok": True}
         hist = _claw_histogram(g)
-        sys.stdout.write(_json({
+        return EXIT_OK, _json({
             "histogram": {str(r): c for r, c in hist.items()},
             "min": min(hist),
             "max": max(hist),
             **extra,
-        }))
-        return EXIT_OK
+        })
     # extract-gq
     from .incidence import extract_gq, write_pgqinc
 
-    p = _graph_params(args, g)
-    result = extract_gq(g, p)
+    result = extract_gq(g, _graph_params(args, g))
     if not result.ok:
         print(result.reason, file=sys.stderr)
-        return EXIT_NEGATIVE
-    _write_output((write_pgqinc(result.structure),), args.out)
-    return EXIT_OK
+        return EXIT_NEGATIVE, None
+    return EXIT_OK, write_pgqinc(result.structure)
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args):
     from .graph import write_pgqgraph
-    from .incidence import (
-        gen_complete_bipartite,
-        gen_kneser_6_2,
-        gen_rook,
-        gen_shrikhande,
-        gen_symplectic_w3,
-    )
+    from .incidence import (gen_complete_bipartite, gen_kneser_6_2, gen_rook, gen_shrikhande,
+                            gen_symplectic_w3)
 
     name = args.name
-    if name in ("rook", "bipartite"):
-        if args.m is None:
-            raise UsageError(f"gen {name} requires --m")
-        g = gen_rook(args.m) if name == "rook" else gen_complete_bipartite(args.m)
-    else:
-        if args.m is not None:
-            raise UsageError(f"gen {name} does not take --m")
-        g = {
-            "kneser": gen_kneser_6_2,
-            "w3": gen_symplectic_w3,
-            "shrikhande": gen_shrikhande,
-        }[name]()
-    _write_output((write_pgqgraph(g),), args.out)
-    return EXIT_OK
+    takes_m = name in ("rook", "bipartite")
+    if takes_m != (args.m is not None):
+        raise UsageError(f"gen {name} requires --m" if takes_m else f"gen {name} does not take --m")
+    generate = {"rook": gen_rook, "bipartite": gen_complete_bipartite, "kneser": gen_kneser_6_2,
+                "w3": gen_symplectic_w3, "shrikhande": gen_shrikhande}[name]
+    return EXIT_OK, write_pgqgraph(generate(args.m) if takes_m else generate())
 
 
-def _cmd_inc(args) -> int:
+def _cmd_inc(args):
     from .graph import write_pgqgraph
     from .incidence import collinearity_graph, dual, parse_pgqinc, verify_axioms, write_pgqinc
 
@@ -353,21 +330,17 @@ def _cmd_inc(args) -> int:
     if args.action == "verify":
         check = verify_axioms(inc)
         if check.ok:
-            sys.stdout.write(_json({
+            return EXIT_OK, _json({
                 "ok": True,
                 "points": inc.points,
                 "lines": len(inc.lines),
                 "s": inc.s,
                 "t": inc.t,
-            }))
-            return EXIT_OK
-        sys.stdout.write(_json({"ok": False, "axiom": check.axiom, "witness": check.witness}))
-        return EXIT_NEGATIVE
+            })
+        return EXIT_NEGATIVE, _json({"ok": False, "axiom": check.axiom, "witness": check.witness})
     if args.action == "dual":
-        sys.stdout.write(write_pgqinc(dual(inc)))
-        return EXIT_OK
-    sys.stdout.write(write_pgqgraph(collinearity_graph(inc)))
-    return EXIT_OK
+        return EXIT_OK, write_pgqinc(dual(inc))
+    return EXIT_OK, write_pgqgraph(collinearity_graph(inc))
 
 
 _HANDLERS = {
@@ -385,13 +358,16 @@ def main(argv=None) -> int:
     try:
         plain = _parse_plain(argv)
         args = _build_parser().parse_args(argv) if plain is None else SimpleNamespace(**plain)
-        return _HANDLERS[args.command](args)
+        code, output = _HANDLERS[args.command](args)
+        if output is not None:
+            _write_output(output, getattr(args, "out", None))
+        return code
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SystemExit as exc:  # argparse --help
         return EXIT_OK if not exc.code else EXIT_USAGE
-    except (PgqError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

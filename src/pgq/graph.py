@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 
-from .errors import DomainError, FormatError
 from .params import GQParams, SrgParams, derive_srg
 
 
@@ -318,9 +317,9 @@ def _require_matching_srg(g: Graph, p: GQParams) -> SrgParams:
     expected = derive_srg(p)
     check = verify_srg(g)
     if not check.ok:
-        raise DomainError(f"graph is not strongly regular: {check.failure}")
+        raise ValueError(f"graph is not strongly regular: {check.failure}")
     if check.params != expected:
-        raise DomainError(
+        raise ValueError(
             f"graph is srg{tuple(check.params)} but (s={p.s}, t={p.t}) "
             f"requires srg{tuple(expected)}"
         )
@@ -355,11 +354,11 @@ def write_pgqgraph(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _not_two_ints(line: str, lineno: int) -> FormatError:
+def _not_two_ints(line: str, lineno: int) -> str:
     parts = line.split()
     if len(parts) != 2:
-        return FormatError(f"line {lineno}: expected 2 fields, got {len(parts)}")
-    return FormatError(f"line {lineno}: non-integer field in {line!r}")
+        return f"line {lineno}: expected 2 fields, got {len(parts)}"
+    return f"line {lineno}: non-integer field in {line!r}"
 
 
 def parse_pgqgraph(text: str) -> Graph:
@@ -372,29 +371,29 @@ def parse_pgqgraph(text: str) -> Graph:
     """
     lines = text.splitlines()
     if not lines or lines[0].strip() != PGQGRAPH_HEADER:
-        raise FormatError(f"missing '{PGQGRAPH_HEADER}' header")
+        raise ValueError(f"missing '{PGQGRAPH_HEADER}' header")
     if len(lines) < 2:
-        raise FormatError("missing vertex/edge count line")
+        raise ValueError("missing vertex/edge count line")
     try:
         n, m = map(int, lines[1].split())
     except ValueError:
-        raise _not_two_ints(lines[1], 2) from None
+        raise ValueError(_not_two_ints(lines[1], 2)) from None
     if n < 0 or m < 0:
-        raise FormatError("negative vertex or edge count")
+        raise ValueError("negative vertex or edge count")
     if n > MAX_PGQGRAPH_VERTICES:
-        raise FormatError(f"line 2: vertex count {n} is too large")
+        raise ValueError(f"line 2: vertex count {n} is too large")
     body = [ln for ln in lines[2:] if ln.strip()]
     if len(body) != m:
-        raise FormatError(f"expected {m} edge lines, got {len(body)}")
+        raise ValueError(f"expected {m} edge lines, got {len(body)}")
     rows = [0] * n
     bad = None  # the first edge out of range or repeated
     for i, ln in enumerate(body, start=3):
         try:
             u, v = map(int, ln.split())
         except ValueError:
-            raise _not_two_ints(ln, i) from None
+            raise ValueError(_not_two_ints(ln, i)) from None
         if not u < v:
-            raise FormatError(f"line {i}: require u < v, got {u} {v}")
+            raise ValueError(f"line {i}: require u < v, got {u} {v}")
         if bad:
             continue
         if u < 0 or v >= n:
@@ -405,5 +404,5 @@ def parse_pgqgraph(text: str) -> Graph:
             rows[u] |= 1 << v
             rows[v] |= 1 << u
     if bad:
-        raise FormatError(bad)
+        raise ValueError(bad)
     return Graph._from_rows(n, rows)

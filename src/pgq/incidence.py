@@ -25,10 +25,9 @@ from collections import namedtuple
 from itertools import combinations, product
 from math import isqrt
 
-from .errors import DomainError, FormatError
 from .graph import (MAX_PGQGRAPH_VERTICES, Graph, _bits, _partition_local, _require_matching_srg,
                     claw_number)
-from .params import GQParams
+from .params import GQParams, _check_int
 
 
 class IncidenceStructure(namedtuple("IncidenceStructure", "points lines s t")):
@@ -39,8 +38,10 @@ class IncidenceStructure(namedtuple("IncidenceStructure", "points lines s t")):
     __slots__ = ()
 
     def __new__(cls, points: int, lines, s: int, t: int):
-        if not isinstance(points, int) or points < 1:
+        if not isinstance(points, int) or isinstance(points, bool) or points < 1:
             raise ValueError(f"point count must be a positive integer, got {points!r}")
+        _check_int("s", s)
+        _check_int("t", t)
         if s < 1 or t < 1:
             raise ValueError(f"require s >= 1 and t >= 1, got ({s}, {t})")
         norm = []
@@ -140,7 +141,7 @@ def verify_axioms(inc: IncidenceStructure) -> AxiomCheck:
 def extract_gq(g: Graph, p: GQParams) -> ExtractionResult:
     """Extract the GQ underlying g, or report pseudo-GQ evidence.
 
-    Requires verify_srg(g) == derive_srg(p) (DomainError otherwise).  Each
+    Requires verify_srg(g) == derive_srg(p) (ValueError otherwise).  Each
     local graph is (s-1)-regular on s(t+1) vertices, so by Caro-Wei its
     claw number is at least t+1, with equality iff it splits into t+1
     disjoint s-cliques.  The partition is tried at every vertex in
@@ -184,12 +185,12 @@ def extract_gq(g: Graph, p: GQParams) -> ExtractionResult:
 def dual(inc: IncidenceStructure) -> IncidenceStructure:
     """Swap points and lines; a GQ(s,t) dualizes to a GQ(t,s).
 
-    The input is verified (DomainError otherwise).  The output needs no
+    The input is verified (ValueError otherwise).  The output needs no
     check: the axioms are self-dual, (i) and (ii) swap and (iii) is fixed.
     """
     check = verify_axioms(inc)
     if not check.ok:
-        raise DomainError(f"dual requires a verified GQ; axiom ({check.axiom}): {check.witness}")
+        raise ValueError(f"dual requires a verified GQ; axiom ({check.axiom}): {check.witness}")
     new_lines = [[] for _ in range(inc.points)]
     for i, line in enumerate(inc.lines):
         for p in line:
@@ -201,7 +202,7 @@ def collinearity_graph(inc: IncidenceStructure) -> Graph:
     """Graph on the points, adjacent iff they share a line."""
     check = verify_axioms(inc)
     if not check.ok:
-        raise DomainError(
+        raise ValueError(
             f"collinearity graph requires a verified GQ; axiom ({check.axiom}): {check.witness}"
         )
     rows = [0] * inc.points
@@ -310,29 +311,26 @@ def write_pgqinc(inc: IncidenceStructure) -> str:
 def parse_pgqinc(text: str) -> IncidenceStructure:
     lines = text.splitlines()
     if not lines or lines[0].strip() != PGQINC_HEADER:
-        raise FormatError(f"missing '{PGQINC_HEADER}' header")
+        raise ValueError(f"missing '{PGQINC_HEADER}' header")
     if len(lines) < 2:
-        raise FormatError("missing counts line")
+        raise ValueError("missing counts line")
     parts = lines[1].split()
     if len(parts) != 4:
-        raise FormatError(f"line 2: expected 'points lines s t', got {lines[1]!r}")
+        raise ValueError(f"line 2: expected 'points lines s t', got {lines[1]!r}")
     try:
         points, nlines, s, t = (int(p) for p in parts)
     except ValueError:
-        raise FormatError(f"line 2: non-integer field in {lines[1]!r}") from None
+        raise ValueError(f"line 2: non-integer field in {lines[1]!r}") from None
     body = [ln for ln in lines[2:] if ln.strip()]
     if len(body) != nlines:
-        raise FormatError(f"expected {nlines} line rows, got {len(body)}")
+        raise ValueError(f"expected {nlines} line rows, got {len(body)}")
     structure_lines = []
     for i, ln in enumerate(body, start=3):
         try:
             pts = [int(p) for p in ln.split()]
         except ValueError:
-            raise FormatError(f"line {i}: non-integer point id in {ln!r}") from None
+            raise ValueError(f"line {i}: non-integer point id in {ln!r}") from None
         if pts != sorted(set(pts)):
-            raise FormatError(f"line {i}: point ids must be strictly increasing")
+            raise ValueError(f"line {i}: point ids must be strictly increasing")
         structure_lines.append(pts)
-    try:
-        return IncidenceStructure(points, structure_lines, s, t)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from None
+    return IncidenceStructure(points, structure_lines, s, t)

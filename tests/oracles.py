@@ -12,7 +12,6 @@ from itertools import combinations, product
 from functools import lru_cache
 from math import comb, floor, isqrt
 
-from pgq.errors import FormatError
 from pgq.graph import MAX_PGQGRAPH_VERTICES, PGQGRAPH_HEADER, Graph
 from pgq.params import GQParams
 
@@ -413,41 +412,38 @@ def godsil_mckay_switch(graph, subset):
 
 def parse_pgqgraph_oracle(text):
     """parse_pgqgraph as two passes: every edge line through _int_fields,
-    then Graph(n, edges), whose first range or duplicate error becomes the
-    FormatError."""
+    then Graph(n, edges), whose first range or duplicate error is the
+    parser's."""
     lines = text.splitlines()
     if not lines or lines[0].strip() != PGQGRAPH_HEADER:
-        raise FormatError(f"missing '{PGQGRAPH_HEADER}' header")
+        raise ValueError(f"missing '{PGQGRAPH_HEADER}' header")
     if len(lines) < 2:
-        raise FormatError("missing vertex/edge count line")
+        raise ValueError("missing vertex/edge count line")
     n, m = _int_fields(lines[1], 2, 2)
     if n < 0 or m < 0:
-        raise FormatError("negative vertex or edge count")
+        raise ValueError("negative vertex or edge count")
     if n > MAX_PGQGRAPH_VERTICES:
-        raise FormatError(f"line 2: vertex count {n} is too large")
+        raise ValueError(f"line 2: vertex count {n} is too large")
     body = [ln for ln in lines[2:] if ln.strip()]
     if len(body) != m:
-        raise FormatError(f"expected {m} edge lines, got {len(body)}")
+        raise ValueError(f"expected {m} edge lines, got {len(body)}")
     edges = []
     for i, ln in enumerate(body, start=3):
         u, v = _int_fields(ln, 2, i)
         if not u < v:
-            raise FormatError(f"line {i}: require u < v, got {u} {v}")
+            raise ValueError(f"line {i}: require u < v, got {u} {v}")
         edges.append((u, v))
-    try:
-        return Graph(n, edges)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from None
+    return Graph(n, edges)
 
 
 def _int_fields(line, count, lineno):
     parts = line.split()
     if len(parts) != count:
-        raise FormatError(f"line {lineno}: expected {count} fields, got {len(parts)}")
+        raise ValueError(f"line {lineno}: expected {count} fields, got {len(parts)}")
     try:
         return [int(p) for p in parts]
     except ValueError:
-        raise FormatError(f"line {lineno}: non-integer field in {line!r}") from None
+        raise ValueError(f"line {lineno}: non-integer field in {line!r}") from None
 
 
 def axioms_oracle(inc):

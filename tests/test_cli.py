@@ -491,6 +491,23 @@ def test_graph_missing_file(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("action", ["verify", "claw"])
+def test_graph_out_file_holds_the_stdout_bytes(capsys, tmp_path, action):
+    w3 = tmp_path / "w3.pgqgraph"
+    w3.write_text(write_pgqgraph(gen_symplectic_w3()), encoding="ascii")
+    code, out, err = run(capsys, "graph", action, str(w3))
+    target = tmp_path / "out.json"
+    assert run(capsys, "graph", action, str(w3), "--out", str(target)) == (code, "", err) == (0, "", "")
+    assert target.read_text(encoding="ascii") == out
+
+
+def test_negative_extract_gq_leaves_no_out_file(capsys, tmp_path, shrikhande_file):
+    target = tmp_path / "gq.pgqinc"
+    code, out, err = run(capsys, "graph", "extract-gq", shrikhande_file, "--out", str(target))
+    assert (code, out, err) == (3, "", "pseudo-GQ evidence: claw number 3 > t+1 = 2 at vertex 0\n")
+    assert not target.exists()
+
+
 # ---------------------------------------------------------------------------
 # gen subcommands
 # ---------------------------------------------------------------------------

@@ -4,7 +4,6 @@ numbers and local clique partitions, plus the RR^T = A + D cover oracle."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pgq.errors import DomainError, FormatError
 from pgq.graph import (
     Graph,
     _claw_histogram,
@@ -97,7 +96,7 @@ def test_pgqgraph_round_trip(g):
     assert g.edges() == [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if g.has_edge(u, v)]
 
 
-#: Malformed pgqgraph text -> the exact FormatError message, one per branch.
+#: Malformed pgqgraph text -> the exact ValueError message, one per branch.
 PGQGRAPH_ERRORS = {
     "nope 1\n1 0\n": "missing 'pgqgraph 1' header",
     "pgqgraph 1\n": "missing vertex/edge count line",
@@ -124,10 +123,10 @@ PGQGRAPH_ERRORS = {
 
 @pytest.mark.parametrize("text", PGQGRAPH_ERRORS)
 def test_pgqgraph_parse_errors(text):
-    with pytest.raises(FormatError) as exc:
+    with pytest.raises(ValueError) as exc:
         parse_pgqgraph(text)
     assert str(exc.value) == PGQGRAPH_ERRORS[text]
-    with pytest.raises(FormatError) as exc:
+    with pytest.raises(ValueError) as exc:
         parse_pgqgraph_oracle(text)
     assert str(exc.value) == PGQGRAPH_ERRORS[text]
 
@@ -136,7 +135,7 @@ def parse_outcome(parse, text):
     """("graph", g) or ("error", message); any other exception propagates."""
     try:
         return "graph", parse(text)
-    except FormatError as exc:
+    except ValueError as exc:
         return "error", str(exc)
 
 
@@ -372,9 +371,9 @@ def test_partitioning_every_vertex_verifies_the_srg_once(srg_passes):
 
 def test_partition_requires_matching_parameters():
     # Extraction, the one caller that partitions under given parameters.
-    with pytest.raises(DomainError):
+    with pytest.raises(ValueError):
         extract_gq(gen_kneser_6_2(), GQParams(3, 1))
-    with pytest.raises(DomainError):
+    with pytest.raises(ValueError):
         extract_gq(cycle(6), GQParams(2, 2))
 
 
@@ -453,5 +452,5 @@ def test_claw_lower_bound_histograms():
 
 
 def test_claw_lower_bound_requires_matching_srg():
-    with pytest.raises(DomainError):
+    with pytest.raises(ValueError):
         _require_matching_srg(gen_rook(4), GQParams(2, 2))

@@ -70,7 +70,7 @@ def test_cli_call_loads_only_its_modules(tmp_path, argv, absent):
 
 def test_help_loads_no_pgq_module_but_the_cli(tmp_path):
     modules = loaded_modules(tmp_path, "--help")
-    assert {m for m in modules if m.split(".")[0] == "pgq"} == {"pgq", "pgq.cli", "pgq.errors"}
+    assert {m for m in modules if m.split(".")[0] == "pgq"} == {"pgq", "pgq.cli"}
     # argparse writes all help and usage errors.
     assert "argparse" in modules
 

@@ -123,6 +123,9 @@ VALUE_ERRORS = [
     (IncidenceStructure, (3, [], 0, 1), "require s >= 1 and t >= 1, got (0, 1)"),
     (IncidenceStructure, (3, [(0, 0)], 1, 1), "line #0 repeats a point"),
     (IncidenceStructure, (3, [(0, 3)], 1, 1), "line #0 mentions a point out of range"),
+    (IncidenceStructure, (True, [], 1, 1), "point count must be a positive integer, got True"),
+    (IncidenceStructure, (3, [(0, 1), (1, 2)], 1.5, 1), "s must be an integer, got 1.5"),
+    (IncidenceStructure, (3, [], 1, True), "t must be an integer, got True"),
 ]
 
 
