@@ -84,48 +84,6 @@ def _decimal(f) -> str:
     return f"{head}{'.' if tail else ''}{tail}e+{exp}"
 
 
-_INT = {"type": int}
-_REQUIRED_INT = {"type": int, "required": True}
-_PATH = {}
-
-#: Each subcommand's help and arguments, as argparse's add_argument takes
-#: them: positionals first, then options, each at most once.
-_COMMANDS = {
-    "scan": ("emit parameter sets eliminated by the four-term bound", (
-        ("--t-min", _REQUIRED_INT),
-        ("--t-max", _REQUIRED_INT),
-        ("--format", {"choices": ("csv", "json"), "default": "csv"}),
-        ("--out", _PATH),
-    )),
-    "check": ("feasibility report for one (s, t)", (
-        ("--s", _REQUIRED_INT),
-        ("--t", _REQUIRED_INT),
-        ("--format", {"choices": ("json",)}),
-    )),
-    "bound": ("bound values at t, or the four terms at (theta, beta)", (
-        ("--t", _REQUIRED_INT),
-        ("--theta", _INT),
-        ("--beta", _INT),
-    )),
-    "graph": ("verify/analyze a pgqgraph file", (
-        ("action", {"choices": ("verify", "claw", "extract-gq")}),
-        ("file", _PATH),
-        ("--s", _INT),
-        ("--t", _INT),
-        ("--out", _PATH),
-    )),
-    "gen": ("write a generator graph in pgqgraph format", (
-        ("name", {"choices": ("rook", "bipartite", "kneser", "w3", "shrikhande")}),
-        ("--m", _INT),
-        ("--out", _PATH),
-    )),
-    "inc": ("verify/transform a pgqinc file", (
-        ("action", {"choices": ("verify", "dual", "collinearity")}),
-        ("file", _PATH),
-    )),
-}
-
-
 def _parse_plain(argv: list[str]) -> dict | None:
     """The arguments argparse parses from argv, if argv has the plain form:
     a subcommand, its positionals, then options spelled out, each at most
@@ -176,7 +134,7 @@ def _build_parser():
     parser = _Parser(prog="pgq", description=__doc__,
                      formatter_class=partial(argparse.RawDescriptionHelpFormatter, width=78))
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    for command, (help_, spec) in _COMMANDS.items():
+    for command, (help_, spec, _) in _COMMANDS.items():
         p = sub.add_parser(command, help=help_, formatter_class=partial(argparse.HelpFormatter, width=78))
         for name, kw in spec:
             p.add_argument(name, **kw)
@@ -343,13 +301,45 @@ def _cmd_inc(args):
     return EXIT_OK, write_pgqgraph(collinearity_graph(inc))
 
 
-_HANDLERS = {
-    "scan": _cmd_scan,
-    "check": _cmd_check,
-    "bound": _cmd_bound,
-    "graph": _cmd_graph,
-    "gen": _cmd_gen,
-    "inc": _cmd_inc,
+_INT = {"type": int}
+_REQUIRED_INT = {"type": int, "required": True}
+_PATH = {}
+
+#: Each subcommand's help, its arguments as argparse's add_argument takes
+#: them (positionals first, then options, each at most once) and its handler.
+_COMMANDS = {
+    "scan": ("emit parameter sets eliminated by the four-term bound", (
+        ("--t-min", _REQUIRED_INT),
+        ("--t-max", _REQUIRED_INT),
+        ("--format", {"choices": ("csv", "json"), "default": "csv"}),
+        ("--out", _PATH),
+    ), _cmd_scan),
+    "check": ("feasibility report for one (s, t)", (
+        ("--s", _REQUIRED_INT),
+        ("--t", _REQUIRED_INT),
+        ("--format", {"choices": ("json",)}),
+    ), _cmd_check),
+    "bound": ("bound values at t, or the four terms at (theta, beta)", (
+        ("--t", _REQUIRED_INT),
+        ("--theta", _INT),
+        ("--beta", _INT),
+    ), _cmd_bound),
+    "graph": ("verify/analyze a pgqgraph file", (
+        ("action", {"choices": ("verify", "claw", "extract-gq")}),
+        ("file", _PATH),
+        ("--s", _INT),
+        ("--t", _INT),
+        ("--out", _PATH),
+    ), _cmd_graph),
+    "gen": ("write a generator graph in pgqgraph format", (
+        ("name", {"choices": ("rook", "bipartite", "kneser", "w3", "shrikhande")}),
+        ("--m", _INT),
+        ("--out", _PATH),
+    ), _cmd_gen),
+    "inc": ("verify/transform a pgqinc file", (
+        ("action", {"choices": ("verify", "dual", "collinearity")}),
+        ("file", _PATH),
+    ), _cmd_inc),
 }
 
 
@@ -358,7 +348,7 @@ def main(argv=None) -> int:
     try:
         plain = _parse_plain(argv)
         args = _build_parser().parse_args(argv) if plain is None else SimpleNamespace(**plain)
-        code, output = _HANDLERS[args.command](args)
+        code, output = _COMMANDS[args.command][2](args)
         if output is not None:
             _write_output(output, getattr(args, "out", None))
         return code

@@ -1,16 +1,16 @@
-"""Concrete-graph machinery: strongly-regular verification, local graphs,
-claw numbers and the local clique partition behind them.
+"""Concrete-graph machinery: strongly-regular verification, claw numbers
+and the local clique partition behind them.
 
 Graphs are immutable, with one integer bitmask per adjacency row, so all
 neighborhood algebra (common neighbors, induced subgraphs, independence
 tests) is bitwise.  Each graph keeps its verify_srg result after the
 first call, and the cliques its cover walks have found.  The claw number
-of a vertex x is the maximum size of an induced coclique in the local
-graph at x.  One greedy cover walk of the local graph settles it
-whenever every candidate set the walk takes is a clique (always, in a GQ
-collinearity graph); only where the walk fails is it computed by exact
-branch and bound, whose worst case is exponential in the k vertices of
-the local graph.
+of a vertex x is the maximum size of a coclique among the neighbors of
+x.  One greedy cover walk of N(x) settles it whenever every candidate set
+the walk takes is a clique (always, in a GQ collinearity graph); only
+where the walk fails is it computed by exact branch and bound over the
+graph's own rows restricted to N(x), whose worst case is exponential in
+the k neighbors of x.
 """
 
 from __future__ import annotations
@@ -174,30 +174,16 @@ def _srg_pass(g: Graph) -> SrgCheck:
     return SrgCheck(SrgParams(g.n, k, lam, mu))
 
 
-def _require_vertex(g: Graph, x: int) -> None:
-    if not 0 <= x < g.n:
-        raise ValueError(f"vertex {x} out of range")
+def _max_coclique_size(rows: tuple[int, ...], cand: int) -> int:
+    """Exact maximum coclique size among the vertices of cand.
 
-
-def local_graph(g: Graph, x: int) -> tuple[int, ...]:
-    """Adjacency rows of the subgraph induced on the neighborhood of x,
-    as bitmasks over local indices 0..k-1, which number the neighbors of
-    x in ascending order."""
-    _require_vertex(g, x)
-    vertices = tuple(_bits(g.row(x)))
-    index = {v: i for i, v in enumerate(vertices)}
-    return tuple(sum(1 << index[w] for w in _bits(g.row(v) & g.row(x))) for v in vertices)
-
-
-def _max_clique_size(rows: tuple[int, ...], cand: int) -> int:
-    """Exact maximum clique size among the vertices of cand.
-
-    Branch and bound with greedy-coloring bounds: candidates are colored
-    so that same-color vertices are pairwise non-adjacent; a clique takes
-    at most one vertex per color, so a vertex's color index bounds any
-    clique extending through it.  The search keeps one frame
+    Branch and bound with greedy clique-cover bounds: candidates are split
+    into cliques, each grown greedily from its lowest vertex; a coclique
+    takes at most one vertex per clique, so a vertex's clique index bounds
+    any coclique extending through it.  Taking v leaves the candidates not
+    adjacent to v.  The search keeps one frame
     [cand_mask, size, order, bounds, i] per level on an explicit stack,
-    so a clique of any size is found without deep recursion.
+    so a coclique of any size is found without deep recursion.
     """
     best = 0
     stack: list[list] = []
@@ -216,7 +202,7 @@ def _max_clique_size(rows: tuple[int, ...], cand: int) -> int:
                 while avail:
                     lsb = avail & -avail
                     v = lsb.bit_length() - 1
-                    avail &= ~(rows[v] | lsb)
+                    avail &= rows[v]
                     uncolored ^= lsb
                     order.append(v)
                     bounds.append(color)
@@ -229,34 +215,27 @@ def _max_clique_size(rows: tuple[int, ...], cand: int) -> int:
                 continue
             v = order[i]
             frame[0], frame[4] = cand_mask & ~(1 << v), i - 1
-            cand_mask, size = cand_mask & rows[v], size + 1
+            cand_mask, size = cand_mask & ~(rows[v] | 1 << v), size + 1
             break
         else:
             return best
 
 
-def _independence_number(rows: tuple[int, ...]) -> int:
-    """Exact maximum independent set size = max clique of the complement."""
-    n = len(rows)
-    full = (1 << n) - 1
-    comp = tuple(full & ~(rows[i] | (1 << i)) for i in range(n))
-    return _max_clique_size(comp, full)
-
-
 def claw_number(g: Graph, x: int) -> int:
     """Largest r such that x centers an induced r-claw, i.e. the maximum
-    coclique size of the local graph at x.
+    coclique size among the neighbors of x.
 
     When the cover walk of _partition_local takes only cliques, the number
     of cliques it takes is the claw number (see there), for any graph.
-    Exact branch and bound over the local graph runs only where the walk
-    fails.
+    Exact branch and bound over N(x), on the graph's own rows, runs only
+    where the walk fails.
     """
-    _require_vertex(g, x)
+    if not 0 <= x < g.n:
+        raise ValueError(f"vertex {x} out of range")
     masks = _partition_local(g, x)
     if masks is not None:
         return len(masks)
-    return _independence_number(local_graph(g, x))
+    return _max_coclique_size(g._rows, g._rows[x])
 
 
 def _is_clique(rows: tuple[int, ...], mask: int) -> bool:
@@ -354,6 +333,13 @@ def write_pgqgraph(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _body_line(lines: list[str], i: int) -> int:
+    """The file line number of body line i (from 0), where the body is
+    the non-blank lines after the first two.  Parsers call it only to
+    report an error, so a well-formed file never pays for it."""
+    return [n for n, ln in enumerate(lines[2:], start=3) if ln.strip()][i]
+
+
 def _not_two_ints(line: str, lineno: int) -> str:
     parts = line.split()
     if len(parts) != 2:
@@ -387,13 +373,13 @@ def parse_pgqgraph(text: str) -> Graph:
         raise ValueError(f"expected {m} edge lines, got {len(body)}")
     rows = [0] * n
     bad = None  # the first edge out of range or repeated
-    for i, ln in enumerate(body, start=3):
+    for i, ln in enumerate(body):
         try:
             u, v = map(int, ln.split())
         except ValueError:
-            raise ValueError(_not_two_ints(ln, i)) from None
+            raise ValueError(_not_two_ints(ln, _body_line(lines, i))) from None
         if not u < v:
-            raise ValueError(f"line {i}: require u < v, got {u} {v}")
+            raise ValueError(f"line {_body_line(lines, i)}: require u < v, got {u} {v}")
         if bad:
             continue
         if u < 0 or v >= n:

@@ -25,15 +25,16 @@ from collections import namedtuple
 from itertools import combinations, product
 from math import isqrt
 
-from .graph import (MAX_PGQGRAPH_VERTICES, Graph, _bits, _partition_local, _require_matching_srg,
-                    claw_number)
+from .graph import (MAX_PGQGRAPH_VERTICES, Graph, _bits, _body_line, _partition_local,
+                    _require_matching_srg, claw_number)
 from .params import GQParams, _check_int
 
 
 class IncidenceStructure(namedtuple("IncidenceStructure", "points lines s t")):
     """Points 0..points-1 plus lines (sorted point tuples), with the
-    declared orders (s, t).  Construction normalizes and range-checks the
-    lines; the geometric axioms are checked by verify_axioms."""
+    declared orders (s, t).  Construction normalizes the lines and checks
+    that their point ids are ints in range; the geometric axioms are
+    checked by verify_axioms."""
 
     __slots__ = ()
 
@@ -46,7 +47,10 @@ class IncidenceStructure(namedtuple("IncidenceStructure", "points lines s t")):
             raise ValueError(f"require s >= 1 and t >= 1, got ({s}, {t})")
         norm = []
         for i, line in enumerate(lines):
-            pts = tuple(sorted(line))
+            pts = tuple(line)
+            if not set(map(type, pts)) <= {int}:  # refuses bool and float ids
+                raise ValueError(f"line #{i} mentions a point that is not an integer")
+            pts = tuple(sorted(pts))
             if len(set(pts)) != len(pts):
                 raise ValueError(f"line #{i} repeats a point")
             if pts and not (0 <= pts[0] and pts[-1] < points):
@@ -325,12 +329,12 @@ def parse_pgqinc(text: str) -> IncidenceStructure:
     if len(body) != nlines:
         raise ValueError(f"expected {nlines} line rows, got {len(body)}")
     structure_lines = []
-    for i, ln in enumerate(body, start=3):
+    for i, ln in enumerate(body):
         try:
             pts = [int(p) for p in ln.split()]
         except ValueError:
-            raise ValueError(f"line {i}: non-integer point id in {ln!r}") from None
+            raise ValueError(f"line {_body_line(lines, i)}: non-integer point id in {ln!r}") from None
         if pts != sorted(set(pts)):
-            raise ValueError(f"line {i}: point ids must be strictly increasing")
+            raise ValueError(f"line {_body_line(lines, i)}: point ids must be strictly increasing")
         structure_lines.append(pts)
     return IncidenceStructure(points, structure_lines, s, t)

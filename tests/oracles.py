@@ -412,8 +412,8 @@ def godsil_mckay_switch(graph, subset):
 
 def parse_pgqgraph_oracle(text):
     """parse_pgqgraph as two passes: every edge line through _int_fields,
-    then Graph(n, edges), whose first range or duplicate error is the
-    parser's."""
+    numbered by its line in the file, then Graph(n, edges), whose first
+    range or duplicate error is the parser's."""
     lines = text.splitlines()
     if not lines or lines[0].strip() != PGQGRAPH_HEADER:
         raise ValueError(f"missing '{PGQGRAPH_HEADER}' header")
@@ -424,11 +424,11 @@ def parse_pgqgraph_oracle(text):
         raise ValueError("negative vertex or edge count")
     if n > MAX_PGQGRAPH_VERTICES:
         raise ValueError(f"line 2: vertex count {n} is too large")
-    body = [ln for ln in lines[2:] if ln.strip()]
+    body = [(i, ln) for i, ln in enumerate(lines[2:], start=3) if ln.strip()]
     if len(body) != m:
         raise ValueError(f"expected {m} edge lines, got {len(body)}")
     edges = []
-    for i, ln in enumerate(body, start=3):
+    for i, ln in body:
         u, v = _int_fields(ln, 2, i)
         if not u < v:
             raise ValueError(f"line {i}: require u < v, got {u} {v}")

@@ -384,10 +384,10 @@ def test_graph_claw_runs_branch_and_bound_only_where_the_walk_fails(
     # In a GQ collinearity graph every cover walk takes only cliques, so
     # its count is the claw number; Shrikhande's walks fail and must fall
     # back to branch and bound.
-    def refuse(rows):
+    def refuse(rows, cand):
         raise BranchAndBoundReached
 
-    monkeypatch.setattr("pgq.graph._independence_number", refuse)
+    monkeypatch.setattr("pgq.graph._max_coclique_size", refuse)
     path = tmp_path / "g.pgqgraph"
     path.write_text(write_pgqgraph(g), encoding="ascii")
     if histogram is None:

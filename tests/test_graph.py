@@ -9,8 +9,8 @@ from pgq.graph import (
     _claw_histogram,
     _partition_local,
     _require_matching_srg,
+    _max_coclique_size,
     claw_number,
-    local_graph,
     parse_pgqgraph,
     verify_srg,
     write_pgqgraph,
@@ -113,11 +113,14 @@ PGQGRAPH_ERRORS = {
     "pgqgraph 1\n3 2\n-1 1\n0 1\n": "edge (-1, 1) out of range for n=3",
     "pgqgraph 1\n2 2\n0 1\n0 1\n": "duplicate edge (0, 1)",
     # Every syntax error comes before the first range or duplicate error,
-    # wherever they are; body lines are numbered from 3, skipping blanks.
+    # wherever they are; a line is reported by its place in the file,
+    # blank lines counted.
     "pgqgraph 1\n3 2\n0 5\n1 x\n": "line 4: non-integer field in '1 x'",
     "pgqgraph 1\n3 2\n0 5\n2 1\n": "line 4: require u < v, got 2 1",
     "pgqgraph 1\n3 3\n0 1\n\n0 1\n \n0 5\n": "duplicate edge (0, 1)",
-    "pgqgraph 1\n3 2\n\n0 1\n \n1 2 0\n": "line 4: expected 2 fields, got 3",
+    "pgqgraph 1\n3 2\n\n0 1\n \n1 2 0\n": "line 6: expected 2 fields, got 3",
+    "pgqgraph 1\n3 2\n\n0 x\n0 1\n": "line 4: non-integer field in '0 x'",
+    "pgqgraph 1\n3 2\n0 1\n\t\n\n2 1\n": "line 6: require u < v, got 2 1",
 }
 
 
@@ -269,30 +272,8 @@ def test_verify_srg_matches_the_pairwise_oracle(case):
 
 
 # ---------------------------------------------------------------------------
-# Local graphs and claw numbers
+# Claw numbers
 # ---------------------------------------------------------------------------
-
-def local_shape(rows):
-    """(vertex count, edge count, sorted degrees) of local adjacency rows."""
-    degrees = sorted(r.bit_count() for r in rows)
-    return len(rows), sum(degrees) // 2, degrees
-
-
-def test_local_graph_shapes():
-    assert local_shape(local_graph(gen_rook(4), 0)) == (6, 6, [2] * 6)  # two triangles
-    assert local_shape(local_graph(gen_shrikhande(), 0)) == (6, 6, [2] * 6)  # a hexagon
-    assert local_shape(local_graph(gen_complete_bipartite(3), 0)) == (3, 0, [0] * 3)
-
-
-def test_local_graph_vertex_set():
-    # Local index i is the i-th neighbor of the center, ascending.
-    g = gen_kneser_6_2()
-    nbrs = [v for v in range(g.n) if g.has_edge(7, v)]
-    rows = tuple(sum(1 << i for i, w in enumerate(nbrs) if g.has_edge(v, w)) for v in nbrs)
-    assert local_graph(g, 7) == rows
-    with pytest.raises(ValueError):
-        local_graph(g, 15)
-
 
 @pytest.mark.parametrize(
     "g,expected",
@@ -304,6 +285,13 @@ def test_local_graph_vertex_set():
 )
 def test_claw_number_examples(g, expected):
     assert claw_number(g, 0) == expected
+
+
+def test_claw_number_vertex_range():
+    g = gen_kneser_6_2()
+    for x in (-1, g.n):
+        with pytest.raises(ValueError, match=rf"^vertex {x} out of range$"):
+            claw_number(g, x)
 
 
 @pytest.mark.parametrize("name,g,p", ALL_GENERATORS)
@@ -326,6 +314,15 @@ def test_claw_numbers_do_not_depend_on_visit_order(g, rng):
     assert {x: claw_number(g, x) for x in order} == {
         x: local_coclique_oracle(g, x) for x in range(g.n)
     }
+
+
+@given(graphs(), st.data())
+def test_coclique_search_matches_subset_enumeration_on_any_vertex_set(g, data):
+    # The search behind claw_number, on any candidate mask, not only N(x).
+    cand = data.draw(st.integers(0, (1 << g.n) - 1))
+    index = {v: i for i, v in enumerate(members(cand))}
+    induced = {frozenset((index[u], index[v])) for u, v in g.edges() if u in index and v in index}
+    assert _max_coclique_size(g._rows, cand) == brute_max_coclique(len(index), induced)
 
 
 @given(graphs())

@@ -11,10 +11,9 @@ import pgq.graph
 from pgq.graph import (
     Graph,
     _claw_histogram,
-    _independence_number,
+    _max_coclique_size,
     _partition_local,
     claw_number,
-    local_graph,
     verify_srg,
 )
 from pgq.incidence import (
@@ -403,7 +402,7 @@ def test_walk_claw_number_matches_branch_and_bound(g, walks, seed):
         g = relabel(g, random.Random(seed).sample(range(g.n), g.n))
     succeeded = set()
     for x in range(g.n):
-        exact = _independence_number(local_graph(g, x))
+        exact = _max_coclique_size(g._rows, g.row(x))
         masks = _partition_local(g, x)
         if masks is not None:
             assert len(masks) == exact
@@ -531,23 +530,29 @@ def test_pgqinc_round_trip(gq22, gq31):
         assert write_pgqinc(back) == text
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "wrong 1\n1 0 1 1\n",
-        "pgqinc 1\n",
-        "pgqinc 1\n3 1 1 1\n",            # missing line row
-        "pgqinc 1\n3 1 1 1\n1 0\n",       # unsorted ids
-        "pgqinc 1\n3 1 1 1\n0 0\n",       # repeated id
-        "pgqinc 1\n3 1 1 1\n0 5\n",       # out of range
-        "pgqinc 1\n3 1 0 1\n0 1\n",       # s < 1
-        "pgqinc 1\n3 1 1\n0 1\n",         # short counts line
-        "pgqinc 1\n3 1 1 1\n0 x\n",
-    ],
-)
+#: Malformed pgqinc text -> the exact ValueError message.
+PGQINC_ERRORS = {
+    "wrong 1\n1 0 1 1\n": "missing 'pgqinc 1' header",
+    "pgqinc 1\n": "missing counts line",
+    "pgqinc 1\n3 1 1 1\n": "expected 1 line rows, got 0",  # missing line row
+    "pgqinc 1\n3 1 1 1\n1 0\n": "line 3: point ids must be strictly increasing",  # unsorted
+    "pgqinc 1\n3 1 1 1\n0 0\n": "line 3: point ids must be strictly increasing",  # repeated
+    "pgqinc 1\n3 1 1 1\n0 5\n": "line #0 mentions a point out of range",
+    "pgqinc 1\n3 1 0 1\n0 1\n": "require s >= 1 and t >= 1, got (0, 1)",
+    "pgqinc 1\n3 1 1\n0 1\n": "line 2: expected 'points lines s t', got '3 1 1'",
+    "pgqinc 1\n3 1 1 1\n0 x\n": "line 3: non-integer point id in '0 x'",
+    "pgqinc 1\n3 1 x 1\n0 1\n": "line 2: non-integer field in '3 1 x 1'",
+    # A line is reported by its place in the file, blank lines counted.
+    "pgqinc 1\n3 2 1 1\n\n0 1\n \n1 x\n": "line 6: non-integer point id in '1 x'",
+    "pgqinc 1\n3 2 1 1\n0 1\n\n2 1\n": "line 5: point ids must be strictly increasing",
+}
+
+
+@pytest.mark.parametrize("text", PGQINC_ERRORS)
 def test_pgqinc_parse_errors(text):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as exc:
         parse_pgqinc(text)
+    assert str(exc.value) == PGQINC_ERRORS[text]
 
 
 @st.composite

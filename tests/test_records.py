@@ -126,6 +126,9 @@ VALUE_ERRORS = [
     (IncidenceStructure, (True, [], 1, 1), "point count must be a positive integer, got True"),
     (IncidenceStructure, (3, [(0, 1), (1, 2)], 1.5, 1), "s must be an integer, got 1.5"),
     (IncidenceStructure, (3, [], 1, True), "t must be an integer, got True"),
+    (IncidenceStructure, (3, [(0.5, 1), (1, 2)], 1, 1), "line #0 mentions a point that is not an integer"),
+    (IncidenceStructure, (3, [(0, 1), (True, 2)], 1, 1), "line #1 mentions a point that is not an integer"),
+    (IncidenceStructure, (3, [(0, "1")], 1, 1), "line #0 mentions a point that is not an integer"),
 ]
 
 
