@@ -208,26 +208,8 @@ def _explicit_params(args) -> GQParams | None:
     return None if args.s is None else GQParams(args.s, args.t)
 
 
-def _graph_params(args, g) -> GQParams:
-    from .graph import verify_srg
-    from .params import identify_gq_form
-
-    p = _explicit_params(args)
-    if p is not None:
-        return p
-    check = verify_srg(g)
-    if not check.ok:
-        raise ValueError(f"graph is not strongly regular: {check.failure}")
-    p = identify_gq_form(check.params)
-    if p is None:
-        raise ValueError(
-            f"srg{tuple(check.params)} is not of (P)GQ form; pass --s and --t explicitly"
-        )
-    return p
-
-
 def _cmd_graph(args):
-    from .graph import _claw_histogram, _require_matching_srg, parse_pgqgraph, verify_srg
+    from .graph import _claw_histogram, _gq_params, parse_pgqgraph, verify_srg
     from .params import derive_srg
 
     g = parse_pgqgraph(_read_input(args.file))
@@ -245,7 +227,7 @@ def _cmd_graph(args):
         p = _explicit_params(args)
         extra = {}
         if p is not None:
-            _require_matching_srg(g, p)
+            _gq_params(g, p)
             # Every local graph is then (s-1)-regular on s(t+1) vertices, so
             # by Caro-Wei every claw number is at least t+1.
             extra = {"threshold": p.t + 1, "ok": True}
@@ -259,7 +241,7 @@ def _cmd_graph(args):
     # extract-gq
     from .incidence import extract_gq, write_pgqinc
 
-    result = extract_gq(g, _graph_params(args, g))
+    result = extract_gq(g, _explicit_params(args))
     if not result.ok:
         print(result.reason, file=sys.stderr)
         return EXIT_NEGATIVE, None

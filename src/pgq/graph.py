@@ -3,21 +3,21 @@ and the local clique partition behind them.
 
 Graphs are immutable, with one integer bitmask per adjacency row, so all
 neighborhood algebra (common neighbors, induced subgraphs, independence
-tests) is bitwise.  Each graph keeps its verify_srg result after the
-first call, and the cliques its cover walks have found.  The claw number
-of a vertex x is the maximum size of a coclique among the neighbors of
-x.  One greedy cover walk of N(x) settles it whenever every candidate set
-the walk takes is a clique (always, in a GQ collinearity graph); only
-where the walk fails is it computed by exact branch and bound over the
-graph's own rows restricted to N(x), whose worst case is exponential in
-the k neighbors of x.
+tests) is bitwise.  Each graph keeps the cliques its cover walks have
+found.  The claw number of a vertex x is the maximum size of a coclique
+among the neighbors of x.  One greedy cover walk of N(x) settles it
+whenever every candidate set the walk takes is a clique (always, in a GQ
+collinearity graph); only where the walk fails is it computed by exact
+branch and bound over the graph's own rows restricted to N(x), whose
+worst case is exponential in the k neighbors of x.  The (s, t) of a
+graph is checked in one place, _gq_params, by one verify_srg pass.
 """
 
 from __future__ import annotations
 
 from collections import Counter, namedtuple
 
-from .params import GQParams, SrgParams, derive_srg
+from .params import GQParams, SrgParams, _check_int, derive_srg, identify_gq_form
 
 
 def _bits(mask: int):
@@ -36,7 +36,7 @@ def _bits(mask: int):
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "_rows", "_srg", "_cliques")
+    __slots__ = ("n", "_rows", "_cliques")
 
     def __init__(self, n: int, edges):
         if not isinstance(n, int) or isinstance(n, bool) or n < 0:
@@ -65,7 +65,6 @@ class Graph:
     def _set(self, n: int, rows) -> None:
         self.n = n
         self._rows = tuple(rows)
-        self._srg = None  # the SrgCheck, filled by the first verify_srg
         self._cliques = set()  # vertex masks known to be cliques (_partition_local)
 
     def row(self, v: int) -> int:
@@ -127,15 +126,7 @@ def verify_srg(g: Graph) -> SrgCheck:
     """Check that g is strongly regular: connected, non-complete,
     k-regular, with constant lam over adjacent pairs and constant mu over
     non-adjacent pairs.  On failure the witness names the first violation
-    in vertex order.  The graph is immutable, so the result is kept on it
-    and every later call on the same graph returns it without a pass."""
-    if g._srg is None:
-        g._srg = _srg_pass(g)
-    return g._srg
-
-
-def _srg_pass(g: Graph) -> SrgCheck:
-    """The O(n^2) pass behind verify_srg.
+    in vertex order.
 
     The pair loop always sees both pair types, so lam and mu are both set
     when it ends: a connected graph on n >= 2 vertices has an edge, and a
@@ -230,6 +221,7 @@ def claw_number(g: Graph, x: int) -> int:
     Exact branch and bound over N(x), on the graph's own rows, runs only
     where the walk fails.
     """
+    _check_int("vertex", x)
     if not 0 <= x < g.n:
         raise ValueError(f"vertex {x} out of range")
     masks = _partition_local(g, x)
@@ -292,17 +284,26 @@ def _partition_local(g: Graph, x: int):
     return masks
 
 
-def _require_matching_srg(g: Graph, p: GQParams) -> SrgParams:
-    expected = derive_srg(p)
+def _gq_params(g: Graph, p: GQParams | None = None) -> GQParams:
+    """The (s, t) of g, from one verify_srg pass: p, if g has its srg
+    parameters derive_srg(p), or with p None the (s, t) identify_gq_form
+    finds.  ValueError if g is not strongly regular, or its parameters do
+    not match p, or (with p None) are not of PGQ form."""
     check = verify_srg(g)
     if not check.ok:
         raise ValueError(f"graph is not strongly regular: {check.failure}")
-    if check.params != expected:
+    if p is None:
+        p = identify_gq_form(check.params)
+        if p is None:
+            raise ValueError(
+                f"srg{tuple(check.params)} is not of (P)GQ form; pass --s and --t explicitly"
+            )
+    elif check.params != derive_srg(p):
         raise ValueError(
             f"graph is srg{tuple(check.params)} but (s={p.s}, t={p.t}) "
-            f"requires srg{tuple(expected)}"
+            f"requires srg{tuple(derive_srg(p))}"
         )
-    return expected
+    return p
 
 
 def _claw_histogram(g: Graph) -> dict[int, int]:

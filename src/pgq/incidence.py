@@ -25,8 +25,8 @@ from collections import namedtuple
 from itertools import combinations, product
 from math import isqrt
 
-from .graph import (MAX_PGQGRAPH_VERTICES, Graph, _bits, _body_line, _partition_local,
-                    _require_matching_srg, claw_number)
+from .graph import (MAX_PGQGRAPH_VERTICES, Graph, _bits, _body_line, _gq_params,
+                    _partition_local, claw_number)
 from .params import GQParams, _check_int
 
 
@@ -142,18 +142,19 @@ def verify_axioms(inc: IncidenceStructure) -> AxiomCheck:
     return AxiomCheck(True)
 
 
-def extract_gq(g: Graph, p: GQParams) -> ExtractionResult:
+def extract_gq(g: Graph, p: GQParams | None = None) -> ExtractionResult:
     """Extract the GQ underlying g, or report pseudo-GQ evidence.
 
-    Requires verify_srg(g) == derive_srg(p) (ValueError otherwise).  Each
-    local graph is (s-1)-regular on s(t+1) vertices, so by Caro-Wei its
-    claw number is at least t+1, with equality iff it splits into t+1
-    disjoint s-cliques.  The partition is tried at every vertex in
-    ascending order; the first vertex where it fails is the smallest with
-    claw number above t+1, by Caro-Wei and so with no check, and is
-    returned as the witness.  Otherwise the
-    lines {x} + C are gathered, each at its lowest point x, where C has no
-    vertex below x.
+    Requires verify_srg(g) == derive_srg(p), where p None stands for the
+    (s, t) of g's srg parameters (ValueError otherwise, see
+    graph._gq_params).  Each local graph is (s-1)-regular on s(t+1)
+    vertices, so by Caro-Wei its claw number is at least t+1, with
+    equality iff it splits into t+1 disjoint s-cliques.  The partition is
+    tried at every vertex in ascending order; the first vertex where it
+    fails is the smallest with claw number above t+1, by Caro-Wei and so
+    with no check, and is returned as the witness.  Otherwise the lines
+    {x} + C are gathered, each at its lowest point x, where C has no vertex
+    below x.
 
     The result is a GQ(s,t), so it is not checked.  A line {x} + C is an
     (s+1)-clique, and an (s+1)-clique through an edge ab is
@@ -170,7 +171,7 @@ def extract_gq(g: Graph, p: GQParams) -> ExtractionResult:
       with pq).  By the above these st(t+1) lines are distinct, so they
       are all the v(t+1)/(s+1) - (t+1) = st(t+1) lines not through p.
     """
-    _require_matching_srg(g, p)
+    p = _gq_params(g, p)
     t = p.t
     lines: list[tuple[int, ...]] = []
     for x in range(g.n):

@@ -9,8 +9,8 @@ settings.load_profile("suite")
 
 @pytest.fixture()
 def srg_passes(monkeypatch):
-    """The graphs given to the O(n^2) pass behind verify_srg, in order."""
+    """The graphs given to verify_srg, the O(n^2) pass, in order."""
     calls = []
-    srg_pass = pgq.graph._srg_pass
-    monkeypatch.setattr("pgq.graph._srg_pass", lambda g: calls.append(g) or srg_pass(g))
+    verify_srg = pgq.graph.verify_srg
+    monkeypatch.setattr("pgq.graph.verify_srg", lambda g: calls.append(g) or verify_srg(g))
     return calls

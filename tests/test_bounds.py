@@ -3,7 +3,7 @@ quadratic closed form, and the (theta, beta) optimization against an
 exhaustive sweep."""
 
 from fractions import Fraction
-from math import floor
+from math import comb, floor
 
 import pytest
 
@@ -55,6 +55,18 @@ def test_claw_inequality_examples():
     assert not claw_inequality_oracle(derive_srg(GQParams(56, 4)), 7)
     # Right side nonpositive passes trivially.
     assert claw_inequality_oracle(SrgParams(15, 6, 1, 3), 2)
+
+
+def test_cameron_is_tight_on_the_claw_inequality():
+    # The Cameron graph, srg(231, 30, 9, 3) of PGQ(10, 2) form, has claw
+    # number 5 at every vertex (tests/test_incidence.py), and r = 5 meets
+    # the claw inequality with equality.  Term 1 of the four-term bound at
+    # t = 2 and theta = r - 1 = 4 is exactly s = 10.
+    q, r = derive_srg(GQParams(10, 2)), 5
+    assert q == (231, 30, 9, 3)
+    assert claw_inequality_oracle(q, r)
+    assert (q.mu - 1) * comb(r, 2) == r * (q.lam + 1) - q.k == 20
+    assert claw_bound_terms(2, r - 1, 3)[0] == 10
 
 
 @pytest.mark.parametrize(

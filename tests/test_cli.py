@@ -358,10 +358,16 @@ def test_graph_extract_gq_infers_parameters(capsys, rook_file):
     assert parse_pgqinc(out).s == 3
 
 
-def test_graph_extract_gq_verifies_the_srg_once(capsys, srg_passes, rook_file):
-    # Inferring (s, t) and requiring the matching srg share one pass.
-    code, out, _ = run(capsys, "graph", "extract-gq", rook_file)
-    assert code == 0 and parse_pgqinc(out).s == 3
+@pytest.mark.parametrize(
+    "argv",
+    [["verify"], ["verify", "--s", "3", "--t", "1"], ["claw", "--s", "3", "--t", "1"],
+     ["extract-gq"], ["extract-gq", "--s", "3", "--t", "1"]],
+    ids=["verify", "verify-st", "claw-st", "extract-gq", "extract-gq-st"],
+)
+def test_graph_command_verifies_the_srg_once(capsys, srg_passes, rook_file, argv):
+    # Identifying or matching (s, t) and extracting share one O(n^2) pass.
+    code, _, _ = run(capsys, "graph", argv[0], rook_file, *argv[1:])
+    assert code == 0
     assert len(srg_passes) == 1
 
 
@@ -431,22 +437,30 @@ def test_graph_claw_verdict_holds_on_the_corpus(capsys, tmp_path, g, s, t):
     assert data["min"] >= t + 1
 
 
+UNMATCHED_PARAMETERS = {
+    "mismatched": (gen_shrikhande(), ["--s", "2", "--t", "2"], 2,
+                   "error: graph is srg(16, 6, 2, 2) but (s=2, t=2) requires srg(15, 6, 1, 3)\n"),
+    "not-srg": (Graph(6, [(i, (i + 1) % 6) for i in range(6)]), ["--s", "2", "--t", "2"], 2,
+                "error: graph is not strongly regular: non-adjacent pair (0, 3) has 0 common neighbors, expected 1\n"),
+    "s-only": (gen_shrikhande(), ["--s", "3"], 1, "usage error: --s and --t must be given together\n"),
+    "t-only": (gen_shrikhande(), ["--t", "1"], 1, "usage error: --s and --t must be given together\n"),
+}
+
+
+# `graph claw` and `graph extract-gq` check (s, t) by the same
+# graph._gq_params; only extract-gq identifies (s, t) when none is given.
 @pytest.mark.parametrize(
-    "g,flags,code,err",
-    [
-        (gen_shrikhande(), ["--s", "2", "--t", "2"], 2,
-         "error: graph is srg(16, 6, 2, 2) but (s=2, t=2) requires srg(15, 6, 1, 3)\n"),
-        (Graph(6, [(i, (i + 1) % 6) for i in range(6)]), ["--s", "2", "--t", "2"], 2,
-         "error: graph is not strongly regular: non-adjacent pair (0, 3) has 0 common neighbors, expected 1\n"),
-        (gen_shrikhande(), ["--s", "3"], 1, "usage error: --s and --t must be given together\n"),
-        (gen_shrikhande(), ["--t", "1"], 1, "usage error: --s and --t must be given together\n"),
-    ],
-    ids=["mismatched", "not-srg", "s-only", "t-only"],
+    "action,g,flags,code,err",
+    [pytest.param("claw", *case, id=name) for name, case in UNMATCHED_PARAMETERS.items()]
+    + [pytest.param("extract-gq", *case, id=f"extract-gq-{name}") for name, case in UNMATCHED_PARAMETERS.items()]
+    + [pytest.param("extract-gq", Graph(5, [(i, (i + 1) % 5) for i in range(5)]), [], 2,
+                    "error: srg(5, 2, 0, 1) is not of (P)GQ form; pass --s and --t explicitly\n",
+                    id="extract-gq-c5-not-pgq-form")],
 )
-def test_graph_claw_refuses_unmatched_parameters(capsys, tmp_path, g, flags, code, err):
+def test_graph_claw_refuses_unmatched_parameters(capsys, tmp_path, action, g, flags, code, err):
     path = tmp_path / "g.pgqgraph"
     path.write_text(write_pgqgraph(g), encoding="ascii")
-    assert run(capsys, "graph", "claw", str(path), *flags) == (code, "", err)
+    assert run(capsys, "graph", action, str(path), *flags) == (code, "", err)
 
 
 def test_graph_claw_of_a_deep_clique_does_not_recurse(capsys, tmp_path):

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from pgq.graph import (
     Graph,
     _claw_histogram,
+    _gq_params,
     _partition_local,
-    _require_matching_srg,
     _max_coclique_size,
     claw_number,
     parse_pgqgraph,
@@ -220,14 +220,6 @@ def test_verify_srg_matches_the_oracle_on_every_small_graph():
             assert (check.params, check.failure) == expected
 
 
-def test_verify_srg_result_is_kept_on_the_graph(srg_passes):
-    g, hexagon = gen_rook(4), cycle(6)
-    first, failed = verify_srg(g), verify_srg(hexagon)
-    assert verify_srg(g) is first and verify_srg(hexagon) is failed
-    assert srg_passes == [g, hexagon]
-    assert verify_srg(gen_rook(4)) == first and len(srg_passes) == 3  # a new graph is a new pass
-
-
 def test_verify_srg_first_witness_is_deterministic():
     check = verify_srg(cycle(6))
     # (0, 2) is the first non-adjacent pair in order; (0, 3) disagrees.
@@ -294,6 +286,13 @@ def test_claw_number_vertex_range():
             claw_number(g, x)
 
 
+@pytest.mark.parametrize("x", [1.0, True, "1"])
+def test_claw_number_refuses_a_vertex_that_is_not_an_int(x):
+    # A float would reach the row lookup, and True would count as vertex 1.
+    with pytest.raises(ValueError, match=rf"^vertex must be an integer, got {x!r}$"):
+        claw_number(gen_shrikhande(), x)
+
+
 @pytest.mark.parametrize("name,g,p", ALL_GENERATORS)
 def test_claw_number_matches_brute_force(name, g, p):
     for x in range(g.n):
@@ -354,16 +353,6 @@ def test_partition_shrikhande_fails_with_witness():
     g = gen_shrikhande()
     assert _partition_local(g, 0) is None
     assert local_partition_oracle(g, 0)[0] is not None
-
-
-def test_partitioning_every_vertex_verifies_the_srg_once(srg_passes):
-    # The claw census and the extraction each require the srg parameters,
-    # but the O(n^2) pass behind verify_srg must run once per graph.
-    g = gen_symplectic_w3()
-    _require_matching_srg(g, GQParams(3, 3))
-    assert _claw_histogram(g) == {4: 40}
-    assert extract_gq(g, GQParams(3, 3)).ok
-    assert len(srg_passes) == 1
 
 
 def test_partition_requires_matching_parameters():
@@ -444,10 +433,18 @@ def test_claw_lower_bound_histograms():
         (gen_shrikhande(), GQParams(3, 1), {3: 16}),
         (gen_rook(4), GQParams(3, 1), {2: 16}),
     ]:
-        _require_matching_srg(g, p)
+        assert _gq_params(g, p) == _gq_params(g) == p
         assert _claw_histogram(g) == histogram and min(histogram) >= p.t + 1
 
 
 def test_claw_lower_bound_requires_matching_srg():
-    with pytest.raises(ValueError):
-        _require_matching_srg(gen_rook(4), GQParams(2, 2))
+    with pytest.raises(ValueError, match=r"^graph is srg\(16, 6, 2, 2\) but \(s=2, t=2\) requires "):
+        _gq_params(gen_rook(4), GQParams(2, 2))
+
+
+def test_gq_params_refuses_what_it_cannot_identify():
+    with pytest.raises(ValueError, match=r"^srg\(5, 2, 0, 1\) is not of \(P\)GQ form; pass --s and --t"):
+        _gq_params(cycle(5))
+    for p in (None, GQParams(2, 2)):  # the srg check comes first either way
+        with pytest.raises(ValueError, match=r"^graph is not strongly regular: non-adjacent pair"):
+            _gq_params(cycle(6), p)

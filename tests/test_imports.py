@@ -57,8 +57,11 @@ ARGPARSE = {"argparse", "gettext", "locale"}
         (["scan", "--t-min", "2", "--t-max", "10", "--format", "json"],
          {"pgq.graph", "pgq.incidence", "fractions", "decimal", *ARGPARSE}),
         (["graph", "verify", "W3"], {"pgq.bounds", "pgq.incidence", "pgq.scan", "fractions", *ARGPARSE}),
+        # (s, t) is checked in pgq.graph itself.
+        (["graph", "claw", "W3", "--s", "3", "--t", "3"],
+         {"pgq.bounds", "pgq.incidence", "pgq.scan", "fractions", *ARGPARSE}),
     ],
-    ids=["help", "bound", "check", "scan", "scan-json", "graph-verify"],
+    ids=["help", "bound", "check", "scan", "scan-json", "graph-verify", "graph-claw"],
 )
 def test_cli_call_loads_only_its_modules(tmp_path, argv, absent):
     w3 = tmp_path / "w3.pgqgraph"
