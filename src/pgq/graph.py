@@ -3,14 +3,14 @@ and the local clique partition behind them.
 
 Graphs are immutable, with one integer bitmask per adjacency row, so all
 neighborhood algebra (common neighbors, induced subgraphs, independence
-tests) is bitwise.  Each graph keeps the cliques its cover walks have
-found.  The claw number of a vertex x is the maximum size of a coclique
-among the neighbors of x.  One greedy cover walk of N(x) settles it
-whenever every candidate set the walk takes is a clique (always, in a GQ
-collinearity graph); only where the walk fails is it computed by exact
-branch and bound over the graph's own rows restricted to N(x), whose
-worst case is exponential in the k neighbors of x.  The (s, t) of a
-graph is checked in one place, _gq_params, by one verify_srg pass.
+tests) is bitwise.  The claw number of a vertex x is the maximum size of
+a coclique among the neighbors of x.  One greedy cover walk of N(x)
+settles it whenever every candidate set the walk takes is a clique
+(always, in a GQ collinearity graph); only where the walk fails is it
+computed by exact branch and bound over the graph's own rows restricted
+to N(x), whose worst case is exponential in the k neighbors of x.  The
+(s, t) of a graph is checked in one place, _gq_params, by one verify_srg
+pass.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ def _bits(mask: int):
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "_rows", "_cliques")
+    __slots__ = ("n", "_rows")
 
     def __init__(self, n: int, edges):
         if not isinstance(n, int) or isinstance(n, bool) or n < 0:
@@ -53,19 +53,14 @@ class Graph:
                 raise ValueError(f"duplicate edge ({min(u, v)}, {max(u, v)})")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-        self._set(n, rows)
+        self.n, self._rows = n, tuple(rows)
 
     @classmethod
     def _from_rows(cls, n: int, rows) -> "Graph":
         """A graph on rows already known to be symmetric, loop-free and in range."""
         g = cls.__new__(cls)
-        g._set(n, rows)
+        g.n, g._rows = n, tuple(rows)
         return g
-
-    def _set(self, n: int, rows) -> None:
-        self.n = n
-        self._rows = tuple(rows)
-        self._cliques = set()  # vertex masks known to be cliques (_partition_local)
 
     def row(self, v: int) -> int:
         """Neighborhood of v as a bitmask."""
@@ -128,10 +123,15 @@ def verify_srg(g: Graph) -> SrgCheck:
     non-adjacent pairs.  On failure the witness names the first violation
     in vertex order.
 
-    The pair loop always sees both pair types, so lam and mu are both set
-    when it ends: a connected graph on n >= 2 vertices has an edge, and a
-    graph that is not complete has a non-adjacent pair.  (n = 1 is the
-    complete graph K1.)"""
+    lam is read from vertex 0 and its first neighbor, mu from vertex 0
+    and its first non-neighbor, and both exist: a connected graph on
+    n >= 2 vertices has an edge, so the regular vertex 0 has k >= 1
+    neighbors, and a regular graph that is not complete has k < n-1.
+    (n = 1 is the complete graph K1.)  Vertex 0's pairs come first in
+    the pair loop, so these are the first adjacent and the first
+    non-adjacent pair it meets, and the first violating pair and its
+    text are those of a loop that takes each value from the first pair
+    of its kind."""
     if g.n == 0:
         raise ValueError("empty graph")
     k = g.degree(0)
@@ -144,24 +144,17 @@ def verify_srg(g: Graph) -> SrgCheck:
     if not _connected(g):
         return SrgCheck(None, "not connected")
     rows = g._rows
-    lam = mu = None
+    r0 = rows[0]
+    lam = (r0 & rows[(r0 & -r0).bit_length() - 1]).bit_count()
+    non = ~r0 & ((1 << g.n) - 2)  # the non-neighbors of vertex 0
+    mu = (r0 & rows[(non & -non).bit_length() - 1]).bit_count()
     for u, ru in enumerate(rows):
         for v in range(u + 1, g.n):
             c = (ru & rows[v]).bit_count()
-            if ru >> v & 1:
-                if lam is None:
-                    lam = c
-                elif c != lam:
-                    return SrgCheck(
-                        None, f"adjacent pair ({u}, {v}) has {c} common neighbors, expected {lam}"
-                    )
-            else:
-                if mu is None:
-                    mu = c
-                elif c != mu:
-                    return SrgCheck(
-                        None, f"non-adjacent pair ({u}, {v}) has {c} common neighbors, expected {mu}"
-                    )
+            expected = lam if ru >> v & 1 else mu
+            if c != expected:
+                kind = "adjacent" if ru >> v & 1 else "non-adjacent"
+                return SrgCheck(None, f"{kind} pair ({u}, {v}) has {c} common neighbors, expected {expected}")
     return SrgCheck(SrgParams(g.n, k, lam, mu))
 
 
@@ -224,10 +217,14 @@ def claw_number(g: Graph, x: int) -> int:
     _check_int("vertex", x)
     if not 0 <= x < g.n:
         raise ValueError(f"vertex {x} out of range")
-    masks = _partition_local(g, x)
-    if masks is not None:
-        return len(masks)
-    return _max_coclique_size(g._rows, g._rows[x])
+    return _claw(g, x, set())
+
+
+def _claw(g: Graph, x: int, known: set) -> int:
+    """claw_number(g, x) for a vertex x of g, with the walk reading and
+    filling the caller's known cliques (see _partition_local)."""
+    masks = _partition_local(g, x, known)
+    return len(masks) if masks is not None else _max_coclique_size(g._rows, g._rows[x])
 
 
 def _is_clique(rows: tuple[int, ...], mask: int) -> bool:
@@ -237,7 +234,7 @@ def _is_clique(rows: tuple[int, ...], mask: int) -> bool:
     return True
 
 
-def _partition_local(g: Graph, x: int):
+def _partition_local(g: Graph, x: int, known: set):
     """Cover the local graph at x by cliques, one candidate set
     {y} + common(x, y) at a time, always for the lowest neighbor y not yet
     covered.  Returns the masks, or None at the first y whose candidate
@@ -262,12 +259,13 @@ def _partition_local(g: Graph, x: int):
       a clique, and on success the masks are t+1 disjoint s-cliques
       covering the k = s(t+1) neighbors.
 
-    g keeps each {x} + cand that passes, keyed by that exact vertex set:
-    cand is a clique iff it is, as x is adjacent to all of cand.  In a GQ
-    it is a line, tested once instead of once from each of its points.
+    known is a set of vertex masks that the caller creates, shares over
+    the walks of one operation on g, and drops when the operation returns.
+    The walk adds each {x} + cand that passes, keyed by that exact vertex
+    set: cand is a clique iff it is, as x is adjacent to all of cand.  In
+    a GQ it is a line, tested once instead of once from each of its points.
     """
     rows = g._rows
-    known = g._cliques
     rx = rows[x]
     masks: list[int] = []
     uncovered = rx
@@ -309,10 +307,11 @@ def _gq_params(g: Graph, p: GQParams | None = None) -> GQParams:
 def _claw_histogram(g: Graph) -> dict[int, int]:
     """Claw number -> vertex count over all of g, ascending by claw number.
     Each claw number is one cover walk, plus branch and bound where the
-    walk fails."""
+    walk fails; the walks share one set of known cliques."""
     if g.n == 0:
         raise ValueError("empty graph")
-    return dict(sorted(Counter(claw_number(g, x) for x in range(g.n)).items()))
+    known: set[int] = set()
+    return dict(sorted(Counter(_claw(g, x, known) for x in range(g.n)).items()))
 
 
 # ---------------------------------------------------------------------------

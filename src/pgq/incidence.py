@@ -26,7 +26,7 @@ from itertools import combinations, product
 from math import isqrt
 
 from .graph import (MAX_PGQGRAPH_VERTICES, Graph, _bits, _body_line, _gq_params,
-                    _partition_local, claw_number)
+                    _max_coclique_size, _partition_local)
 from .params import GQParams, _check_int
 
 
@@ -152,9 +152,10 @@ def extract_gq(g: Graph, p: GQParams | None = None) -> ExtractionResult:
     equality iff it splits into t+1 disjoint s-cliques.  The partition is
     tried at every vertex in ascending order; the first vertex where it
     fails is the smallest with claw number above t+1, by Caro-Wei and so
-    with no check, and is returned as the witness.  Otherwise the lines
-    {x} + C are gathered, each at its lowest point x, where C has no vertex
-    below x.
+    with no check, and is returned as the witness, with its claw number
+    from one coclique search over N(x).  Otherwise the lines {x} + C are
+    gathered, each at its lowest point x, where C has no vertex below x.
+    The walks share one set of known cliques, dropped on return.
 
     The result is a GQ(s,t), so it is not checked.  A line {x} + C is an
     (s+1)-clique, and an (s+1)-clique through an edge ab is
@@ -174,10 +175,11 @@ def extract_gq(g: Graph, p: GQParams | None = None) -> ExtractionResult:
     p = _gq_params(g, p)
     t = p.t
     lines: list[tuple[int, ...]] = []
+    known: set[int] = set()
     for x in range(g.n):
-        masks = _partition_local(g, x)
+        masks = _partition_local(g, x, known)
         if masks is None:
-            phi = claw_number(g, x)
+            phi = _max_coclique_size(g._rows, g._rows[x])
             return ExtractionResult(
                 None, x, phi,
                 f"pseudo-GQ evidence: claw number {phi} > t+1 = {t + 1} at vertex {x}",
@@ -187,15 +189,20 @@ def extract_gq(g: Graph, p: GQParams | None = None) -> ExtractionResult:
     return ExtractionResult(IncidenceStructure(g.n, sorted(lines), p.s, t))
 
 
+def _require_gq(inc: IncidenceStructure, operation: str) -> None:
+    """Refuse an inc that fails verify_axioms, naming the operation."""
+    check = verify_axioms(inc)
+    if not check.ok:
+        raise ValueError(f"{operation} requires a verified GQ; axiom ({check.axiom}): {check.witness}")
+
+
 def dual(inc: IncidenceStructure) -> IncidenceStructure:
     """Swap points and lines; a GQ(s,t) dualizes to a GQ(t,s).
 
     The input is verified (ValueError otherwise).  The output needs no
     check: the axioms are self-dual, (i) and (ii) swap and (iii) is fixed.
     """
-    check = verify_axioms(inc)
-    if not check.ok:
-        raise ValueError(f"dual requires a verified GQ; axiom ({check.axiom}): {check.witness}")
+    _require_gq(inc, "dual")
     new_lines = [[] for _ in range(inc.points)]
     for i, line in enumerate(inc.lines):
         for p in line:
@@ -204,12 +211,9 @@ def dual(inc: IncidenceStructure) -> IncidenceStructure:
 
 
 def collinearity_graph(inc: IncidenceStructure) -> Graph:
-    """Graph on the points, adjacent iff they share a line."""
-    check = verify_axioms(inc)
-    if not check.ok:
-        raise ValueError(
-            f"collinearity graph requires a verified GQ; axiom ({check.axiom}): {check.witness}"
-        )
+    """Graph on the points, adjacent iff they share a line.  The input is
+    verified (ValueError otherwise)."""
+    _require_gq(inc, "collinearity graph")
     rows = [0] * inc.points
     for line in inc.lines:
         mask = sum(1 << p for p in line)

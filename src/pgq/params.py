@@ -45,22 +45,6 @@ class GQParams(namedtuple("GQParams", "s t")):
     def is_trivial(self) -> bool:
         return self.s == 1 or self.t == 1
 
-    @property
-    def v(self) -> int:
-        return (self.s + 1) * (self.s * self.t + 1)
-
-    @property
-    def k(self) -> int:
-        return self.s * (self.t + 1)
-
-    @property
-    def lam(self) -> int:
-        return self.s - 1
-
-    @property
-    def mu(self) -> int:
-        return self.t + 1
-
 
 class SrgParams(namedtuple("SrgParams", "v k lam mu")):
     """A general strongly-regular-graph parameter quadruple (v, k, lam, mu)."""
@@ -90,7 +74,8 @@ def derive_srg(p: GQParams) -> SrgParams:
     s(t+1) st; and v - k - 1 = (s+1)(st+1) - s(t+1) - 1 = s^2 t, so the
     right side is s^2 t (t+1).  Both are s^2 t (t+1).
     """
-    return SrgParams(p.v, p.k, p.lam, p.mu)
+    s, t = p
+    return SrgParams((s + 1) * (s * t + 1), s * (t + 1), s - 1, t + 1)
 
 
 def identify_gq_form(q: SrgParams) -> GQParams | None:

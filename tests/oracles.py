@@ -13,7 +13,7 @@ from functools import lru_cache
 from math import comb, floor, isqrt
 
 from pgq.graph import MAX_PGQGRAPH_VERTICES, PGQGRAPH_HEADER, Graph
-from pgq.params import GQParams
+from pgq.params import GQParams, derive_srg
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,7 @@ def spectrum_of(p):
     verdict passes, which decides the same by one divisibility test."""
     s, t = p.s, p.t
     mult_pos = Fraction(s * t * (s + 1) * (t + 1), s + t)
-    return Spectrum(s - 1, -(t + 1), mult_pos, p.v - 1 - mult_pos)
+    return Spectrum(s - 1, -(t + 1), mult_pos, derive_srg(p).v - 1 - mult_pos)
 
 
 #: The verdict statuses of trivial parameters, in CONDITION_ORDER: the

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from pgq.graph import (
     Graph,
+    _claw,
     _claw_histogram,
     _gq_params,
     _partition_local,
@@ -307,10 +308,10 @@ def test_claw_number_matches_brute_force_random(g):
 
 @given(graphs(), st.randoms())
 def test_claw_numbers_do_not_depend_on_visit_order(g, rng):
-    # The cliques that walks keep on g must give the same claw numbers
-    # whatever vertex the census starts from.
-    order = rng.sample(range(g.n), g.n)
-    assert {x: claw_number(g, x) for x in order} == {
+    # Walks that share one set of known cliques, as in a census, must give
+    # the same claw numbers whatever vertex they start from.
+    order, known = rng.sample(range(g.n), g.n), set()
+    assert {x: _claw(g, x, known) for x in order} == {
         x: local_coclique_oracle(g, x) for x in range(g.n)
     }
 
@@ -340,18 +341,18 @@ def members(mask):
 
 
 def test_partition_kneser():
-    masks = _partition_local(gen_kneser_6_2(), 0)
+    masks = _partition_local(gen_kneser_6_2(), 0, set())
     assert [m.bit_count() for m in masks] == [2, 2, 2]
 
 
 def test_partition_rook():
-    masks = _partition_local(gen_rook(4), 0)
+    masks = _partition_local(gen_rook(4), 0, set())
     assert [members(m) for m in masks] == [(1, 2, 3), (4, 8, 12)]  # row and column of cell 0
 
 
 def test_partition_shrikhande_fails_with_witness():
     g = gen_shrikhande()
-    assert _partition_local(g, 0) is None
+    assert _partition_local(g, 0, set()) is None
     assert local_partition_oracle(g, 0)[0] is not None
 
 
@@ -368,7 +369,7 @@ def test_partition_succeeds_exactly_at_minimum_claw(name, g, p):
     # phi(x) = t+1 is equivalent to the local graph splitting into t+1
     # disjoint s-cliques; by Caro-Wei phi(x) is never below t+1.
     for x in range(g.n):
-        masks = _partition_local(g, x)
+        masks = _partition_local(g, x, set())
         phi = claw_number(g, x)
         assert phi >= p.t + 1
         assert (masks is not None) == (phi == p.t + 1)
@@ -412,7 +413,7 @@ def test_cover_structural_errors_are_distinct():
 
 def test_cover_uniqueness_by_direct_count():
     g = gen_kneser_6_2()
-    lines = sorted({tuple(sorted((x, *members(m)))) for x in range(g.n) for m in _partition_local(g, x)})
+    lines = sorted({tuple(sorted((x, *members(m)))) for x in range(g.n) for m in _partition_local(g, x, set())})
     ok, diagonal, _ = clique_cover_oracle(g.n, edge_set(g), lines)
     assert ok
     assert set(diagonal) == {3}

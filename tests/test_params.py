@@ -105,9 +105,9 @@ def test_spectrum_invariants_and_divisibility_crosscheck():
     for s in range(2, 81):
         for t in range(2, 81):
             p = GQParams(s, t)
-            spec = spectrum_of(p)
-            assert spec.mult_pos + spec.mult_neg == p.v - 1
-            assert p.k + spec.mult_pos * spec.theta_pos + spec.mult_neg * spec.theta_neg == 0
+            spec, q = spectrum_of(p), derive_srg(p)
+            assert spec.mult_pos + spec.mult_neg == q.v - 1
+            assert q.k + spec.mult_pos * spec.theta_pos + spec.mult_neg * spec.theta_neg == 0
             divides = verdict(s, t, "divisibility")["verdict"] == "pass"
             assert divides == (spec.mult_pos.denominator == 1)
 
@@ -115,9 +115,9 @@ def test_spectrum_invariants_and_divisibility_crosscheck():
 @given(st.integers(2, 10**4), st.integers(2, 10**4))
 def test_spectrum_invariants_large(s, t):
     p = GQParams(s, t)
-    spec = spectrum_of(p)
-    assert spec.mult_pos + spec.mult_neg == p.v - 1
-    assert p.k + spec.mult_pos * spec.theta_pos + spec.mult_neg * spec.theta_neg == 0
+    spec, q = spectrum_of(p), derive_srg(p)
+    assert spec.mult_pos + spec.mult_neg == q.v - 1
+    assert q.k + spec.mult_pos * spec.theta_pos + spec.mult_neg * spec.theta_neg == 0
 
 
 @pytest.mark.parametrize(
