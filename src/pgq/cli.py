@@ -36,10 +36,15 @@ class UsageError(Exception):
 
 
 def _read_input(path: str) -> str:
+    """The text of FILE, or of stdin for '-': its bytes decoded as ASCII,
+    with universal newlines (each \\r\\n or lone \\r read as \\n), so the
+    same bytes give the same text, or the same error, either way."""
     if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="ascii") as fh:
-        return fh.read()
+        data = sys.stdin.buffer.read()
+    else:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    return data.decode("ascii").replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _write_output(output, out: str | None) -> None:

@@ -16,6 +16,8 @@ pass.
 from __future__ import annotations
 
 from collections import Counter, namedtuple
+from itertools import compress
+from operator import lt
 
 from .params import GQParams, SrgParams, _check_int, derive_srg, identify_gq_form
 
@@ -117,45 +119,94 @@ def _connected(g: Graph) -> bool:
     return reached.bit_count() == g.n
 
 
+_DIGIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _digits(mask: int) -> bytes:
+    """Byte i is bit i of mask, for i below its bit length."""
+    return bin(mask)[:1:-1].encode().translate(_DIGIT_BYTES)
+
+
 def verify_srg(g: Graph) -> SrgCheck:
     """Check that g is strongly regular: connected, non-complete,
     k-regular, with constant lam over adjacent pairs and constant mu over
     non-adjacent pairs.  On failure the witness names the first violation
-    in vertex order.
+    in the lexicographic order of the pairs (u, v), u < v.
 
     lam is read from vertex 0 and its first neighbor, mu from vertex 0
     and its first non-neighbor, and both exist: a connected graph on
     n >= 2 vertices has an edge, so the regular vertex 0 has k >= 1
     neighbors, and a regular graph that is not complete has k < n-1.
     (n = 1 is the complete graph K1.)  Vertex 0's pairs come first in
-    the pair loop, so these are the first adjacent and the first
-    non-adjacent pair it meets, and the first violating pair and its
-    text are those of a loop that takes each value from the first pair
-    of its kind."""
-    if g.n == 0:
+    pair order, so these are the first adjacent and the first
+    non-adjacent pair, and the first violating pair and its text are
+    those of a pairwise loop that takes each value from the first pair
+    of its kind (tests/oracles.py::srg_oracle).
+
+    The pairs are counted one row of A^2 at a time.  The spread of a
+    vertex set S is the integer whose field v is 1 if v is in S, else 0,
+    with fields w bytes wide, where k < 256^w.  Row u of A^2, whose field
+    v is the number of common neighbors of u and v (k at v = u), is the
+    sum of the spreads of u's neighbors.  The expected row is
+    mu*J + (lam - mu)*spread(N(u)) + (k - mu)*e_u, with J the spread of
+    all n vertices and e_u the unit at field u: mu, lam or k in each
+    field.  No field of either exceeds k < 256^w, so no sum carries and
+    the fields of each integer are its digits in base 256^w: the two are
+    equal exactly when every field is.  Otherwise the lowest set bit of
+    their XOR lies in the lowest differing field v, and v > u: field u
+    is k by regularity, and a field v < u is the count of the pair
+    (v, u), which is symmetric and passed at row v.  So the first failing
+    row u and its lowest bad field v are the first violating pair, with
+    the same count and the same expected value.
+
+    A spread is built the first time a row needs it, so a pass that
+    fails at row u holds the spreads of 0..u and their neighbors only;
+    one that succeeds holds n of n*w bytes each."""
+    n = g.n
+    if n == 0:
         raise ValueError("empty graph")
     k = g.degree(0)
-    for v in range(g.n):
+    for v in range(n):
         d = g.degree(v)
         if d != k:
             return SrgCheck(None, f"not regular: deg({v})={d} but deg(0)={k}")
-    if k == g.n - 1:
+    if k == n - 1:
         return SrgCheck(None, "complete graph")
     if not _connected(g):
         return SrgCheck(None, "not connected")
     rows = g._rows
     r0 = rows[0]
     lam = (r0 & rows[(r0 & -r0).bit_length() - 1]).bit_count()
-    non = ~r0 & ((1 << g.n) - 2)  # the non-neighbors of vertex 0
+    non = ~r0 & ((1 << n) - 2)  # the non-neighbors of vertex 0
     mu = (r0 & rows[(non & -non).bit_length() - 1]).bit_count()
+
+    w = (k.bit_length() + 7) // 8
+    bits = 8 * w
+
+    def spread(mask: int) -> int:
+        digits = _digits(mask)
+        if w > 1:
+            fields = bytearray(w * len(digits))
+            fields[::w] = digits
+            digits = fields
+        return int.from_bytes(digits, "little")
+
+    base = mu * spread((1 << n) - 1)
+    spreads = [0] * n
+    seen = 0
     for u, ru in enumerate(rows):
-        for v in range(u + 1, g.n):
-            c = (ru & rows[v]).bit_count()
-            expected = lam if ru >> v & 1 else mu
-            if c != expected:
-                kind = "adjacent" if ru >> v & 1 else "non-adjacent"
-                return SrgCheck(None, f"{kind} pair ({u}, {v}) has {c} common neighbors, expected {expected}")
-    return SrgCheck(SrgParams(g.n, k, lam, mu))
+        missing = (ru | 1 << u) & ~seen
+        for v in _bits(missing):
+            spreads[v] = spread(rows[v])
+        seen |= missing
+        counts = sum(compress(spreads, _digits(ru)))
+        diff = counts ^ (base + (lam - mu) * spreads[u] + ((k - mu) << bits * u))
+        if diff:
+            v = ((diff & -diff).bit_length() - 1) // bits
+            c = counts >> bits * v & ((1 << bits) - 1)
+            kind, expected = ("adjacent", lam) if ru >> v & 1 else ("non-adjacent", mu)
+            return SrgCheck(None, f"{kind} pair ({u}, {v}) has {c} common neighbors, expected {expected}")
+    return SrgCheck(SrgParams(n, k, lam, mu))
 
 
 def _max_coclique_size(rows: tuple[int, ...], cand: int) -> int:
@@ -327,10 +378,14 @@ MAX_PGQGRAPH_VERTICES = 1 << 20
 
 
 def write_pgqgraph(g: Graph) -> str:
-    """Serialize in pgqgraph v1 form; edges sorted, newline-terminated."""
-    lines = [PGQGRAPH_HEADER, f"{g.n} {g.edge_count}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
+    """Serialize in pgqgraph v1 form; edges sorted, newline-terminated.
+    Each row u writes its edges (u, v), v > u, as one string."""
+    out = [f"{PGQGRAPH_HEADER}\n{g.n} {g.edge_count}\n"]
+    for u, r in enumerate(g._rows):
+        higher = r >> (u + 1) << (u + 1)
+        if higher:
+            out.append(f"{u} " + f"\n{u} ".join(map(str, _bits(higher))) + "\n")
+    return "".join(out)
 
 
 def _body_line(lines: list[str], i: int) -> int:
@@ -347,14 +402,75 @@ def _not_two_ints(line: str, lineno: int) -> str:
     return f"line {lineno}: non-integer field in {line!r}"
 
 
+_DELETE_DIGITS = str.maketrans("", "", "0123456789")
+_CHUNK = 1 << 13  # characters of edge lines whose fields are held at once
+
+
 def parse_pgqgraph(text: str) -> Graph:
     """Parse pgqgraph v1; strict about header, counts, ordering and range.
 
     The vertex count is capped at MAX_PGQGRAPH_VERTICES (2^20), since
-    one adjacency row is allocated per declared vertex.  One pass builds
-    the rows; the first edge out of range or repeated is reported only if
-    no edge line has a syntax error (field count, integer fields, u < v).
+    one adjacency row is allocated per declared vertex.  Text laid out
+    as write_pgqgraph writes it is parsed in bulk (_parse_canonical);
+    any other text, and any text with an error, goes through the loop
+    over its lines (_parse_lines), which reports the error.
     """
+    try:
+        g = _parse_canonical(text)
+    except ValueError:  # a line of one field, or one longer than int() converts
+        g = None
+    return g if g is not None else _parse_lines(text)
+
+
+def _parse_canonical(text: str) -> Graph | None:
+    """The graph of text, if after the header line every line is two
+    fields of ASCII digits split by one space and ended by a newline,
+    and they name a valid graph; else None.
+
+    The check is that, with the digits deleted, the lines leave one
+    space and one newline each; so no blank or other line break is left,
+    the lines are the ones _parse_lines reads, and each has at most two
+    fields, the ints it reads.  Where every check below passes, it would
+    build the same rows without an error: the count line has two fields
+    (unpacking them raises ValueError otherwise) and m + 1 lines after
+    it, the edges have u < v (and u >= 0 with no sign) and v < n, and
+    the rows hold 2m bits.  That rules out a repeated edge, and an edge
+    line with an empty field too: it would leave fewer than 2m fields,
+    so fewer than m pairs (range-checked, if they straddle lines) to set
+    bits.  Each check is a C-level pass, over the edge lines _CHUNK
+    characters at a time, so a large file's fields are never all held
+    at once.
+    """
+    head = PGQGRAPH_HEADER + "\n"
+    if not text.startswith(head):
+        return None
+    rest = text[len(head):]
+    layout = rest.translate(_DELETE_DIGITS)
+    lines = len(layout) // 2
+    if not lines or layout != " \n" * lines:
+        return None
+    start = rest.index("\n") + 1
+    n, m = map(int, rest[:start].split())
+    if m != lines - 1 or n > MAX_PGQGRAPH_VERTICES:
+        return None
+    rows = [0] * n
+    while start < len(rest):
+        stop = rest.find("\n", start + _CHUNK) + 1 or len(rest)
+        fields = list(map(int, rest[start:stop].split()))
+        us, vs = fields[::2], fields[1::2]
+        if max(vs) >= n or not all(map(lt, us, vs)):
+            return None
+        for u, v in zip(us, vs):
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+        start = stop
+    return Graph._from_rows(n, rows) if sum(map(int.bit_count, rows)) == 2 * m else None
+
+
+def _parse_lines(text: str) -> Graph:
+    """parse_pgqgraph, one line at a time.  One pass builds the rows; the
+    first edge out of range or repeated is reported only if no edge line
+    has a syntax error (field count, integer fields, u < v)."""
     lines = text.splitlines()
     if not lines or lines[0].strip() != PGQGRAPH_HEADER:
         raise ValueError(f"missing '{PGQGRAPH_HEADER}' header")

@@ -48,6 +48,12 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def stdin_of(data):
+    """A stand-in for sys.stdin holding data (bytes, or ASCII text): pgq
+    reads the bytes under it, as it reads a file."""
+    return io.TextIOWrapper(io.BytesIO(data.encode("ascii") if isinstance(data, str) else data))
+
+
 @pytest.fixture()
 def rook_file(tmp_path):
     path = tmp_path / "rook4.pgqgraph"
@@ -330,7 +336,7 @@ def test_graph_claw(capsys, shrikhande_file):
 
 @pytest.mark.parametrize("action", ["verify", "claw", "extract-gq"])
 def test_graph_empty_graph_is_input_error(capsys, monkeypatch, action):
-    monkeypatch.setattr("sys.stdin", io.StringIO("pgqgraph 1\n0 0\n"))
+    monkeypatch.setattr("sys.stdin", stdin_of("pgqgraph 1\n0 0\n"))
     code, out, err = run(capsys, "graph", action, "-")
     assert (code, out, err) == (2, "", "error: empty graph\n")
 
@@ -340,7 +346,7 @@ def test_graph_empty_graph_is_input_error(capsys, monkeypatch, action):
 )
 def test_graph_huge_vertex_count_is_input_error(capsys, monkeypatch, n):
     # Every count above 2^20 is refused before any row is allocated.
-    monkeypatch.setattr("sys.stdin", io.StringIO(f"pgqgraph 1\n{n} 0\n"))
+    monkeypatch.setattr("sys.stdin", stdin_of(f"pgqgraph 1\n{n} 0\n"))
     code, out, err = run(capsys, "graph", "verify", "-")
     assert (code, out, err) == (2, "", f"error: line 2: vertex count {n} is too large\n")
 
@@ -481,7 +487,7 @@ def test_graph_extract_gq_negative_pipeline(capsys, monkeypatch, shrikhande_file
     # gen shrikhande | graph extract-gq - --s 3 --t 1
     code, out, _ = run(capsys, "gen", "shrikhande")
     assert code == 0
-    monkeypatch.setattr("sys.stdin", io.StringIO(out))
+    monkeypatch.setattr("sys.stdin", stdin_of(out))
     code, out, err = run(capsys, "graph", "extract-gq", "-", "--s", "3", "--t", "1")
     assert code == 3
     assert out == ""  # stdout carries data only
@@ -498,6 +504,40 @@ def test_graph_parse_error(capsys, tmp_path):
     bad.write_text("not a graph\n", encoding="ascii")
     code, _, err = run(capsys, "graph", "verify", str(bad))
     assert code == 2 and "header" in err
+
+
+#: Bytes that are not ASCII -> the one refusal, from a FILE and from '-'.
+NON_ASCII = {
+    # U+0662, an Arabic-Indic "2": stdin once read it as the edge 1-2.
+    b"pgqgraph 1\n3 2\n0 1\n1 \xd9\xa2\n":
+        "error: 'ascii' codec can't decode byte 0xd9 in position 21: ordinal not in range(128)\n",
+    # Not UTF-8 at all: stdin once read it as the field '1 \udcff'.
+    b"pgqgraph 1\n3 2\n0 1\n1 \xff\n":
+        "error: 'ascii' codec can't decode byte 0xff in position 21: ordinal not in range(128)\n",
+}
+
+
+@pytest.mark.parametrize("data", NON_ASCII, ids=["arabic-indic-digit", "invalid-utf8"])
+def test_stdin_and_file_refuse_non_ascii_bytes_alike(capsys, monkeypatch, tmp_path, data):
+    path = tmp_path / "g.pgqgraph"
+    path.write_bytes(data)
+    expected = (2, "", NON_ASCII[data])
+    assert run(capsys, "graph", "verify", str(path)) == expected
+    monkeypatch.setattr("sys.stdin", stdin_of(data))
+    assert run(capsys, "graph", "verify", "-") == expected
+
+
+def test_a_process_reads_stdin_as_it_reads_a_file(tmp_path):
+    # The real standard input, whatever the locale, with one file of each
+    # kind: non-ASCII, CRLF with a lone CR and a blank line, and canonical.
+    canonical = write_pgqgraph(gen_rook(3)).encode("ascii")
+    head, count, *body = canonical.split(b"\n")
+    mixed = b"\r\n".join([head, count, b"", *body[:2]]) + b"\r" + b"\n".join(body[2:])
+    for data in (*NON_ASCII, mixed, canonical):
+        path = tmp_path / "g.pgqgraph"
+        path.write_bytes(data)
+        assert run_capped(data, "graph", "verify", "-") == run_capped(b"", "graph", "verify", str(path))
+    assert run_capped(mixed, "graph", "verify", "-") == run_capped(canonical, "graph", "verify", "-")
 
 
 def test_graph_missing_file(capsys):
@@ -628,7 +668,7 @@ ADDRESS_SPACE_CAP = 512 * 2**20
 def run_capped(stdin, *argv, timeout=60):
     """`python -m pgq.cli ARGV` in a child whose address space is capped, so
     an allocation that grows with a declared count fails the test instead of
-    exhausting the machine."""
+    exhausting the machine.  stdin is a str, or bytes for byte output too."""
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE_CAP, ADDRESS_SPACE_CAP))
 
@@ -636,7 +676,7 @@ def run_capped(stdin, *argv, timeout=60):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "pgq.cli", *argv], input=stdin, capture_output=True,
-        text=True, timeout=timeout, preexec_fn=cap, env=env,
+        text=isinstance(stdin, str), timeout=timeout, preexec_fn=cap, env=env,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -806,7 +846,7 @@ def main_in(argv_dir, argv, stdin):
     cwd = os.getcwd()
     os.chdir(argv_dir)
     try:
-        with mock.patch("sys.stdin", io.StringIO(stdin)), \
+        with mock.patch("sys.stdin", stdin_of(stdin)), \
                 redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
             return main(argv)
     finally:

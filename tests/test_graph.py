@@ -1,6 +1,10 @@
 """Graph kernel: construction, file format, SRG verification, claw
 numbers and local clique partitions, plus the RR^T = A + D cover oracle."""
 
+import random
+import tracemalloc
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,6 +15,7 @@ from pgq.graph import (
     _gq_params,
     _partition_local,
     _max_coclique_size,
+    _parse_lines,
     claw_number,
     parse_pgqgraph,
     verify_srg,
@@ -35,6 +40,7 @@ from oracles import (
     local_partition_oracle,
     parse_pgqgraph_oracle,
     srg_oracle,
+    symplectic_graph,
 )
 from strategies import NOISE, mutated_lines
 
@@ -88,7 +94,9 @@ def graphs(draw):
 @given(graphs())
 def test_pgqgraph_round_trip(g):
     text = write_pgqgraph(g)
-    back = parse_pgqgraph(text)
+    # Written text takes the bulk parse, never the per-line loop.
+    with mock.patch("pgq.graph._parse_lines", side_effect=AssertionError("per-line loop")):
+        back = parse_pgqgraph(text)
     assert back == g
     assert write_pgqgraph(back) == text
     # symmetry survives the parser path
@@ -174,6 +182,64 @@ def test_parser_matches_two_pass_oracle_on_mutated_files(text):
 def test_pgqgraph_accepts_vertex_count_at_limit():
     g = parse_pgqgraph(f"pgqgraph 1\n{2**20} 1\n0 {2**20 - 1}\n")
     assert (g.n, g.has_edge(2**20 - 1, 0)) == (2**20, True)
+
+
+W5_TEXT = write_pgqgraph(symplectic_graph(5))
+
+
+def edit_line(i, edit):
+    """A text edit that applies edit to line i of the file (from 0)."""
+    def apply(text):
+        lines = text.split("\n")
+        lines[i] = edit(lines[i])
+        return "\n".join(lines)
+    return apply
+
+
+#: ASCII digits to the Arabic-Indic digits U+0660..U+0669, which int() reads.
+ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+
+#: One-edit variants of W(5)'s file -> whether the bulk parse takes them.
+#: The file has 2,342 lines; line 900 is in the first 8 KB that the bulk
+#: parse converts at once, and line 2000 in the second.
+PARSE_EDITS = {
+    "crlf": (lambda text: text.replace("\n", "\r\n"), False),
+    "blank-line": (edit_line(900, lambda ln: ln + "\n"), False),
+    "tab": (edit_line(2000, lambda ln: ln.replace(" ", "\t")), False),
+    "leading-plus": (edit_line(900, lambda ln: "+" + ln), False),
+    "leading-zeros": (edit_line(2000, lambda ln: "00" + ln.replace(" ", " 0")), True),
+    "count-leading-zero": (edit_line(1, lambda ln: "0" + ln), True),
+    "no-final-newline": (lambda text: text[:-1], False),
+    "trailing-space": (edit_line(2000, lambda ln: ln + " "), False),
+    "empty-first-field": (edit_line(900, lambda ln: " " + ln.split()[1]), False),
+    "empty-second-field": (edit_line(2000, lambda ln: ln.split()[0] + " "), False),
+    "count-empty-field": (edit_line(1, lambda ln: ln.split()[0] + " "), False),
+    "duplicate-edge": (lambda text: edit_line(2001, lambda _: text.split("\n")[2000])(text), False),
+    "u-not-below-v": (edit_line(900, lambda ln: " ".join(ln.split()[::-1])), False),
+    "v-out-of-range": (edit_line(2000, lambda ln: ln.split()[0] + " 156"), False),
+    "count-off-by-one": (edit_line(1, lambda ln: "156 2341"), False),
+    "non-ascii-digits": (edit_line(2000, lambda ln: ln.translate(ARABIC_INDIC)), False),
+    # Past int()'s digit limit (4,300 digits from Python 3.11 on).
+    "long-field": (edit_line(900, lambda ln: ln + "0" * 5000), False),
+    "long-count": (edit_line(1, lambda ln: "0" * 5000 + ln), False),
+}
+
+
+@pytest.mark.parametrize("name", PARSE_EDITS)
+def test_bulk_parse_agrees_with_the_oracle_on_one_edit(name):
+    edit, bulk = PARSE_EDITS[name]
+    text = edit(W5_TEXT)
+    assert text != W5_TEXT
+    with mock.patch("pgq.graph._parse_lines", wraps=_parse_lines) as loop:
+        assert parse_outcome(parse_pgqgraph, text) == parse_outcome(parse_pgqgraph_oracle, text)
+    assert loop.called != bulk
+
+
+@pytest.mark.parametrize("g", [Graph(0, []), symplectic_graph(5), *(g for _, g, _ in ALL_GENERATORS)],
+                         ids=["empty", "w5", *(name for name, _, _ in ALL_GENERATORS)])
+def test_written_corpus_never_reaches_the_line_loop(g):
+    with mock.patch("pgq.graph._parse_lines", side_effect=AssertionError("per-line loop")):
+        assert parse_pgqgraph(write_pgqgraph(g)) == g
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +328,64 @@ def test_verify_srg_matches_the_pairwise_oracle(case):
     n, edges = case
     check = verify_srg(Graph(n, edges))
     assert (check.params, check.failure) == srg_oracle(n, edges)
+
+
+def two_switch(edges, rng, low=0):
+    """edges after one 2-switch among the vertices >= low: edges ab and cd
+    become ac and bd, where those were non-edges, so every degree stays."""
+    listed = sorted(tuple(sorted(e)) for e in edges if min(e) >= low)
+    while True:
+        (a, b), (c, d) = rng.sample(listed, 2)
+        if rng.random() < 0.5:
+            c, d = d, c
+        if len({a, b, c, d}) == 4 and not {frozenset((a, c)), frozenset((b, d))} & edges:
+            return edges - {frozenset((a, b)), frozenset((c, d))} | {frozenset((a, c)), frozenset((b, d))}
+
+
+def test_verify_srg_matches_the_oracle_on_switched_w5():
+    # W(5) is srg(156, 30, 4, 6); one to three 2-switches keep it regular,
+    # and those among the upper half move the first bad pair off vertex 0.
+    w5 = symplectic_graph(5)
+    assert verify_srg(w5).params == (156, 30, 4, 6)
+    for seed in range(12):
+        rng = random.Random(seed)
+        edges = edge_set(w5)
+        for _ in range(1 + seed % 3):
+            edges = two_switch(edges, rng, low=78 if seed % 2 else 0)
+        check = verify_srg(Graph(w5.n, [tuple(sorted(e)) for e in edges]))
+        assert not check.ok
+        assert (check.params, check.failure) == srg_oracle(w5.n, edges)
+
+
+def test_verify_srg_with_counts_above_255():
+    # Common-neighbor counts of 256 and more take two bytes a field.
+    # The cocktail-party graph CP(150), partners 2i and 2i+1, is
+    # srg(300, 298, 296, 298), and so is its 2-switch of 0-2 and 1-3 into
+    # 0-1 and 2-3: the non-edges are again a perfect matching.
+    cp = Graph(300, [(u, v) for u in range(300) for v in range(u + 1, 300) if u // 2 != v // 2])
+    switched = edge_set(cp) - {frozenset((0, 2)), frozenset((1, 3))} | {frozenset((0, 1)), frozenset((2, 3))}
+    for edges in (edge_set(cp), switched):
+        check = verify_srg(Graph(300, [tuple(sorted(e)) for e in edges]))
+        assert (check.params, check.failure) == srg_oracle(300, edges) == ((300, 298, 296, 298), None)
+    # The complement of the 300-cycle is 297-regular but not strongly regular.
+    c300 = Graph(300, [(u, v) for u in range(300) for v in range(u + 1, 300) if v - u not in (1, 299)])
+    failure = "adjacent pair (0, 3) has 294 common neighbors, expected 295"
+    assert srg_oracle(300, edge_set(c300)) == (None, failure)
+    assert verify_srg(c300) == (None, failure)
+
+
+def test_verify_srg_builds_only_the_rows_it_reads():
+    # C_5000 fails at row 0; the pass holds the fields of vertices 0, 1
+    # and 4999 only, where a table of every row would take 13.6 MB.
+    c5000 = cycle(5000)
+    tracemalloc.start()
+    try:
+        check = verify_srg(c5000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert check == (None, "non-adjacent pair (0, 3) has 0 common neighbors, expected 1")
+    assert peak < 2**20, peak
 
 
 # ---------------------------------------------------------------------------
