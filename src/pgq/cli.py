@@ -331,6 +331,9 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    """Run one command line (sys.argv[1:] by default) and return its exit
+    code.  It freezes nothing, so it may be called again and again, as
+    the tests do; run() is the process entry point."""
     argv = sys.argv[1:] if argv is None else argv
     try:
         plain = _parse_plain(argv)
@@ -338,16 +341,54 @@ def main(argv=None) -> int:
         code, output = _COMMANDS[args.command][2](args)
         if output is not None:
             _write_output(output, getattr(args, "out", None))
-        return code
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SystemExit as exc:  # argparse --help
-        return EXIT_OK if not exc.code else EXIT_USAGE
+        code = EXIT_OK if not exc.code else EXIT_USAGE
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return _input_error(exc)
+    try:
+        # What stdout holds is written here, where a failure is reported,
+        # and not at interpreter exit, which would end the process with
+        # status 120.  (stdout is None where fd 1 was closed at start.)
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError as exc:
+        return _input_error(exc)
+    return code
+
+
+def _input_error(exc: Exception) -> int:
+    """Report exc as an input error.  If stdout still holds what it cannot
+    write, fd 1 is pointed at os.devnull, as the signal module's note on
+    SIGPIPE does, so the interpreter's final flush has nothing to fail on
+    and the process ends with this error alone."""
+    print(f"error: {exc}", file=sys.stderr)
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError:
+        import os
+
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return EXIT_INPUT
+
+
+def run() -> int:
+    """The process entry point of `python -m pgq.cli` and the `pgq`
+    script: main(), then gc.freeze(), so the interpreter's final
+    collections skip every object the run left (README, "Process
+    exit").  Exit is otherwise unchanged: streams are flushed, and
+    atexit handlers, profilers and coverage still run."""
+    import gc
+
+    code = main()
+    gc.freeze()
+    return code
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

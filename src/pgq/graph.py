@@ -15,6 +15,7 @@ pass.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter, namedtuple
 from itertools import compress
 from operator import lt
@@ -45,7 +46,7 @@ class Graph:
             raise ValueError(f"vertex count must be a nonnegative integer, got {n!r}")
         rows = [0] * n
         for u, v in edges:
-            if not (isinstance(u, int) and isinstance(v, int)):
+            if not (isinstance(u, int) and isinstance(v, int)) or bool in (type(u), type(v)):
                 raise ValueError(f"edge endpoints must be integers, got ({u!r}, {v!r})")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
@@ -399,7 +400,18 @@ def _not_two_ints(line: str, lineno: int) -> str:
     parts = line.split()
     if len(parts) != 2:
         return f"line {lineno}: expected 2 fields, got {len(parts)}"
-    return f"line {lineno}: non-integer field in {line!r}"
+    return _refused_field(line, lineno, "non-integer field")
+
+
+def _refused_field(line: str, lineno: int, what: str) -> str:
+    """The message for a line with a field int() refuses: what, then the
+    line quoted; or, where a field is longer than Python's limit on the
+    digits int() converts (sys.get_int_max_str_digits(), 4300 by
+    default; none before it exists), that limit, and not the line."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if 0 < limit < max(map(len, line.split())):
+        return f"line {lineno}: field longer than the {limit}-digit limit"
+    return f"line {lineno}: {what} in {line!r}"
 
 
 _DELETE_DIGITS = str.maketrans("", "", "0123456789")

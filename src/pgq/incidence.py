@@ -26,7 +26,7 @@ from itertools import combinations, product
 from math import isqrt
 
 from .graph import (MAX_PGQGRAPH_VERTICES, Graph, _bits, _body_line, _gq_params,
-                    _max_coclique_size, _partition_local)
+                    _max_coclique_size, _partition_local, _refused_field)
 from .params import GQParams, _check_int
 
 
@@ -329,7 +329,7 @@ def parse_pgqinc(text: str) -> IncidenceStructure:
     try:
         points, nlines, s, t = (int(p) for p in parts)
     except ValueError:
-        raise ValueError(f"line 2: non-integer field in {lines[1]!r}") from None
+        raise ValueError(_refused_field(lines[1], 2, "non-integer field")) from None
     body = [ln for ln in lines[2:] if ln.strip()]
     if len(body) != nlines:
         raise ValueError(f"expected {nlines} line rows, got {len(body)}")
@@ -338,7 +338,7 @@ def parse_pgqinc(text: str) -> IncidenceStructure:
         try:
             pts = [int(p) for p in ln.split()]
         except ValueError:
-            raise ValueError(f"line {_body_line(lines, i)}: non-integer point id in {ln!r}") from None
+            raise ValueError(_refused_field(ln, _body_line(lines, i), "non-integer point id")) from None
         if pts != sorted(set(pts)):
             raise ValueError(f"line {_body_line(lines, i)}: point ids must be strictly increasing")
         structure_lines.append(pts)

@@ -6,6 +6,8 @@ sets, searches are exhaustive enumerations and parameter pairs are
 classified from the conditions' own inequalities.
 """
 
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
@@ -442,8 +444,23 @@ def _int_fields(line, count, lineno):
         raise ValueError(f"line {lineno}: expected {count} fields, got {len(parts)}")
     try:
         return [int(p) for p in parts]
-    except ValueError:
+    except ValueError as exc:
+        # int() says so when a field exceeds its digit limit.
+        if str(exc).startswith("Exceeds the limit"):
+            limit = sys.get_int_max_str_digits()
+            raise ValueError(f"line {lineno}: field longer than the {limit}-digit limit") from None
         raise ValueError(f"line {lineno}: non-integer field in {line!r}") from None
+
+
+#: A run of leading zeros too long for int() under Python's default limit
+#: of 4300 digits.
+LONG_ZEROS = "0" * 5000
+
+
+def text_id(text):
+    """text as a test id, with a run of ten or more zeros written
+    <N zeros>, so a long field does not make a 5,000-character id."""
+    return re.sub("0{10,}", lambda run: f"<{len(run[0])} zeros>", text)
 
 
 def axioms_oracle(inc):

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, formats, stdin handling."""
 
+import gc
 import hashlib
 import io
 import json
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pgq
-from pgq.cli import _COMMANDS, UsageError, _build_parser, _decimal, _parse_plain, main
+from pgq.cli import _COMMANDS, UsageError, _build_parser, _decimal, _parse_plain, main, run as run_cli
 from pgq.graph import Graph, claw_number, parse_pgqgraph, write_pgqgraph
 from pgq.incidence import (
     collinearity_graph,
@@ -665,18 +666,22 @@ def test_inc_dual_and_collinearity(capsys, gq22_file):
 ADDRESS_SPACE_CAP = 512 * 2**20
 
 
-def run_capped(stdin, *argv, timeout=60):
+def child_env():
+    """This environment, with the pgq under test first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(pgq.__file__))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def run_capped(stdin, *argv, timeout=60, cwd=None):
     """`python -m pgq.cli ARGV` in a child whose address space is capped, so
     an allocation that grows with a declared count fails the test instead of
     exhausting the machine.  stdin is a str, or bytes for byte output too."""
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE_CAP, ADDRESS_SPACE_CAP))
 
-    src = os.path.dirname(os.path.dirname(pgq.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "pgq.cli", *argv], input=stdin, capture_output=True,
-        text=isinstance(stdin, str), timeout=timeout, preexec_fn=cap, env=env,
+        text=isinstance(stdin, str), timeout=timeout, preexec_fn=cap, env=child_env(), cwd=cwd,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -743,6 +748,134 @@ def test_scan_above_the_t_limit_is_a_usage_error(t_min, t_max):
                                 timeout=30)
     assert (code, out) == (1, "")
     assert err == f"usage error: --t-max must be at most {MAX_SCAN_T} (10**12)\n"
+
+
+# ---------------------------------------------------------------------------
+# the process: run() and the end of stdout
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def process_dir(tmp_path_factory):
+    """The inputs of the benchmark's gq commands, at q = 5: W(5), its GQ,
+    the dual and the Q(4,5) graph, Shrikhande and the switched Q(4,3)."""
+    path = tmp_path_factory.mktemp("process")
+    w5 = symplectic_graph(5)
+    gq = extract_gq(w5, GQParams(5, 5)).structure
+    q43 = collinearity_graph(dual(extract_gq(gen_symplectic_w3(), GQParams(3, 3)).structure))
+    for name, text in {
+        "w5.pgqgraph": write_pgqgraph(w5),
+        "w5.pgqinc": write_pgqinc(gq),
+        "w5dual.pgqinc": write_pgqinc(dual(gq)),
+        "q45.pgqgraph": write_pgqgraph(collinearity_graph(dual(gq))),
+        "shrikhande.pgqgraph": write_pgqgraph(gen_shrikhande()),
+        "pseudo.pgqgraph": write_pgqgraph(godsil_mckay_switch(q43, (0, 5, 10, 15))),
+    }.items():
+        (path / name).write_text(text, encoding="ascii")
+    return path
+
+
+#: (argv, the file given as stdin or None): exit codes 0 to 3, --out, '-'
+#: and every command of the benchmark's gq workload.
+PROCESS_CASES = [
+    (("bound", "--t", "96"), None),
+    (("bound", "--t", "7", "--theta", "3", "--beta", "4"), None),
+    (("check", "--s", "100", "--t", "96", "--format", "json"), None),
+    (("check", "--s", "56", "--t", "4"), None),
+    (("scan", "--t-min", "2", "--t-max", "30"), None),
+    (("scan", "--t-min", "2", "--t-max", "10", "--format", "json", "--out", "out.json"), None),
+    (("--help",), None),
+    (("bound",), None),
+    (("graph", "verify", "w5.pgqgraph"), None),
+    (("graph", "claw", "w5.pgqgraph"), None),
+    (("graph", "extract-gq", "w5.pgqgraph"), None),
+    (("graph", "extract-gq", "w5.pgqgraph", "--out", "out.pgqinc"), None),
+    (("inc", "verify", "w5.pgqinc"), None),
+    (("inc", "dual", "w5.pgqinc"), None),
+    (("inc", "collinearity", "w5dual.pgqinc"), None),
+    (("graph", "extract-gq", "q45.pgqgraph"), None),
+    (("graph", "claw", "q45.pgqgraph"), None),
+    (("gen", "shrikhande"), None),
+    (("graph", "extract-gq", "-"), "shrikhande.pgqgraph"),
+    (("graph", "extract-gq", "pseudo.pgqgraph"), None),
+    (("graph", "verify", "absent.pgqgraph"), None),
+    (("gen", "rook", "--m", "24"), None),
+]
+
+
+@pytest.mark.parametrize("argv,stdin", PROCESS_CASES, ids=[" ".join(argv) for argv, _ in PROCESS_CASES])
+def test_a_process_writes_what_main_writes(capsys, monkeypatch, process_dir, argv, stdin):
+    # A child's exit code and bytes, --out file included, are those of main
+    # called in-process: run() adds only the freeze.
+    data = (process_dir / stdin).read_bytes() if stdin else b""
+    out_path = process_dir / (argv[argv.index("--out") + 1] if "--out" in argv else "out")
+
+    def out_file():
+        written = out_path.read_bytes() if out_path.exists() else None
+        out_path.unlink(missing_ok=True)
+        return written
+
+    monkeypatch.chdir(process_dir)
+    monkeypatch.setattr("sys.stdin", stdin_of(data))
+    code, out, err = run(capsys, *argv)
+    in_process = (code, out.encode("ascii"), err.encode("ascii"), out_file())
+    assert (*run_capped(data, *argv, cwd=process_dir), out_file()) == in_process
+    assert code in (0, 1, 2, 3)
+
+
+def test_main_freezes_nothing(capsys):
+    before = gc.get_freeze_count()
+    assert run(capsys, "graph", "extract-gq", "/nonexistent/file")[0] == 2
+    assert run(capsys, "gen", "shrikhande")[0] == 0
+    assert gc.get_freeze_count() == before
+
+
+def test_run_is_main_then_one_freeze(capsys, monkeypatch):
+    # The freeze comes after main has written and flushed its output.
+    frozen = []
+    monkeypatch.setattr("sys.argv", ["pgq", "check", "--s", "56", "--t", "4"])
+    monkeypatch.setattr("gc.freeze", lambda: frozen.append(capsys.readouterr().out))
+    assert run_cli() == 3
+    assert frozen == ["ruled-out-by-new-bound\n"]
+
+
+#: A small output, which stdout buffers until it is flushed, and one
+#: larger than stdout's buffer and a pipe's capacity.
+WRITES = [("bound", "--t", "7"), ("gen", "rook", "--m", "24")]
+
+
+def exit_writing_to(stdout, argv, unbuffered):
+    """The exit code and stderr of `python -m pgq.cli ARGV` writing to the
+    file descriptor or file stdout, with stdout buffered or not."""
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.run([sys.executable, "-m", "pgq.cli", *argv], stdin=subprocess.DEVNULL,
+                          stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=60)
+    return proc.returncode, proc.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", WRITES, ids=" ".join)
+def test_a_full_stdout_is_an_input_error(argv, unbuffered):
+    # A buffered output once failed only in the interpreter's final flush,
+    # which ended the process with status 120 and a warning.
+    with open("/dev/full", "wb") as full:
+        assert exit_writing_to(full, argv, unbuffered) == (
+            2, b"error: [Errno 28] No space left on device\n")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", WRITES, ids=" ".join)
+def test_a_closed_pipe_is_an_input_error(argv, unbuffered):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = exit_writing_to(write_end, argv, unbuffered)
+    finally:
+        os.close(write_end)
+    assert result == (2, b"error: [Errno 32] Broken pipe\n")
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from pgq.incidence import (
 from pgq.params import GQParams
 
 from oracles import (
+    LONG_ZEROS,
     branching_max_coclique,
     brute_max_coclique,
     clique_cover_oracle,
@@ -41,6 +42,7 @@ from oracles import (
     parse_pgqgraph_oracle,
     srg_oracle,
     symplectic_graph,
+    text_id,
 )
 from strategies import NOISE, mutated_lines
 
@@ -72,6 +74,19 @@ def test_graph_rejects_bad_edges():
             Graph(3, edges)
     with pytest.raises(ValueError):
         Graph(-1, [])
+
+
+@pytest.mark.parametrize("edges,shown", [
+    ([(True, 2), (False, True)], "(True, 2)"),
+    ([(0, 1), (2, False)], "(2, False)"),
+    ([(0, 1.0)], "(0, 1.0)"),
+], ids=["bools", "bool-v", "float"])
+def test_graph_refuses_endpoints_that_are_not_ints(edges, shown):
+    # True and False would be read as vertices 1 and 0, as claw_number,
+    # GQParams and IncidenceStructure would not read them.
+    with pytest.raises(ValueError) as exc:
+        Graph(3, edges)
+    assert str(exc.value) == f"edge endpoints must be integers, got {shown}"
 
 
 def test_graph_symmetry_and_counts():
@@ -106,6 +121,7 @@ def test_pgqgraph_round_trip(g):
 
 
 #: Malformed pgqgraph text -> the exact ValueError message, one per branch.
+#: (sys.get_int_max_str_digits() is 4300 unless the environment sets it.)
 PGQGRAPH_ERRORS = {
     "nope 1\n1 0\n": "missing 'pgqgraph 1' header",
     "pgqgraph 1\n": "missing vertex/edge count line",
@@ -130,10 +146,14 @@ PGQGRAPH_ERRORS = {
     "pgqgraph 1\n3 2\n\n0 1\n \n1 2 0\n": "line 6: expected 2 fields, got 3",
     "pgqgraph 1\n3 2\n\n0 x\n0 1\n": "line 4: non-integer field in '0 x'",
     "pgqgraph 1\n3 2\n0 1\n\t\n\n2 1\n": "line 6: require u < v, got 2 1",
+    # int() refuses a field only for its length, Python's digit limit:
+    # the message names the limit, and does not echo a 5,000-digit line.
+    f"pgqgraph 1\n{LONG_ZEROS}3 1\n0 1\n": "line 2: field longer than the 4300-digit limit",
+    f"pgqgraph 1\n3 1\n0 {LONG_ZEROS}2\n": "line 3: field longer than the 4300-digit limit",
 }
 
 
-@pytest.mark.parametrize("text", PGQGRAPH_ERRORS)
+@pytest.mark.parametrize("text", PGQGRAPH_ERRORS, ids=text_id)
 def test_pgqgraph_parse_errors(text):
     with pytest.raises(ValueError) as exc:
         parse_pgqgraph(text)

@@ -34,6 +34,7 @@ from pgq.incidence import (
 from pgq.params import GQParams, derive_srg
 
 from oracles import (
+    LONG_ZEROS,
     axioms_oracle,
     bipartite_edges,
     cameron_graph,
@@ -48,6 +49,7 @@ from oracles import (
     rook_edges,
     srg_oracle,
     symplectic_graph,
+    text_id,
 )
 from strategies import NOISE, mutated_lines
 
@@ -556,10 +558,13 @@ PGQINC_ERRORS = {
     # A line is reported by its place in the file, blank lines counted.
     "pgqinc 1\n3 2 1 1\n\n0 1\n \n1 x\n": "line 6: non-integer point id in '1 x'",
     "pgqinc 1\n3 2 1 1\n0 1\n\n2 1\n": "line 5: point ids must be strictly increasing",
+    # A field int() refuses only for its length names the digit limit.
+    f"pgqinc 1\n3 1 1 {LONG_ZEROS}1\n0 1\n": "line 2: field longer than the 4300-digit limit",
+    f"pgqinc 1\n3 1 1 1\n0 {LONG_ZEROS}1\n": "line 3: field longer than the 4300-digit limit",
 }
 
 
-@pytest.mark.parametrize("text", PGQINC_ERRORS)
+@pytest.mark.parametrize("text", PGQINC_ERRORS, ids=text_id)
 def test_pgqinc_parse_errors(text):
     with pytest.raises(ValueError) as exc:
         parse_pgqinc(text)
