@@ -40,6 +40,8 @@ def _read_input(path: str) -> str:
     with universal newlines (each \\r\\n or lone \\r read as \\n), so the
     same bytes give the same text, or the same error, either way."""
     if path == "-":
+        if sys.stdin is None:  # fd 0 was closed when the process started
+            raise ValueError("standard input is closed")
         data = sys.stdin.buffer.read()
     else:
         with open(path, "rb") as fh:
@@ -53,6 +55,8 @@ def _write_output(output, out: str | None) -> None:
     unbuffered."""
     chunks = (output,) if isinstance(output, str) else output
     if out is None:
+        if sys.stdout is None:  # fd 1 was closed when the process started
+            raise ValueError("standard output is closed")
         sys.stdout.writelines(chunks)
     else:
         with open(out, "w", encoding="ascii") as fh:
@@ -214,7 +218,7 @@ def _explicit_params(args) -> GQParams | None:
 
 
 def _cmd_graph(args):
-    from .graph import _claw_histogram, _gq_params, parse_pgqgraph, verify_srg
+    from .graph import _gq_params, claw_numbers, parse_pgqgraph, verify_srg
     from .params import derive_srg
 
     g = parse_pgqgraph(_read_input(args.file))
@@ -236,7 +240,9 @@ def _cmd_graph(args):
             # Every local graph is then (s-1)-regular on s(t+1) vertices, so
             # by Caro-Wei every claw number is at least t+1.
             extra = {"threshold": p.t + 1, "ok": True}
-        hist = _claw_histogram(g)
+        from collections import Counter
+
+        hist = dict(sorted(Counter(claw_numbers(g)).items()))
         return EXIT_OK, _json({
             "histogram": {str(r): c for r, c in hist.items()},
             "min": min(hist),

@@ -9,18 +9,19 @@ settles it whenever every candidate set the walk takes is a clique
 (always, in a GQ collinearity graph); only where the walk fails is it
 computed by exact branch and bound over the graph's own rows restricted
 to N(x), whose worst case is exponential in the k neighbors of x.  The
-(s, t) of a graph is checked in one place, _gq_params, by one verify_srg
-pass.
+walks of all vertices are one generator, _walks, which claw_numbers and
+incidence.extract_gq both read.  The (s, t) of a graph is checked in one
+place, _gq_params, by one verify_srg pass.
 """
 
 from __future__ import annotations
 
 import sys
-from collections import Counter, namedtuple
+from collections import namedtuple
 from itertools import compress
 from operator import lt
 
-from .params import GQParams, SrgParams, _check_int, derive_srg, identify_gq_form
+from .params import GQParams, SrgParams, derive_srg, identify_gq_form
 
 
 def _bits(mask: int):
@@ -257,28 +258,6 @@ def _max_coclique_size(rows: tuple[int, ...], cand: int) -> int:
             return best
 
 
-def claw_number(g: Graph, x: int) -> int:
-    """Largest r such that x centers an induced r-claw, i.e. the maximum
-    coclique size among the neighbors of x.
-
-    When the cover walk of _partition_local takes only cliques, the number
-    of cliques it takes is the claw number (see there), for any graph.
-    Exact branch and bound over N(x), on the graph's own rows, runs only
-    where the walk fails.
-    """
-    _check_int("vertex", x)
-    if not 0 <= x < g.n:
-        raise ValueError(f"vertex {x} out of range")
-    return _claw(g, x, set())
-
-
-def _claw(g: Graph, x: int, known: set) -> int:
-    """claw_number(g, x) for a vertex x of g, with the walk reading and
-    filling the caller's known cliques (see _partition_local)."""
-    masks = _partition_local(g, x, known)
-    return len(masks) if masks is not None else _max_coclique_size(g._rows, g._rows[x])
-
-
 def _is_clique(rows: tuple[int, ...], mask: int) -> bool:
     for v in _bits(mask):
         if mask & ~(rows[v] | (1 << v)):
@@ -311,11 +290,11 @@ def _partition_local(g: Graph, x: int, known: set):
       a clique, and on success the masks are t+1 disjoint s-cliques
       covering the k = s(t+1) neighbors.
 
-    known is a set of vertex masks that the caller creates, shares over
-    the walks of one operation on g, and drops when the operation returns.
-    The walk adds each {x} + cand that passes, keyed by that exact vertex
-    set: cand is a clique iff it is, as x is adjacent to all of cand.  In
-    a GQ it is a line, tested once instead of once from each of its points.
+    known is the set of vertex masks that _walks shares over the walks of
+    one operation on g.  The walk adds each {x} + cand that passes, keyed
+    by that exact vertex set: cand is a clique iff it is, as x is adjacent
+    to all of cand.  In a GQ it is a line, tested once instead of once
+    from each of its points.
     """
     rows = g._rows
     rx = rows[x]
@@ -332,6 +311,29 @@ def _partition_local(g: Graph, x: int, known: set):
         masks.append(cand)
         uncovered &= ~cand
     return masks
+
+
+def _walks(g: Graph):
+    """Yield (masks, claw number) for each vertex x of g, ascending: the
+    masks of the cover walk at x, or None where it fails, and the claw
+    number of x, len(masks), or where the walk fails one coclique search
+    over N(x).  The walks share one set of known cliques, created here and
+    dropped with the generator; being lazy, it walks no vertex after the
+    last one its caller takes."""
+    rows = g._rows
+    known: set[int] = set()
+    for x in range(g.n):
+        masks = _partition_local(g, x, known)
+        yield masks, len(masks) if masks is not None else _max_coclique_size(rows, rows[x])
+
+
+def claw_numbers(g: Graph) -> tuple[int, ...]:
+    """The claw numbers of g, indexed by vertex: that of x is the largest
+    r such that x centers an induced r-claw, i.e. the maximum coclique
+    size among the neighbors of x.  ValueError for the empty graph."""
+    if g.n == 0:
+        raise ValueError("empty graph")
+    return tuple(phi for _, phi in _walks(g))
 
 
 def _gq_params(g: Graph, p: GQParams | None = None) -> GQParams:
@@ -354,16 +356,6 @@ def _gq_params(g: Graph, p: GQParams | None = None) -> GQParams:
             f"requires srg{tuple(derive_srg(p))}"
         )
     return p
-
-
-def _claw_histogram(g: Graph) -> dict[int, int]:
-    """Claw number -> vertex count over all of g, ascending by claw number.
-    Each claw number is one cover walk, plus branch and bound where the
-    walk fails; the walks share one set of known cliques."""
-    if g.n == 0:
-        raise ValueError("empty graph")
-    known: set[int] = set()
-    return dict(sorted(Counter(_claw(g, x, known) for x in range(g.n)).items()))
 
 
 # ---------------------------------------------------------------------------

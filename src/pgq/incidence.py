@@ -25,8 +25,7 @@ from collections import namedtuple
 from itertools import combinations, product
 from math import isqrt
 
-from .graph import (MAX_PGQGRAPH_VERTICES, Graph, _bits, _body_line, _gq_params,
-                    _max_coclique_size, _partition_local, _refused_field)
+from .graph import MAX_PGQGRAPH_VERTICES, Graph, _bits, _body_line, _gq_params, _refused_field, _walks
 from .params import GQParams, _check_int
 
 
@@ -150,12 +149,12 @@ def extract_gq(g: Graph, p: GQParams | None = None) -> ExtractionResult:
     graph._gq_params).  Each local graph is (s-1)-regular on s(t+1)
     vertices, so by Caro-Wei its claw number is at least t+1, with
     equality iff it splits into t+1 disjoint s-cliques.  The partition is
-    tried at every vertex in ascending order; the first vertex where it
-    fails is the smallest with claw number above t+1, by Caro-Wei and so
-    with no check, and is returned as the witness, with its claw number
-    from one coclique search over N(x).  Otherwise the lines {x} + C are
+    tried at every vertex in ascending order (graph._walks); the first
+    vertex where it fails is the smallest with claw number above t+1, by
+    Caro-Wei and so with no check, and is returned as the witness, with
+    its claw number from one coclique search over N(x), the only one, as
+    no vertex after it is walked.  Otherwise the lines {x} + C are
     gathered, each at its lowest point x, where C has no vertex below x.
-    The walks share one set of known cliques, dropped on return.
 
     The result is a GQ(s,t), so it is not checked.  A line {x} + C is an
     (s+1)-clique, and an (s+1)-clique through an edge ab is
@@ -175,11 +174,8 @@ def extract_gq(g: Graph, p: GQParams | None = None) -> ExtractionResult:
     p = _gq_params(g, p)
     t = p.t
     lines: list[tuple[int, ...]] = []
-    known: set[int] = set()
-    for x in range(g.n):
-        masks = _partition_local(g, x, known)
+    for x, (masks, phi) in enumerate(_walks(g)):
         if masks is None:
-            phi = _max_coclique_size(g._rows, g._rows[x])
             return ExtractionResult(
                 None, x, phi,
                 f"pseudo-GQ evidence: claw number {phi} > t+1 = {t + 1} at vertex {x}",

@@ -10,7 +10,7 @@ import time
 import pytest
 
 from pgq.bounds import claw_bound_terms, neumaier_bound, optimal_claw_bound, quadratic_claw_bound
-from pgq.graph import claw_number, verify_srg
+from pgq.graph import claw_numbers, verify_srg
 from pgq.incidence import (
     collinearity_graph,
     dual,
@@ -153,8 +153,8 @@ def test_claw_oracle_equivalence():
     graphs.append(("shrikhande", gen_shrikhande()))
     mismatches = []
     for label, g in graphs:
-        for x in range(g.n):
-            got, want = claw_number(g, x), local_coclique_oracle(g, x)
+        for x, got in enumerate(claw_numbers(g)):
+            want = local_coclique_oracle(g, x)
             if got != want:
                 mismatches.append(f"{label} vertex {x}: {got} != {want}")
     _verdict(
@@ -170,7 +170,7 @@ def test_gq_extraction_positives(extractions):
         if not check.ok or check.params != derive_srg(p):
             problems.append(f"{label}: srg mismatch")
             continue
-        claws = {claw_number(g, x) for x in range(g.n)}
+        claws = set(claw_numbers(g))
         if claws != {p.t + 1}:
             problems.append(f"{label}: claw numbers {claws} != {{t+1}}")
             continue
@@ -193,7 +193,7 @@ def test_gq_extraction_negative():
     shrik = gen_shrikhande()
     p = GQParams(3, 1)
     check = verify_srg(shrik)
-    claws = {claw_number(shrik, x) for x in range(shrik.n)}
+    claws = set(claw_numbers(shrik))
     result = extract_gq(shrik, p)
     rook_ok = extract_gq(gen_rook(4), p).ok
     ok = (

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 import pgq
 from pgq.cli import _COMMANDS, UsageError, _build_parser, _decimal, _parse_plain, main, run as run_cli
-from pgq.graph import Graph, claw_number, parse_pgqgraph, write_pgqgraph
+from pgq.graph import Graph, claw_numbers, parse_pgqgraph, write_pgqgraph
 from pgq.incidence import (
     collinearity_graph,
     dual,
@@ -476,7 +476,7 @@ def test_graph_claw_of_a_deep_clique_does_not_recurse(capsys, tmp_path):
     # of 1202 vertices, and the branch and bound goes 1202 levels deep.
     edges = [(0, v) for v in range(1, 1204)] + [(1201, 1202), (1201, 1203)]
     g = Graph(1204, edges)
-    assert claw_number(g, 0) == 1202
+    assert claw_numbers(g)[0] == 1202
     path = tmp_path / "star.pgqgraph"
     path.write_text(write_pgqgraph(g), encoding="ascii")
     code, out, _ = run(capsys, "graph", "claw", str(path))
@@ -876,6 +876,20 @@ def test_a_closed_pipe_is_an_input_error(argv, unbuffered):
     finally:
         os.close(write_end)
     assert result == (2, b"error: [Errno 32] Broken pipe\n")
+
+
+@pytest.mark.parametrize(
+    "fd,argv",
+    [(1, ("bound", "--t", "7")), (0, ("graph", "verify", "-")), (0, ("inc", "verify", "-"))],
+    ids=["bound-stdout", "graph-verify-stdin", "inc-verify-stdin"],
+)
+def test_a_closed_standard_stream_is_an_input_error(fd, argv):
+    # Where fd 0 or 1 is closed when the process starts, Python sets
+    # sys.stdin or sys.stdout to None, which once ended in a traceback.
+    proc = subprocess.run([sys.executable, "-m", "pgq.cli", *argv], stdin=subprocess.DEVNULL,
+                          capture_output=True, env=child_env(), timeout=60, preexec_fn=lambda: os.close(fd))
+    stream = "output" if fd else "input"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", f"error: standard {stream} is closed\n".encode())
 
 
 # ---------------------------------------------------------------------------

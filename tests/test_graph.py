@@ -3,6 +3,7 @@ numbers and local clique partitions, plus the RR^T = A + D cover oracle."""
 
 import random
 import tracemalloc
+from collections import Counter
 from unittest import mock
 
 import pytest
@@ -10,13 +11,11 @@ from hypothesis import given, settings, strategies as st
 
 from pgq.graph import (
     Graph,
-    _claw,
-    _claw_histogram,
     _gq_params,
     _partition_local,
     _max_coclique_size,
     _parse_lines,
-    claw_number,
+    claw_numbers,
     parse_pgqgraph,
     verify_srg,
     write_pgqgraph,
@@ -40,6 +39,7 @@ from oracles import (
     local_coclique_oracle,
     local_partition_oracle,
     parse_pgqgraph_oracle,
+    relabel,
     srg_oracle,
     symplectic_graph,
     text_id,
@@ -82,8 +82,8 @@ def test_graph_rejects_bad_edges():
     ([(0, 1.0)], "(0, 1.0)"),
 ], ids=["bools", "bool-v", "float"])
 def test_graph_refuses_endpoints_that_are_not_ints(edges, shown):
-    # True and False would be read as vertices 1 and 0, as claw_number,
-    # GQParams and IncidenceStructure would not read them.
+    # True and False would be read as vertices 1 and 0, as GQParams and
+    # IncidenceStructure would not read them.
     with pytest.raises(ValueError) as exc:
         Graph(3, edges)
     assert str(exc.value) == f"edge endpoints must be integers, got {shown}"
@@ -421,48 +421,32 @@ def test_verify_srg_builds_only_the_rows_it_reads():
     ],
 )
 def test_claw_number_examples(g, expected):
-    assert claw_number(g, 0) == expected
-
-
-def test_claw_number_vertex_range():
-    g = gen_kneser_6_2()
-    for x in (-1, g.n):
-        with pytest.raises(ValueError, match=rf"^vertex {x} out of range$"):
-            claw_number(g, x)
-
-
-@pytest.mark.parametrize("x", [1.0, True, "1"])
-def test_claw_number_refuses_a_vertex_that_is_not_an_int(x):
-    # A float would reach the row lookup, and True would count as vertex 1.
-    with pytest.raises(ValueError, match=rf"^vertex must be an integer, got {x!r}$"):
-        claw_number(gen_shrikhande(), x)
+    assert claw_numbers(g)[0] == expected
 
 
 @pytest.mark.parametrize("name,g,p", ALL_GENERATORS)
 def test_claw_number_matches_brute_force(name, g, p):
-    for x in range(g.n):
-        assert claw_number(g, x) == local_coclique_oracle(g, x)
+    assert claw_numbers(g) == tuple(local_coclique_oracle(g, x) for x in range(g.n))
 
 
 @given(graphs())
 def test_claw_number_matches_brute_force_random(g):
-    for x in range(g.n):
-        assert claw_number(g, x) == local_coclique_oracle(g, x)
+    assert claw_numbers(g) == tuple(local_coclique_oracle(g, x) for x in range(g.n))
 
 
 @given(graphs(), st.randoms())
 def test_claw_numbers_do_not_depend_on_visit_order(g, rng):
-    # Walks that share one set of known cliques, as in a census, must give
-    # the same claw numbers whatever vertex they start from.
-    order, known = rng.sample(range(g.n), g.n), set()
-    assert {x: _claw(g, x, known) for x in order} == {
-        x: local_coclique_oracle(g, x) for x in range(g.n)
-    }
+    # The walks of a census share one set of known cliques and run in
+    # ascending order; relabelled, the same graph is walked in another
+    # order, and every vertex must keep its claw number.
+    perm = rng.sample(range(g.n), g.n)
+    claws = claw_numbers(relabel(g, perm))
+    assert [claws[perm[x]] for x in range(g.n)] == [local_coclique_oracle(g, x) for x in range(g.n)]
 
 
 @given(graphs(), st.data())
 def test_coclique_search_matches_subset_enumeration_on_any_vertex_set(g, data):
-    # The search behind claw_number, on any candidate mask, not only N(x).
+    # The search behind claw_numbers, on any candidate mask, not only N(x).
     cand = data.draw(st.integers(0, (1 << g.n) - 1))
     index = {v: i for i, v in enumerate(members(cand))}
     induced = {frozenset((index[u], index[v])) for u, v in g.edges() if u in index and v in index}
@@ -512,9 +496,8 @@ def test_partition_requires_matching_parameters():
 def test_partition_succeeds_exactly_at_minimum_claw(name, g, p):
     # phi(x) = t+1 is equivalent to the local graph splitting into t+1
     # disjoint s-cliques; by Caro-Wei phi(x) is never below t+1.
-    for x in range(g.n):
+    for x, phi in enumerate(claw_numbers(g)):
         masks = _partition_local(g, x, set())
-        phi = claw_number(g, x)
         assert phi >= p.t + 1
         assert (masks is not None) == (phi == p.t + 1)
         if masks is not None:
@@ -579,7 +562,7 @@ def test_claw_lower_bound_histograms():
         (gen_rook(4), GQParams(3, 1), {2: 16}),
     ]:
         assert _gq_params(g, p) == _gq_params(g) == p
-        assert _claw_histogram(g) == histogram and min(histogram) >= p.t + 1
+        assert Counter(claw_numbers(g)) == histogram and min(histogram) >= p.t + 1
 
 
 def test_claw_lower_bound_requires_matching_srg():

@@ -60,8 +60,12 @@ ARGPARSE = {"argparse", "gettext", "locale"}
         # (s, t) is checked in pgq.graph itself.
         (["graph", "claw", "W3", "--s", "3", "--t", "3"],
          {"pgq.bounds", "pgq.incidence", "pgq.scan", "fractions", *ARGPARSE}),
+        # The census is pgq.graph's own walk, with no incidence structure.
+        (["graph", "claw", "W3"], {"pgq.bounds", "pgq.incidence", "pgq.scan", "fractions", *ARGPARSE}),
+        (["graph", "extract-gq", "W3"], {"pgq.bounds", "pgq.scan", "fractions", *ARGPARSE}),
     ],
-    ids=["help", "bound", "check", "scan", "scan-json", "graph-verify", "graph-claw"],
+    ids=["help", "bound", "check", "scan", "scan-json", "graph-verify", "graph-claw", "graph-claw-plain",
+         "graph-extract-gq"],
 )
 def test_cli_call_loads_only_its_modules(tmp_path, argv, absent):
     w3 = tmp_path / "w3.pgqgraph"

@@ -10,11 +10,9 @@ from hypothesis import given, strategies as st
 import pgq.graph
 from pgq.graph import (
     Graph,
-    _claw,
-    _claw_histogram,
     _max_coclique_size,
     _partition_local,
-    claw_number,
+    claw_numbers,
     verify_srg,
 )
 from pgq.incidence import (
@@ -259,9 +257,9 @@ def test_census_tests_each_line_once(monkeypatch):
     is_clique = pgq.graph._is_clique
     monkeypatch.setattr("pgq.graph._is_clique", lambda rows, m: tested.append(m) or is_clique(rows, m))
     lines = (5 * 5 + 1) * (5 + 1)
-    for run in (lambda: _claw_histogram(W5_GRAPH) == {6: 156},
+    for run in (lambda: claw_numbers(W5_GRAPH) == (6,) * 156,
                 lambda: extract_gq(W5_GRAPH, GQParams(5, 5)).ok,
-                lambda: _claw_histogram(W5_GRAPH) == {6: 156}):
+                lambda: claw_numbers(W5_GRAPH) == (6,) * 156):
         tested.clear()
         assert run() and len(tested) == len(set(tested)) == lines
 
@@ -272,9 +270,8 @@ def test_census_tests_each_line_once(monkeypatch):
     ids=["switched-q43", "shrikhande"],
 )
 def test_negative_extraction_walks_the_witness_once(g, p, seed, monkeypatch):
-    # Where the walk fails, extract_gq searches the witness's cocliques
-    # directly: no claw_number, which would check the vertex again and
-    # repeat the walk that just failed.
+    # extract_gq reads the walks of graph._walks up to the witness and no
+    # further, so no vertex is walked twice and none after the witness.
     if seed is not None:
         g = relabel(g, random.Random(seed).sample(range(g.n), g.n))
     walked = []
@@ -285,12 +282,36 @@ def test_negative_extraction_walks_the_witness_once(g, p, seed, monkeypatch):
         return partition(g, x, known)
 
     monkeypatch.setattr("pgq.graph._partition_local", counted)
-    monkeypatch.setattr("pgq.incidence._partition_local", counted)
-    monkeypatch.setattr("pgq.graph.claw_number", None)
-    monkeypatch.setattr("pgq.incidence.claw_number", None, raising=False)
     result = extract_gq(g, p)
     assert (result.witness_vertex, result.witness_claw) == census_witness(g, p.t)
     assert walked == list(range(result.witness_vertex + 1))
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1])
+@pytest.mark.parametrize(
+    "g,p,witness",
+    [(W3_GRAPH, GQParams(3, 3), False), (Q43, GQParams(3, 3), False), (W5_GRAPH, GQParams(5, 5), False),
+     (gen_shrikhande(), GQParams(3, 1), True), (SWITCHED_Q43, GQParams(3, 3), True),
+     (CAMERON, GQParams(10, 2), True)],
+    ids=["w3", "q43", "w5", "shrikhande", "switched-q43", "cameron"],
+)
+def test_extraction_stays_lazy(g, p, witness, seed, monkeypatch):
+    # The walks are a lazy generator, so extraction runs no coclique
+    # search on a GQ and one, at the witness, on a pseudo-GQ.  Every walk
+    # of Cameron fails, so a census of all vertices would run 231.
+    if seed is not None:
+        g = relabel(g, random.Random(seed).sample(range(g.n), g.n))
+    searched = []
+    search = pgq.graph._max_coclique_size
+
+    def counted(rows, cand):
+        searched.append(cand)
+        return search(rows, cand)
+
+    monkeypatch.setattr("pgq.graph._max_coclique_size", counted)
+    result = extract_gq(g, p)
+    assert result.ok is not witness
+    assert searched == ([g.row(result.witness_vertex)] if witness else [])
 
 
 CLAW_GRAPHS = {
@@ -310,12 +331,13 @@ def oracle_claws(name):
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("name", CLAW_GRAPHS)
 def test_claw_numbers_in_random_order_match_oracle(name, seed):
-    # The walks of one census share a set of known cliques; whatever order
-    # they fill it in, every claw number must equal the exhaustive one.
+    # The walks of one census share a set of known cliques; relabelled at
+    # random, the graph fills it in another order, and every claw number
+    # must still equal the exhaustive one.
     g = CLAW_GRAPHS[name]
-    known = set()
-    claws = {x: _claw(g, x, known) for x in random.Random(seed).sample(range(g.n), g.n)}
-    assert [claws[x] for x in range(g.n)] == oracle_claws(name)
+    perm = random.Random(seed).sample(range(g.n), g.n)
+    claws = claw_numbers(relabel(g, perm))
+    assert [claws[perm[x]] for x in range(g.n)] == oracle_claws(name)
 
 
 def test_symplectic_oracle_matches_w3_generator():
@@ -332,7 +354,7 @@ def test_extract_shrikhande_fails_with_claw_witness():
 
 def test_switched_q43_is_a_pseudo_gq():
     assert verify_srg(SWITCHED_Q43).params == derive_srg(GQParams(3, 3))
-    assert {claw_number(SWITCHED_Q43, x) for x in range(40)} == {4, 5, 6}
+    assert set(claw_numbers(SWITCHED_Q43)) == {4, 5, 6}
     result = extract_gq(SWITCHED_Q43, GQParams(3, 3))
     assert (result.witness_vertex, result.witness_claw) == (0, 6)
     assert result.reason == "pseudo-GQ evidence: claw number 6 > t+1 = 4 at vertex 0"
@@ -341,7 +363,7 @@ def test_switched_q43_is_a_pseudo_gq():
 def test_cameron_graph_is_a_pseudo_gq():
     assert verify_srg(CAMERON).params == derive_srg(GQParams(10, 2))
     assert srg_oracle(CAMERON.n, edge_set(CAMERON)) == ((231, 30, 9, 3), None)
-    assert _claw_histogram(CAMERON) == {5: 231}
+    assert claw_numbers(CAMERON) == (5,) * 231
     result = extract_gq(CAMERON, GQParams(10, 2))
     assert (result.witness_vertex, result.witness_claw) == (0, 5)
     assert result.reason == "pseudo-GQ evidence: claw number 5 > t+1 = 3 at vertex 0"
@@ -366,9 +388,8 @@ def test_extract_witness_matches_claw_census(g, p, seed):
 def test_partition_succeeds_iff_claw_is_t_plus_1(g):
     # Caro-Wei: the local graph is (s-1)-regular on s(t+1) vertices, so its
     # claw number is at least t+1, with equality iff it is (t+1) K_s.
-    for x in range(g.n):
+    for x, phi in enumerate(claw_numbers(g)):
         masks = _partition_local(g, x, set())
-        phi = claw_number(g, x)
         assert phi >= 4
         assert (masks is not None) == (phi == 4)
 
@@ -414,13 +435,13 @@ def test_walk_claw_number_matches_branch_and_bound(g, walks, seed):
     if seed is not None:
         g = relabel(g, random.Random(seed).sample(range(g.n), g.n))
     succeeded = set()
-    for x in range(g.n):
+    for x, phi in enumerate(claw_numbers(g)):
         exact = _max_coclique_size(g._rows, g.row(x))
         masks = _partition_local(g, x, set())
         if masks is not None:
             assert len(masks) == exact
         succeeded.add(masks is not None)
-        assert claw_number(g, x) == exact
+        assert phi == exact
     assert succeeded == walks
 
 

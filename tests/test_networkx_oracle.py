@@ -3,11 +3,9 @@ parameters from the intersection array, and claw numbers as maximum
 cliques of the complemented local graph.  Skipped where networkx is not
 installed; it is in the test extra only."""
 
-from collections import Counter
-
 import pytest
 
-from pgq.graph import _claw_histogram, verify_srg
+from pgq.graph import claw_numbers, verify_srg
 
 from test_cli import PGQ_FORM_CORPUS
 
@@ -34,9 +32,11 @@ def test_srg_params_match_the_intersection_array(g):
 
 @pytest.mark.parametrize("g", CORPUS.values(), ids=CORPUS.keys())
 def test_claw_histogram_matches_max_cliques_of_the_local_complement(g):
+    # Per vertex, not as a histogram, which could match with the numbers
+    # on the wrong vertices.
     graph = _nx_graph(g)
-    claws = Counter(
+    claws = tuple(
         nx.max_weight_clique(nx.complement(graph.subgraph(graph[x])), weight=None)[1]
-        for x in graph
+        for x in range(g.n)
     )
-    assert _claw_histogram(g) == dict(sorted(claws.items()))
+    assert claw_numbers(g) == claws
