@@ -218,15 +218,19 @@ def _explicit_params(args) -> GQParams | None:
 
 
 def _cmd_graph(args):
-    from .graph import _gq_params, claw_numbers, parse_pgqgraph, verify_srg
+    from .graph import _gq_params, _gq_walked, claw_numbers, parse_pgqgraph, verify_srg
     from .params import derive_srg
 
     g = parse_pgqgraph(_read_input(args.file))
     if args.action == "verify":
-        check = verify_srg(g)
-        if not check.ok:
-            return EXIT_NEGATIVE, _json({"srg": False, "failure": check.failure})
-        q = check.params
+        walked = _gq_walked(g)[0]
+        if walked is not None:  # a GQ(s,t), so an srg with these parameters
+            q = derive_srg(walked)
+        else:
+            check = verify_srg(g)
+            if not check.ok:
+                return EXIT_NEGATIVE, _json({"srg": False, "failure": check.failure})
+            q = check.params
         payload = {"srg": True, "v": q.v, "k": q.k, "lambda": q.lam, "mu": q.mu}
         p = _explicit_params(args)
         if p is not None:
@@ -235,14 +239,18 @@ def _cmd_graph(args):
     if args.action == "claw":
         p = _explicit_params(args)
         extra = {}
+        walked = None
         if p is not None:
-            _gq_params(g, p)
+            walked = _gq_walked(g, p)[0]
+            if walked is None:
+                _gq_params(g, p)
             # Every local graph is then (s-1)-regular on s(t+1) vertices, so
-            # by Caro-Wei every claw number is at least t+1.
+            # by Caro-Wei every claw number is at least t+1; in a GQ each is
+            # t+1, the number of masks of its walk.
             extra = {"threshold": p.t + 1, "ok": True}
         from collections import Counter
 
-        hist = dict(sorted(Counter(claw_numbers(g)).items()))
+        hist = {p.t + 1: g.n} if walked else dict(sorted(Counter(claw_numbers(g)).items()))
         return EXIT_OK, _json({
             "histogram": {str(r): c for r, c in hist.items()},
             "min": min(hist),
@@ -254,7 +262,7 @@ def _cmd_graph(args):
 
     result = extract_gq(g, _explicit_params(args))
     if not result.ok:
-        print(result.reason, file=sys.stderr)
+        _diagnose(result.reason)
         return EXIT_NEGATIVE, None
     return EXIT_OK, write_pgqinc(result.structure)
 
@@ -348,7 +356,7 @@ def main(argv=None) -> int:
         if output is not None:
             _write_output(output, getattr(args, "out", None))
     except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
+        _diagnose(f"usage error: {exc}")
         return EXIT_USAGE
     except SystemExit as exc:  # argparse --help
         code = EXIT_OK if not exc.code else EXIT_USAGE
@@ -365,22 +373,41 @@ def main(argv=None) -> int:
     return code
 
 
+def _diagnose(line: str) -> None:
+    """Write one line to stderr, if it can take it: a stderr that is
+    closed or full loses the line, and the exit code stays that of the
+    command.  What a failed write leaves in stderr's buffer is discarded
+    (_to_devnull), as the interpreter's final flush would fail on it and
+    end the process with status 120."""
+    try:
+        if sys.stderr is not None:
+            print(line, file=sys.stderr)
+    except OSError:
+        _to_devnull(sys.stderr)
+
+
 def _input_error(exc: Exception) -> int:
     """Report exc as an input error.  If stdout still holds what it cannot
-    write, fd 1 is pointed at os.devnull, as the signal module's note on
-    SIGPIPE does, so the interpreter's final flush has nothing to fail on
-    and the process ends with this error alone."""
-    print(f"error: {exc}", file=sys.stderr)
+    write, it is discarded (_to_devnull), so the interpreter's final flush
+    has nothing to fail on and the process ends with this error alone."""
+    _diagnose(f"error: {exc}")
     try:
         if sys.stdout is not None:
             sys.stdout.flush()
     except OSError:
-        import os
-
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        _to_devnull(sys.stdout)
     return EXIT_INPUT
+
+
+def _to_devnull(stream) -> None:
+    """Point the file descriptor of stream at os.devnull, as the signal
+    module's note on SIGPIPE does, so what stream still holds is written
+    there at exit."""
+    import os
+
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, stream.fileno())
+    os.close(devnull)
 
 
 def run() -> int:

@@ -9,17 +9,19 @@ settles it whenever every candidate set the walk takes is a clique
 (always, in a GQ collinearity graph); only where the walk fails is it
 computed by exact branch and bound over the graph's own rows restricted
 to N(x), whose worst case is exponential in the k neighbors of x.  The
-walks of all vertices are one generator, _walks, which claw_numbers and
-incidence.extract_gq both read.  The (s, t) of a graph is checked in one
-place, _gq_params, by one verify_srg pass.
+walks of all vertices serve two readers: claw_numbers, and _gq_walked,
+which proves g a GQ from its walks alone, with no srg check and no
+coclique search.  Where that proof fails, the (s, t) of a graph is
+checked in one place, _gq_params, by one verify_srg pass.
 """
 
 from __future__ import annotations
 
 import sys
 from collections import namedtuple
+from functools import reduce
 from itertools import compress
-from operator import lt
+from operator import lt, or_
 
 from .params import GQParams, SrgParams, derive_srg, identify_gq_form
 
@@ -278,8 +280,8 @@ def _partition_local(g: Graph, x: int, known: set):
     The m masks are cliques covering N(x), and a coclique meets each
     clique at most once, so no coclique is larger than m.
 
-    extract_gq first requires g to be an srg with PGQ(s,t) parameters,
-    and lam = s-1 decides everything but the clique test:
+    In an srg with PGQ(s,t) parameters, lam = s-1 decides everything but
+    the clique test:
 
     - every candidate set has 1 + lam = s vertices;
     - an s-clique inside N(x) containing z has its other s-1 members in
@@ -290,11 +292,11 @@ def _partition_local(g: Graph, x: int, known: set):
       a clique, and on success the masks are t+1 disjoint s-cliques
       covering the k = s(t+1) neighbors.
 
-    known is the set of vertex masks that _walks shares over the walks of
-    one operation on g.  The walk adds each {x} + cand that passes, keyed
-    by that exact vertex set: cand is a clique iff it is, as x is adjacent
-    to all of cand.  In a GQ it is a line, tested once instead of once
-    from each of its points.
+    known is the set of vertex masks that the walks of one operation on g
+    share.  The walk adds each {x} + cand that passes, keyed by that exact
+    vertex set: cand is a clique iff it is, as x is adjacent to all of
+    cand.  In a GQ it is a line, tested once instead of once from each of
+    its points.
     """
     rows = g._rows
     rx = rows[x]
@@ -313,27 +315,102 @@ def _partition_local(g: Graph, x: int, known: set):
     return masks
 
 
-def _walks(g: Graph):
-    """Yield (masks, claw number) for each vertex x of g, ascending: the
-    masks of the cover walk at x, or None where it fails, and the claw
-    number of x, len(masks), or where the walk fails one coclique search
-    over N(x).  The walks share one set of known cliques, created here and
-    dropped with the generator; being lazy, it walks no vertex after the
-    last one its caller takes."""
-    rows = g._rows
-    known: set[int] = set()
-    for x in range(g.n):
-        masks = _partition_local(g, x, known)
-        yield masks, len(masks) if masks is not None else _max_coclique_size(rows, rows[x])
+def _coclique_claw(g: Graph, x: int) -> int:
+    """The claw number of x from one coclique search over N(x), for a
+    vertex whose cover walk failed."""
+    return _max_coclique_size(g._rows, g._rows[x])
 
 
 def claw_numbers(g: Graph) -> tuple[int, ...]:
     """The claw numbers of g, indexed by vertex: that of x is the largest
     r such that x centers an induced r-claw, i.e. the maximum coclique
-    size among the neighbors of x.  ValueError for the empty graph."""
+    size among the neighbors of x.  ValueError for the empty graph.
+
+    The walks of all vertices share one set of known cliques, created
+    here and dropped on return; the claw number of x is the number of
+    masks of its walk, or where the walk fails one coclique search."""
     if g.n == 0:
         raise ValueError("empty graph")
-    return tuple(phi for _, phi in _walks(g))
+    known: set[int] = set()
+    walks = (_partition_local(g, x, known) for x in range(g.n))
+    return tuple(_coclique_claw(g, x) if masks is None else len(masks) for x, masks in enumerate(walks))
+
+
+def _gq_walked(g: Graph, p: GQParams | None = None):
+    """Prove g the collinearity graph of a GQ(s,t) from its cover walks,
+    with no srg check and no coclique search.
+
+    Returns (GQParams(s, t), lines) where every check below passes, the
+    lines sorted as extract_gq returns them; otherwise (None, x), where x
+    counts the vertices, from 0, whose walks passed: the vertex whose walk
+    failed, 0 where a check before the walks failed, or n where the last
+    check failed.  The checks, in order:
+
+    - g is k-regular, with k >= 1;
+    - s is 1 + |common(0, y)| for the lowest neighbor y of vertex 0 (the
+      size of vertex 0's first mask), t = k/s - 1 is an integer >= 1,
+      n = (s+1)(st+1), and p, if given, is (s, t);
+    - the walk at every vertex succeeds, all walks sharing one set of
+      known cliques, whose members {x} + mask are the keys;
+    - the lines, x with each mask of x that has no vertex below x, are as
+      many as the keys, and each has s+1 vertices whose rows together
+      cover (s+1)(k-s+1) vertices.
+
+    Each line is a key, and no two lines are the same (their lowest
+    points differ, or at one x their masks do, as each takes a vertex
+    the ones before it did not cover), so the lines are the keys, and
+    every key passed the last check.
+
+    Proof that g is then a GQ(s,t).  A key K is a clique, so each of its
+    vertices is adjacent to the s others and to k-s outside K, and the
+    rows cover K and at most (s+1)(k-s) vertices outside it: exactly
+    that many says that no vertex outside K is adjacent to two points of
+    K.  So common(a, b) = K - {a, b} for all a != b in K, and K is the
+    only key through the edge ab (two would both be
+    {a, b} + common(a, b)).  Every edge ab is in a key, as the masks of
+    a cover N(a).  Two masks of a sharing a vertex z would give two keys
+    through az, so the masks of a are disjoint s-sets covering
+    k = s(t+1) neighbors: t+1 of them.  Each key K through a is a plus a
+    mask of a, since for b in K - {a} the key of a's mask through b is a
+    key through ab, K itself.  So the t+1 keys through a are a with its
+    masks, and the keys are the lines of a partial linear space of order
+    (s, t) (s+1 points on a line, t+1 lines through a point, two points
+    on at most one line) whose collinearity graph is g, in which a point
+    off a line is collinear with at most one of its points.  It has
+    n(t+1)/(s+1) = (st+1)(t+1) lines, t+1 of them through a point p.
+    Each of the s(t+1) neighbors q of p lies on t lines other than pq,
+    none through p (it would share p and q with pq) and no two the same
+    (that line would hold two points collinear with p): st(t+1) lines,
+    which are all the (st+1)(t+1) - (t+1) lines that miss p.  So p is
+    collinear with exactly one point of each line that misses it,
+    axiom (iii), and the space is a GQ(s,t), whose collinearity graph g
+    is srg(derive_srg((s, t))) (Payne and Thas, Finite Generalized
+    Quadrangles, ch. 1).  The lines returned are its lines, each once,
+    as extract_gq returns them.
+    """
+    n, rows = g.n, g._rows
+    k = rows[0].bit_count() if n else 0
+    if not k or set(map(int.bit_count, rows)) != {k}:
+        return None, 0
+    r0 = rows[0]
+    s = (r0 & rows[(r0 & -r0).bit_length() - 1]).bit_count() + 1
+    t = k // s - 1
+    if k % s or t < 1 or n != (s + 1) * (s * t + 1) or p is not None and p != (s, t):
+        return None, 0
+    known: set[int] = set()
+    lines: list[tuple[int, ...]] = []
+    for x in range(n):
+        masks = _partition_local(g, x, known)
+        if masks is None:
+            return None, x
+        below = (1 << x) - 1
+        lines.extend((x, *_bits(mask)) for mask in masks if not mask & below)
+    cover = (s + 1) * (k - s + 1)
+    if len(lines) != len(known) or any(
+        len(line) != s + 1 or reduce(or_, [rows[z] for z in line]).bit_count() != cover for line in lines
+    ):
+        return None, n
+    return GQParams(s, t), sorted(lines)
 
 
 def _gq_params(g: Graph, p: GQParams | None = None) -> GQParams:
@@ -372,12 +449,14 @@ MAX_PGQGRAPH_VERTICES = 1 << 20
 
 def write_pgqgraph(g: Graph) -> str:
     """Serialize in pgqgraph v1 form; edges sorted, newline-terminated.
-    Each row u writes its edges (u, v), v > u, as one string."""
+    Each row u writes its edges (u, v), v > u, as one string, picking the
+    names of the vertices above u by the bits of the row above u."""
+    names = list(map(str, range(g.n)))
     out = [f"{PGQGRAPH_HEADER}\n{g.n} {g.edge_count}\n"]
     for u, r in enumerate(g._rows):
-        higher = r >> (u + 1) << (u + 1)
+        higher = r >> (u + 1)
         if higher:
-            out.append(f"{u} " + f"\n{u} ".join(map(str, _bits(higher))) + "\n")
+            out.append(f"{u} " + f"\n{u} ".join(compress(names[u + 1:], _digits(higher))) + "\n")
     return "".join(out)
 
 
@@ -444,6 +523,15 @@ def _parse_canonical(text: str) -> Graph | None:
     bits.  Each check is a C-level pass, over the edge lines _CHUNK
     characters at a time, so a large file's fields are never all held
     at once.
+
+    Fields are converted by looking their text up in a table of the n
+    vertex names, which is faster than int(); a chunk with a field not
+    in it (leading zeros, or a value of n or more) is converted again by
+    int().  The table takes about 140 bytes a vertex, so it is built only
+    where 16n <= m: then it takes at most about 9 bytes per edge line,
+    against at least 4 characters of text each, and never more memory
+    than a few copies of the text, which parsing holds anyway.  Otherwise
+    every field goes through int().
     """
     head = PGQGRAPH_HEADER + "\n"
     if not text.startswith(head):
@@ -458,9 +546,14 @@ def _parse_canonical(text: str) -> Graph | None:
     if m != lines - 1 or n > MAX_PGQGRAPH_VERTICES:
         return None
     rows = [0] * n
+    vertex = {str(v): v for v in range(n)}.__getitem__ if 16 * n <= m else int
     while start < len(rest):
         stop = rest.find("\n", start + _CHUNK) + 1 or len(rest)
-        fields = list(map(int, rest[start:stop].split()))
+        words = rest[start:stop].split()
+        try:
+            fields = list(map(vertex, words))
+        except KeyError:  # a field with leading zeros, or one >= n
+            fields = list(map(int, words))
         us, vs = fields[::2], fields[1::2]
         if max(vs) >= n or not all(map(lt, us, vs)):
             return None

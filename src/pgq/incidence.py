@@ -5,14 +5,15 @@ every point is on t+1 lines, two points share at most one line, two lines
 share at most one point, and for every non-incident point-line pair (p, L)
 exactly one point of L is collinear with p.
 
-The central operation here is extraction: a strongly regular graph with
-PGQ-form parameters is the collinearity graph of a GQ exactly when every
-vertex has claw number t+1, in which case the lines are the maximal
-(s+1)-cliques obtained from the local clique partitions.  By Caro-Wei a
-vertex has claw number t+1 exactly when its local partition succeeds, so
-extraction partitions first and computes a claw number only where that
-fails.  Otherwise it gathers the lines {x} + C, which the srg parameters
-make a GQ (the proof is in the extract_gq docstring).
+The central operation here is extraction: a graph is the collinearity
+graph of a GQ(s,t) exactly when its local clique partitions succeed
+everywhere and pass the checks that graph._gq_walked proves sufficient,
+in which case the lines are the (s+1)-cliques obtained from those
+partitions, and the srg parameters of g follow with no srg check.
+Otherwise, for an srg with PGQ-form parameters, a vertex has claw number
+t+1 exactly when its local partition succeeds (Caro-Wei), so the first
+vertex whose partition failed is the pseudo-GQ witness, and its claw
+number is the one coclique search an extraction runs.
 
 Also provides the test-corpus generators (rook's graphs, complete
 bipartite graphs, the disjoint-pairs graph on a 6-set, the symplectic
@@ -25,7 +26,8 @@ from collections import namedtuple
 from itertools import combinations, product
 from math import isqrt
 
-from .graph import MAX_PGQGRAPH_VERTICES, Graph, _bits, _body_line, _gq_params, _refused_field, _walks
+from .graph import (MAX_PGQGRAPH_VERTICES, Graph, _bits, _body_line, _coclique_claw, _gq_params, _gq_walked,
+                    _refused_field)
 from .params import GQParams, _check_int
 
 
@@ -144,45 +146,35 @@ def verify_axioms(inc: IncidenceStructure) -> AxiomCheck:
 def extract_gq(g: Graph, p: GQParams | None = None) -> ExtractionResult:
     """Extract the GQ underlying g, or report pseudo-GQ evidence.
 
-    Requires verify_srg(g) == derive_srg(p), where p None stands for the
-    (s, t) of g's srg parameters (ValueError otherwise, see
-    graph._gq_params).  Each local graph is (s-1)-regular on s(t+1)
-    vertices, so by Caro-Wei its claw number is at least t+1, with
-    equality iff it splits into t+1 disjoint s-cliques.  The partition is
-    tried at every vertex in ascending order (graph._walks); the first
-    vertex where it fails is the smallest with claw number above t+1, by
-    Caro-Wei and so with no check, and is returned as the witness, with
-    its claw number from one coclique search over N(x), the only one, as
-    no vertex after it is walked.  Otherwise the lines {x} + C are
-    gathered, each at its lowest point x, where C has no vertex below x.
+    The cover walks are tried first (graph._gq_walked): where they prove
+    g a GQ(s,t), with (s, t) = p if p is given, its lines are returned,
+    each gathered once at its lowest point, with no srg check.  The
+    result is a GQ by that proof, so it is not checked.
 
-    The result is a GQ(s,t), so it is not checked.  A line {x} + C is an
-    (s+1)-clique, and an (s+1)-clique through an edge ab is
-    {a, b} + common(a, b), as lam = s-1.  So a line through x and y is x
-    with a mask of x and y with a mask of y: it is gathered once, and
-    collinear means adjacent, as every neighbor of x is in a mask of x.
-    - (i): a line has |C| + 1 = s+1 points, and two lines sharing two
-      points a, b are both {a, b} + common(a, b).
-    - (ii): the lines through x are x with its t+1 disjoint masks.
-    - (iii), at most one point: if p, off a line L, is collinear with a
-      and b of L, then p is in common(a, b), inside L.
-    - (iii), at least one point: each of the s(t+1) neighbors q of p is
-      on t lines other than pq, none through p (it would share p and q
-      with pq).  By the above these st(t+1) lines are distinct, so they
-      are all the v(t+1)/(s+1) - (t+1) = st(t+1) lines not through p.
+    Otherwise g must pass verify_srg with derive_srg(p), where p None
+    stands for the (s, t) of g's srg parameters (ValueError otherwise,
+    see graph._gq_params).  Then g passes the checks _gq_walked makes
+    before its walks, and where every walk succeeds it passes the last
+    one too: lam = s-1 makes each key K, an (s+1)-clique,
+    {a, b} + common(a, b) for any a != b in K, so no vertex outside K is
+    adjacent to two points of K, and as in the proof there the keys are
+    the lines, each gathered once.  So the walks stopped at a vertex x
+    whose walk failed, having walked each vertex up to x once.  Each
+    local graph is (s-1)-regular on s(t+1) vertices, so by Caro-Wei its
+    claw number is at least t+1, with equality iff it splits into t+1
+    disjoint s-cliques, which is when the walk succeeds.  So x is the
+    smallest vertex with claw number above t+1, with no check, and is
+    returned as the witness, with its claw number from one coclique
+    search over N(x), the only one.
     """
-    p = _gq_params(g, p)
-    t = p.t
-    lines: list[tuple[int, ...]] = []
-    for x, (masks, phi) in enumerate(_walks(g)):
-        if masks is None:
-            return ExtractionResult(
-                None, x, phi,
-                f"pseudo-GQ evidence: claw number {phi} > t+1 = {t + 1} at vertex {x}",
-            )
-        below = (1 << x) - 1
-        lines.extend((x, *_bits(mask)) for mask in masks if not mask & below)
-    return ExtractionResult(IncidenceStructure(g.n, sorted(lines), p.s, t))
+    q, found = _gq_walked(g, p)
+    if q is not None:
+        return ExtractionResult(IncidenceStructure(g.n, found, q.s, q.t))
+    t = _gq_params(g, p).t
+    phi = _coclique_claw(g, found)
+    return ExtractionResult(
+        None, found, phi, f"pseudo-GQ evidence: claw number {phi} > t+1 = {t + 1} at vertex {found}",
+    )
 
 
 def _require_gq(inc: IncidenceStructure, operation: str) -> None:

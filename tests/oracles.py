@@ -15,6 +15,7 @@ from functools import lru_cache
 from math import comb, floor, isqrt
 
 from pgq.graph import MAX_PGQGRAPH_VERTICES, PGQGRAPH_HEADER, Graph
+from pgq.incidence import IncidenceStructure
 from pgq.params import GQParams, derive_srg
 
 
@@ -337,6 +338,32 @@ def gathered_lines(graph):
         for y in nbrs[x]
     }
     return sorted(lines)
+
+
+def gq_oracle(graph):
+    """(GQParams, lines) if graph is the collinearity graph of a GQ(s,t),
+    else None.  Its srg parameters (srg_oracle) must be of PGQ form, and
+    the lines gathered from every point (gathered_lines) must pass
+    axioms_oracle as a GQ(s,t).  Then each point is collinear with
+    exactly s(t+1) points, all among its neighbors, so the collinearity
+    graph of those lines is graph; and every line a GQ's collinearity
+    graph gathers is a line of the GQ, so no GQ is missed."""
+    params, _ = srg_oracle(graph.n, edge_set(graph))
+    if params is None or params[3] < 2:
+        return None
+    p = GQParams(params[2] + 1, params[3] - 1)
+    lines = gathered_lines(graph)
+    if tuple(derive_srg(p)) != params or not axioms_oracle(IncidenceStructure(graph.n, lines, *p))[0]:
+        return None
+    return p, lines
+
+
+def paley_graph(q):
+    """The Paley graph on GF(q), q a prime 1 mod 4: residues adjacent
+    when their difference is a nonzero square.  It is srg(q, (q-1)/2,
+    (q-5)/4, (q-1)/4)."""
+    squares = {x * x % q for x in range(1, q)}
+    return Graph(q, [(u, v) for u, v in combinations(range(q), 2) if (v - u) % q in squares])
 
 
 def symplectic_graph(q):

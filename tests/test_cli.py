@@ -371,11 +371,15 @@ def test_graph_extract_gq_infers_parameters(capsys, rook_file):
      ["extract-gq"], ["extract-gq", "--s", "3", "--t", "1"]],
     ids=["verify", "verify-st", "claw-st", "extract-gq", "extract-gq-st"],
 )
-def test_graph_command_verifies_the_srg_once(capsys, srg_passes, rook_file, argv):
-    # Identifying or matching (s, t) and extracting share one O(n^2) pass.
+def test_graph_command_verifies_the_srg_once(capsys, srg_passes, rook_file, shrikhande_file, argv):
+    # Where the cover walks prove the graph a GQ (the 4x4 rook's graph is
+    # a GQ(3,1)), its srg parameters follow with no O(n^2) pass; otherwise
+    # (Shrikhande, a pseudo-GQ(3,1)) checking, identifying or matching
+    # (s, t) and extracting share one pass.
     code, _, _ = run(capsys, "graph", argv[0], rook_file, *argv[1:])
-    assert code == 0
-    assert len(srg_passes) == 1
+    assert (code, len(srg_passes)) == (0, 0)
+    code, _, _ = run(capsys, "graph", argv[0], shrikhande_file, *argv[1:])
+    assert (code, len(srg_passes)) == (3 if argv[0] == "extract-gq" else 0, 1)
 
 
 class BranchAndBoundReached(Exception):
@@ -890,6 +894,49 @@ def test_a_closed_standard_stream_is_an_input_error(fd, argv):
                           capture_output=True, env=child_env(), timeout=60, preexec_fn=lambda: os.close(fd))
     stream = "output" if fd else "input"
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", f"error: standard {stream} is closed\n".encode())
+
+
+#: A success that writes stdout, an input error, a usage error and a
+#: negative verdict that writes stderr, with their exit codes.
+STREAM_COMMANDS = {
+    "success": (("bound", "--t", "7"), 0),
+    "input-error": (("graph", "verify", "/nonexistent/file"), 2),
+    "usage-error": (("bound", "--t", "x"), 1),
+    "negative": (("graph", "extract-gq", "shrikhande.pgqgraph"), 3),
+}
+
+
+@pytest.mark.parametrize("command", STREAM_COMMANDS)
+@pytest.mark.parametrize("state", ["closed", "full", "read-only"])
+@pytest.mark.parametrize("fd", [0, 1, 2])
+def test_unusable_standard_streams_keep_each_exit_code(tmp_path, fd, state, command):
+    # Only the output a command writes to stdout can turn it into an
+    # input error (exit 2): stdin is never read here, and a diagnostic
+    # is written to stderr only if it takes it, and never to stdout.
+    # Where fd 2 is closed at start, sys.stderr is None; where it is open
+    # but cannot be written, writes to it fail.  Stdio is buffered, as
+    # where PYTHONUNBUFFERED is not set, so a failed stderr write also
+    # leaves bytes behind for the interpreter's final flush.
+    if state == "full" and not os.path.exists("/dev/full"):
+        pytest.skip("needs /dev/full")
+    argv, code = STREAM_COMMANDS[command]
+    (tmp_path / "shrikhande.pgqgraph").write_text(write_pgqgraph(gen_shrikhande()), encoding="ascii")
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    target = os.open("/dev/full" if state == "full" else os.devnull, os.O_RDONLY if state == "read-only" else os.O_RDWR)
+    try:
+        def place():
+            if state == "closed":
+                os.close(fd)
+            else:
+                os.dup2(target, fd)
+
+        proc = subprocess.run([sys.executable, "-m", "pgq.cli", *argv], stdin=subprocess.DEVNULL,
+                              capture_output=True, env=env, cwd=tmp_path, timeout=60, preexec_fn=place)
+    finally:
+        os.close(target)
+    writes = command == "success" and fd != 1
+    assert (proc.returncode, proc.stdout != b"") == (2 if fd == 1 and command == "success" else code, writes)
 
 
 # ---------------------------------------------------------------------------

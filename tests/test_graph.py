@@ -255,6 +255,43 @@ def test_bulk_parse_agrees_with_the_oracle_on_one_edit(name):
     assert loop.called != bulk
 
 
+#: W(7)'s file, whose bulk parse converts fields through the table of
+#: vertex names (16n <= m: 6,400 <= 11,200), and one-edit variants ->
+#: whether the bulk parse takes them.  A field missing from the table
+#: sends its chunk through int(), which takes leading zeros.
+W7_TEXT = write_pgqgraph(symplectic_graph(7))
+NAME_TABLE_EDITS = {
+    "none": (lambda text: text, True),
+    "leading-zeros": (edit_line(2000, lambda ln: "00" + ln.replace(" ", " 0")), True),
+    "v-is-n": (edit_line(2000, lambda ln: ln.split()[0] + " 400"), False),
+    "v-far-out-of-range": (edit_line(9000, lambda ln: ln.split()[0] + " 1000000"), False),
+    "u-not-below-v": (edit_line(900, lambda ln: " ".join(ln.split()[::-1])), False),
+    "duplicate-edge": (lambda text: edit_line(2001, lambda _: text.split("\n")[2000])(text), False),
+}
+
+
+@pytest.mark.parametrize("name", NAME_TABLE_EDITS)
+def test_bulk_parse_through_the_name_table_agrees_with_the_oracle(name):
+    edit, bulk = NAME_TABLE_EDITS[name]
+    text = edit(W7_TEXT)
+    with mock.patch("pgq.graph._parse_lines", wraps=_parse_lines) as loop:
+        assert parse_outcome(parse_pgqgraph, text) == parse_outcome(parse_pgqgraph_oracle, text)
+    assert loop.called != bulk
+
+
+def test_a_sparse_header_builds_no_name_table():
+    # 2^20 vertices and one edge: a table of 2^20 names would take over
+    # 100 MB, the rows 8 MB.
+    tracemalloc.start()
+    try:
+        g = parse_pgqgraph(f"pgqgraph 1\n{2**20} 1\n0 1\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (g.n, g.edge_count) == (2**20, 1)
+    assert peak < 24 * 2**20, peak
+
+
 @pytest.mark.parametrize("g", [Graph(0, []), symplectic_graph(5), *(g for _, g, _ in ALL_GENERATORS)],
                          ids=["empty", "w5", *(name for name, _, _ in ALL_GENERATORS)])
 def test_written_corpus_never_reaches_the_line_loop(g):

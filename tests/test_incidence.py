@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 import pgq.graph
 from pgq.graph import (
     Graph,
+    _gq_walked,
     _max_coclique_size,
     _partition_local,
     claw_numbers,
@@ -29,7 +30,7 @@ from pgq.incidence import (
     verify_axioms,
     write_pgqinc,
 )
-from pgq.params import GQParams, derive_srg
+from pgq.params import GQParams, SrgParams, derive_srg, identify_gq_form
 
 from oracles import (
     LONG_ZEROS,
@@ -41,8 +42,10 @@ from oracles import (
     edge_set,
     gathered_lines,
     godsil_mckay_switch,
+    gq_oracle,
     local_coclique_oracle,
     local_partition_oracle,
+    paley_graph,
     relabel,
     rook_edges,
     srg_oracle,
@@ -312,6 +315,112 @@ def test_extraction_stays_lazy(g, p, witness, seed, monkeypatch):
     result = extract_gq(g, p)
     assert result.ok is not witness
     assert searched == ([g.row(result.witness_vertex)] if witness else [])
+
+
+# A 4-regular graph on 9 vertices, the count of a GQ(2,1), whose cover
+# walks all succeed with masks of 2 vertices, and whose lines are as many
+# as its keys; yet a vertex outside one of its lines is adjacent to two
+# of its points, so it is no GQ, and only the last check of
+# graph._gq_walked refuses it.
+WALKS_WITHOUT_A_GQ = Graph(9, [(0, 2), (0, 4), (0, 5), (0, 8), (1, 2), (1, 6), (1, 7), (1, 8), (2, 5),
+                               (2, 6), (3, 4), (3, 5), (3, 6), (3, 7), (4, 7), (4, 8), (5, 6), (7, 8)])
+# Two disjoint copies of W(3): each walk succeeds, but n = 80 is not
+# (s+1)(st+1) = 40.
+W3_TWICE = Graph(80, W3_GRAPH.edges() + [(u + 40, v + 40) for u, v in W3_GRAPH.edges()])
+# The 4x4 rook's graph less the edge (5, 6): vertex 0 still gives s = 3,
+# t = 1 and n = 16, but the graph is not regular.
+ROOK4_LESS_AN_EDGE = Graph(16, [e for e in gen_rook(4).edges() if e != (5, 6)])
+
+#: GQs, pseudo-GQs, and graphs that fail each check of graph._gq_walked.
+WALKED = {
+    "kneser": gen_kneser_6_2(),
+    "rook3": gen_rook(3),
+    "rook4": gen_rook(4),
+    "bipartite2": gen_complete_bipartite(2),
+    "bipartite3": gen_complete_bipartite(3),
+    "w3": W3_GRAPH,
+    "q43": Q43,
+    "w5": W5_GRAPH,
+    "w7": W7_GRAPH,
+    "shrikhande": gen_shrikhande(),
+    "switched-q43": SWITCHED_Q43,
+    "cameron": CAMERON,
+    "one-vertex": Graph(1, []),
+    "k4": Graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)]),
+    "c5": Graph(5, [(i, (i + 1) % 5) for i in range(5)]),
+    "c6": Graph(6, [(i, (i + 1) % 6) for i in range(6)]),
+    "paley13": paley_graph(13),
+    "w3-twice": W3_TWICE,
+    "rook4-less-an-edge": ROOK4_LESS_AN_EDGE,
+    "walks-without-a-gq": WALKS_WITHOUT_A_GQ,
+}
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1])
+@pytest.mark.parametrize("name", WALKED)
+def test_walks_prove_a_gq_exactly_when_the_oracles_do(name, seed):
+    # The walks prove g a GQ(s,t) where srg_oracle, identify_gq_form and
+    # the axioms agree, with the lines gathered from every point.  Where
+    # they do not, extraction falls back on the srg check: it refuses g,
+    # or g is a pseudo-GQ and the walks stopped at the witness, the first
+    # vertex whose walk fails.
+    g = WALKED[name]
+    if seed is not None:
+        g = relabel(g, random.Random(seed).sample(range(g.n), g.n))
+    expected = gq_oracle(g)
+    q, found = _gq_walked(g)
+    if expected is not None:
+        assert (q, found) == expected == _gq_walked(g, q)
+        assert _gq_walked(g, GQParams(q.s + 1, q.t))[0] is None
+        return
+    assert q is None
+    params, _ = srg_oracle(g.n, edge_set(g))
+    p = params and identify_gq_form(SrgParams(*params))
+    if p is None:
+        with pytest.raises(ValueError, match=r"^graph is not strongly regular: |is not of \(P\)GQ form"):
+            extract_gq(g)
+        return
+    first_failed = next(x for x in range(g.n) if local_partition_oracle(g, x)[0] is not None)
+    assert found == first_failed == extract_gq(g).witness_vertex
+
+
+@pytest.mark.parametrize(
+    "g,p",
+    [(ROOK4_LESS_AN_EDGE, None), (W3_TWICE, None), (W3_TWICE, GQParams(3, 3)), (gen_rook(4), GQParams(2, 2)),
+     (gen_shrikhande(), GQParams(2, 2)), (Graph(6, [(i, (i + 1) % 6) for i in range(6)]), None)],
+    ids=["not-regular", "vertex-count", "vertex-count-st", "other-st", "pseudo-other-st", "c6"],
+)
+def test_checks_before_the_walks_come_first(g, p, monkeypatch):
+    # A graph that fails regularity, the vertex count or the given (s, t)
+    # is refused before any vertex is walked.
+    walked = []
+    partition = pgq.graph._partition_local
+    monkeypatch.setattr("pgq.graph._partition_local", lambda g, x, known: walked.append(x) or partition(g, x, known))
+    assert _gq_walked(g, p) == (None, 0)
+    assert walked == []
+
+
+class CoCliqueSearched(Exception):
+    pass
+
+
+@pytest.mark.parametrize("p", [None, GQParams(3, 3)])
+@pytest.mark.parametrize(
+    "g",
+    [Graph(6, [(i, (i + 1) % 6) for i in range(6)]), W3_TWICE, ROOK4_LESS_AN_EDGE, WALKS_WITHOUT_A_GQ,
+     paley_graph(401)],
+    ids=["c6", "w3-twice", "rook4-less-an-edge", "walks-without-a-gq", "paley401"],
+)
+def test_no_coclique_search_before_the_srg_check_passes(g, p, monkeypatch):
+    # The walks run no coclique search; where they fail, extraction runs
+    # the srg check next, so a graph it refuses is never searched.  Paley
+    # P(401) is an srg, but not of PGQ form.
+    def refuse(rows, cand):
+        raise CoCliqueSearched
+
+    monkeypatch.setattr("pgq.graph._max_coclique_size", refuse)
+    with pytest.raises(ValueError, match=r"^graph is (not strongly regular|srg)|is not of \(P\)GQ form"):
+        extract_gq(g, p)
 
 
 CLAW_GRAPHS = {
