@@ -78,19 +78,18 @@ def _frac(f) -> dict:
 def _decimal(f) -> str:
     """f > 0 to six significant digits, as `format(float(f), ".6g")`.
 
-    A value beyond the float range is rounded exactly, half to even, and
-    written in the same style: trailing zeros dropped, then `e+NNN`.
+    A value beyond the float range is rounded by decimal: one division of
+    the exact numerator by the exact denominator, correctly rounded to six
+    digits, half to even, in a context whose exponent has no practical
+    bound; normalized, so trailing zeros are dropped, and written in the
+    same `d.ddddde+NNN` style.  Only this branch imports decimal.
     """
     try:
         return f"{float(f):.6g}"
     except OverflowError:
-        pass
-    exp = len(str(f.numerator // f.denominator)) - 1
-    digits = round(f / 10 ** (exp - 5))
-    if digits == 10**6:
-        digits, exp = 10**5, exp + 1
-    head, tail = str(digits)[0], str(digits)[1:].rstrip("0")
-    return f"{head}{'.' if tail else ''}{tail}e+{exp}"
+        from decimal import MAX_EMAX, Context, Decimal
+    ctx = Context(prec=6, Emax=MAX_EMAX)
+    return f"{ctx.divide(Decimal(f.numerator), Decimal(f.denominator)).normalize(ctx):g}"
 
 
 def _parse_plain(argv: list[str]) -> dict | None:

@@ -341,7 +341,7 @@ def _gq_walked(g: Graph, p: GQParams | None = None):
     with no srg check and no coclique search.
 
     Returns (GQParams(s, t), lines) where every check below passes, the
-    lines sorted as extract_gq returns them; otherwise (None, x), where x
+    lines as extract_gq returns them; otherwise (None, x), where x
     counts the vertices, from 0, whose walks passed: the vertex whose walk
     failed, 0 where a check before the walks failed, or n where the last
     check failed.  The checks, in order:
@@ -387,6 +387,14 @@ def _gq_walked(g: Graph, p: GQParams | None = None):
     is srg(derive_srg((s, t))) (Payne and Thas, Finite Generalized
     Quadrangles, ch. 1).  The lines returned are its lines, each once,
     as extract_gq returns them.
+
+    They come out sorted, with no sort.  A line is x, then the vertices
+    of a mask of x with none below x, ascending.  The lines come in
+    order of x, and at one x in the order their masks were taken, which
+    is the order of the y that opened each: y is the lowest vertex of
+    its mask, as the masks of x are disjoint and each y is the lowest
+    vertex not covered before.  So two lines differ first at x, or at
+    one x at their second points, the ys, in order.
     """
     n, rows = g.n, g._rows
     k = rows[0].bit_count() if n else 0
@@ -410,7 +418,7 @@ def _gq_walked(g: Graph, p: GQParams | None = None):
         len(line) != s + 1 or reduce(or_, [rows[z] for z in line]).bit_count() != cover for line in lines
     ):
         return None, n
-    return GQParams(s, t), sorted(lines)
+    return GQParams(s, t), lines
 
 
 def _gq_params(g: Graph, p: GQParams | None = None) -> GQParams:
@@ -565,9 +573,12 @@ def _parse_canonical(text: str) -> Graph | None:
 
 
 def _parse_lines(text: str) -> Graph:
-    """parse_pgqgraph, one line at a time.  One pass builds the rows; the
-    first edge out of range or repeated is reported only if no edge line
-    has a syntax error (field count, integer fields, u < v)."""
+    """parse_pgqgraph, one line at a time.  One pass checks the syntax of
+    every edge line (field count, integer fields, u < v) and builds the
+    rows, noting only whether an edge is out of range or repeated.  If
+    one is, Graph(n, edges) is built from the same edges in the same
+    order: it refuses exactly those edges, so its error is the first such
+    edge's, worded by Graph alone."""
     lines = text.splitlines()
     if not lines or lines[0].strip() != PGQGRAPH_HEADER:
         raise ValueError(f"missing '{PGQGRAPH_HEADER}' header")
@@ -585,7 +596,7 @@ def _parse_lines(text: str) -> Graph:
     if len(body) != m:
         raise ValueError(f"expected {m} edge lines, got {len(body)}")
     rows = [0] * n
-    bad = None  # the first edge out of range or repeated
+    bad = False  # an edge out of range or repeated
     for i, ln in enumerate(body):
         try:
             u, v = map(int, ln.split())
@@ -593,15 +604,11 @@ def _parse_lines(text: str) -> Graph:
             raise ValueError(_not_two_ints(ln, _body_line(lines, i))) from None
         if not u < v:
             raise ValueError(f"line {_body_line(lines, i)}: require u < v, got {u} {v}")
-        if bad:
-            continue
-        if u < 0 or v >= n:
-            bad = f"edge ({u}, {v}) out of range for n={n}"
-        elif rows[u] >> v & 1:
-            bad = f"duplicate edge ({u}, {v})"
+        if u < 0 or v >= n or rows[u] >> v & 1:
+            bad = True
         else:
             rows[u] |= 1 << v
             rows[v] |= 1 << u
     if bad:
-        raise ValueError(bad)
+        return Graph(n, (map(int, ln.split()) for ln in body))
     return Graph._from_rows(n, rows)

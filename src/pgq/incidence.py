@@ -35,7 +35,9 @@ class IncidenceStructure(namedtuple("IncidenceStructure", "points lines s t")):
     """Points 0..points-1 plus lines (sorted point tuples), with the
     declared orders (s, t).  Construction normalizes the lines and checks
     that their point ids are ints in range; the geometric axioms are
-    checked by verify_axioms."""
+    checked by verify_axioms.  extract_gq and dual, whose proofs make
+    their records valid and normalized, build them with _make, which
+    checks nothing, as Graph._from_rows does for rows."""
 
     __slots__ = ()
 
@@ -149,7 +151,10 @@ def extract_gq(g: Graph, p: GQParams | None = None) -> ExtractionResult:
     The cover walks are tried first (graph._gq_walked): where they prove
     g a GQ(s,t), with (s, t) = p if p is given, its lines are returned,
     each gathered once at its lowest point, with no srg check.  The
-    result is a GQ by that proof, so it is not checked.
+    result is a GQ by that proof, so it is not checked, and its record
+    is built with _make: the lines are tuples of points 0..n-1 with no
+    repeat, each ascending and all in sorted order (see _gq_walked);
+    n = (s+1)(st+1) >= 1; and s and t are ints >= 1.
 
     Otherwise g must pass verify_srg with derive_srg(p), where p None
     stands for the (s, t) of g's srg parameters (ValueError otherwise,
@@ -169,7 +174,7 @@ def extract_gq(g: Graph, p: GQParams | None = None) -> ExtractionResult:
     """
     q, found = _gq_walked(g, p)
     if q is not None:
-        return ExtractionResult(IncidenceStructure(g.n, found, q.s, q.t))
+        return ExtractionResult(IncidenceStructure._make((g.n, tuple(found), q.s, q.t)))
     t = _gq_params(g, p).t
     phi = _coclique_claw(g, found)
     return ExtractionResult(
@@ -189,13 +194,17 @@ def dual(inc: IncidenceStructure) -> IncidenceStructure:
 
     The input is verified (ValueError otherwise).  The output needs no
     check: the axioms are self-dual, (i) and (ii) swap and (iii) is fixed.
+    Nor does its record, built with _make: dual line p holds the indices
+    i of the lines through p, each once (line i names p once), appended
+    in ascending i and in range; there is at least one line, as by (ii)
+    t+1 >= 2 lines pass through point 0; and t, s are inc's orders.
     """
     _require_gq(inc, "dual")
     new_lines = [[] for _ in range(inc.points)]
     for i, line in enumerate(inc.lines):
         for p in line:
             new_lines[p].append(i)
-    return IncidenceStructure(len(inc.lines), new_lines, inc.t, inc.s)
+    return IncidenceStructure._make((len(inc.lines), tuple(map(tuple, new_lines)), inc.t, inc.s))
 
 
 def collinearity_graph(inc: IncidenceStructure) -> Graph:

@@ -175,6 +175,19 @@ def quadratic_witness(t):
     return (4 * t + 3) // 3, root if root * root == 4 * t else root + 1
 
 
+def decimal_oracle(f):
+    """pgq.cli._decimal for a Fraction f beyond the float range, by digit
+    arithmetic: round() on the exact f over a power of ten leaves six
+    digits, half to even; a carry to 10^6 moves into the exponent; and
+    the digits are written with trailing zeros dropped, then e+NNN."""
+    exp = len(str(f.numerator // f.denominator)) - 1
+    digits = round(f / 10 ** (exp - 5))
+    if digits == 10**6:
+        digits, exp = 10**5, exp + 1
+    head, tail = str(digits)[0], str(digits)[1:].rstrip("0")
+    return f"{head}{'.' if tail else ''}{tail}e+{exp}"
+
+
 def edge_set(graph):
     """Edges of a pgq Graph as a set of frozensets."""
     return {frozenset(e) for e in graph.edges()}

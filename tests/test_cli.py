@@ -34,7 +34,7 @@ from pgq.incidence import (
 from pgq.params import GQParams
 from pgq.scan import CSV_HEADER, MAX_SCAN_T, ScanRange, candidates, check_one
 
-from oracles import cameron_graph, csv_oracle, exhaustive_scan, godsil_mckay_switch, symplectic_graph
+from oracles import cameron_graph, csv_oracle, decimal_oracle, exhaustive_scan, godsil_mckay_switch, symplectic_graph
 
 
 def json_reports(pairs):
@@ -286,6 +286,26 @@ def test_bound_decimal_beyond_the_float_range(capsys):
 )
 def test_decimal_rendering(value, text):
     assert _decimal(value) == text
+
+
+#: Fractions from 2^1024, the first integer a float cannot hold, up to
+#: about 4,000 digits: integers, integers plus a proper fraction, and
+#: exact ties at the sixth digit, alone or moved by a small fraction.
+BEYOND_FLOATS = st.one_of(
+    st.integers(2**1024, 10**4000).map(Fraction),
+    st.builds(lambda whole, num, den: whole + Fraction(num % den, den),
+              st.integers(2**1024, 10**4000), st.integers(0, 10**60), st.integers(1, 10**60)),
+    st.builds(lambda head, exp, step, den: Fraction((10 * head + 5) * 10**exp) + Fraction(step, den),
+              st.integers(10**5, 10**6 - 1), st.integers(303, 3993), st.sampled_from([-1, 0, 0, 1]),
+              st.integers(1, 10**6)),
+)
+
+
+@given(BEYOND_FLOATS)
+def test_decimal_beyond_the_float_range_matches_the_oracle(f):
+    with pytest.raises(OverflowError):
+        float(f)
+    assert _decimal(f) == decimal_oracle(f)
 
 
 def test_bound_usage_and_domain_errors(capsys):

@@ -137,6 +137,10 @@ PGQGRAPH_ERRORS = {
     "pgqgraph 1\n2 1\n0 2\n": "edge (0, 2) out of range for n=2",
     "pgqgraph 1\n3 2\n-1 1\n0 1\n": "edge (-1, 1) out of range for n=3",
     "pgqgraph 1\n2 2\n0 1\n0 1\n": "duplicate edge (0, 1)",
+    # The first range or duplicate error in file order is reported, in
+    # any layout.
+    "pgqgraph 1\n3 3\n0 5\n0 1\n0 1\n": "edge (0, 5) out of range for n=3",
+    "pgqgraph 1\n3 2\n0\t1\n0\t1\n": "duplicate edge (0, 1)",
     # Every syntax error comes before the first range or duplicate error,
     # wherever they are; a line is reported by its place in the file,
     # blank lines counted.
@@ -297,6 +301,26 @@ def test_a_sparse_header_builds_no_name_table():
 def test_written_corpus_never_reaches_the_line_loop(g):
     with mock.patch("pgq.graph._parse_lines", side_effect=AssertionError("per-line loop")):
         assert parse_pgqgraph(write_pgqgraph(g)) == g
+
+
+def test_a_valid_file_in_another_layout_never_builds_through_graph():
+    # The per-line loop builds the rows of a valid file itself; only an
+    # edge out of range or repeated sends it to Graph(n, edges).
+    head, rest = W5_TEXT.split("\n", 1)
+    text = head + "\n" + rest.replace(" ", "\t").replace("\n", "\n\n")
+    with mock.patch("pgq.graph._parse_lines", wraps=_parse_lines) as loop, \
+            mock.patch.object(Graph, "__init__", side_effect=AssertionError("Graph(n, edges)")):
+        g = parse_pgqgraph(text)
+    assert loop.called
+    assert g == parse_pgqgraph(W5_TEXT)
+
+
+@pytest.mark.parametrize("text", ["pgqgraph 1\n3 3\n0 5\n0 1\n0 1\n", "pgqgraph 1\n3 2\n0\t1\n0 1\n"],
+                         ids=["out-of-range", "duplicate"])
+def test_edge_errors_are_worded_by_graph(text):
+    with mock.patch.object(Graph, "__init__", side_effect=ValueError("worded by Graph")):
+        with pytest.raises(ValueError, match="^worded by Graph$"):
+            parse_pgqgraph(text)
 
 
 # ---------------------------------------------------------------------------

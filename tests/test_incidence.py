@@ -561,6 +561,38 @@ def test_extract_requires_matching_parameters():
         extract_gq(Graph(3, [(0, 1)]), GQParams(2, 2))
 
 
+#: GQ graphs whose extraction and dual build their records unchecked.
+UNCHECKED = {
+    "w3": (W3_GRAPH, GQParams(3, 3)),
+    "w5": (W5_GRAPH, GQParams(5, 5)),
+    "q43": (Q43, GQParams(3, 3)),
+    "rook4": (gen_rook(4), GQParams(3, 1)),
+    "k33": (gen_complete_bipartite(3), GQParams(1, 2)),
+}
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1])
+@pytest.mark.parametrize("name", UNCHECKED)
+def test_unchecked_builds_equal_the_checked_constructor(name, seed):
+    # _gq_walked does not sort its lines, and extract_gq and dual build
+    # their records with _make; their proofs say that sorting and the
+    # checked constructor would change nothing.
+    g, p = UNCHECKED[name]
+    if seed is not None:
+        g = relabel(g, random.Random(seed).sample(range(g.n), g.n))
+    q, lines = _gq_walked(g)
+    assert q == p
+    assert lines == sorted(lines)
+    inc = extract_gq(g).structure
+    assert type(inc) is IncidenceStructure
+    assert inc == IncidenceStructure(g.n, lines, p.s, p.t)
+    d = dual(inc)
+    assert type(d) is IncidenceStructure
+    assert d == IncidenceStructure(*d)
+    through = [[i for i, line in enumerate(inc.lines) if x in line] for x in range(g.n)]
+    assert d == IncidenceStructure(len(inc.lines), through, p.t, p.s)
+
+
 def test_extract_each_point_on_t_plus_1_lines(gq22):
     for p in range(gq22.points):
         assert sum(1 for line in gq22.lines if p in line) == 3
