@@ -5,4 +5,4 @@ Each public name lives in one submodule and is imported from there, e.g.
 `from pgq.graph import Graph`; importing pgq itself loads no submodule.
 """
 
-__version__ = "14.0.1"
+__version__ = "14.0.2"

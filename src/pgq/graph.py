@@ -336,6 +336,59 @@ def claw_numbers(g: Graph) -> tuple[int, ...]:
     return tuple(_coclique_claw(g, x) if masks is None else len(masks) for x, masks in enumerate(walks))
 
 
+def _gq_rows(n: int, lines, s: int, t: int, rows=None):
+    """The collinearity rows of lines where they are the lines of a
+    GQ(s,t) on the points 0..n-1, else None: pgq's one decision that
+    lines form a GQ, which _gq_walked, verify_axioms and
+    collinearity_graph all make here.  Each line holds distinct points
+    of 0..n-1.  rows, if given, are the rows of a graph of which every
+    line is a clique, and the lines are distinct; by default they are
+    built from the lines, the row of p being the union of the lines
+    through p, less p.  The checks, in order:
+
+    - n = (s+1)(st+1);
+    - there are (st+1)(t+1) lines;
+    - every line has s+1 points (only then are the default rows built,
+      so no row is allocated for a count the lines do not bear out);
+    - every row has k = s(t+1) bits;
+    - for every line, the rows of its points OR to all n points.
+
+    Claim: where they pass, the lines are those of a GQ(s,t), each once,
+    and rows is its collinearity graph; and every GQ(s,t) passes.
+
+    Proof.  A line K is a clique of s+1 points, each with s neighbors in
+    K and k-s outside, so the rows of K cover K and at most
+    (s+1)(k-s) = n-(s+1) points off it: covering all n, each point off K
+    is adjacent to exactly one point of K.  So two lines that differ
+    share at most one point, as a point of one off the other would be
+    adjacent to two of its points, and the lines that differ are
+    edge-disjoint cliques.  The rows hold nk/2 = |L|s(s+1)/2 edges.
+    With the lines distinct, those cliques hold |L|s(s+1)/2 edges, so
+    every edge; with the default rows every edge is in a line, so the
+    cliques hold all |L|s(s+1)/2 edges, and no line repeats.  Either
+    way every edge lies in exactly one line, so adjacency is
+    collinearity, and the lines through a point split its k = s(t+1)
+    neighbors into s-sets: t+1 lines through each point.  That is
+    axioms (i) and (ii), and a point off a line is collinear with exactly
+    one of its points, axiom (iii).  Conversely a GQ(s,t) has
+    (s+1)(st+1) points and (st+1)(t+1) lines, each point is collinear
+    with s(t+1) others, and by (iii) the rows of a line cover every
+    point (Payne and Thas, Finite Generalized Quadrangles, 1.2.1); its
+    collinearity graph is srg(derive_srg((s, t))) (ibid., ch. 1).
+    """
+    if n != (s + 1) * (s * t + 1) or len(lines) != (s * t + 1) * (t + 1) or any(len(ln) != s + 1 for ln in lines):
+        return None
+    if rows is None:
+        rows = [0] * n
+        for line in lines:
+            mask = sum(1 << p for p in line)
+            for p in line:
+                rows[p] |= mask ^ 1 << p
+    every = (1 << n) - 1
+    regular = set(map(int.bit_count, rows)) == {s * (t + 1)}
+    return rows if regular and all(reduce(or_, [rows[p] for p in ln]) == every for ln in lines) else None
+
+
 def _gq_walked(g: Graph, p: GQParams | None = None):
     """Prove g the collinearity graph of a GQ(s,t) from its cover walks,
     with no srg check and no coclique search.
@@ -352,41 +405,15 @@ def _gq_walked(g: Graph, p: GQParams | None = None):
       n = (s+1)(st+1), and p, if given, is (s, t);
     - the walk at every vertex succeeds, all walks sharing one set of
       known cliques, whose members {x} + mask are the keys;
-    - the lines, x with each mask of x that has no vertex below x, are as
-      many as the keys, and each has s+1 vertices whose rows together
-      cover (s+1)(k-s+1) vertices.
+    - _gq_rows holds for g's rows and the lines, x with each mask of x
+      that has no vertex below x.
 
-    Each line is a key, and no two lines are the same (their lowest
-    points differ, or at one x their masks do, as each takes a vertex
-    the ones before it did not cover), so the lines are the keys, and
-    every key passed the last check.
-
-    Proof that g is then a GQ(s,t).  A key K is a clique, so each of its
-    vertices is adjacent to the s others and to k-s outside K, and the
-    rows cover K and at most (s+1)(k-s) vertices outside it: exactly
-    that many says that no vertex outside K is adjacent to two points of
-    K.  So common(a, b) = K - {a, b} for all a != b in K, and K is the
-    only key through the edge ab (two would both be
-    {a, b} + common(a, b)).  Every edge ab is in a key, as the masks of
-    a cover N(a).  Two masks of a sharing a vertex z would give two keys
-    through az, so the masks of a are disjoint s-sets covering
-    k = s(t+1) neighbors: t+1 of them.  Each key K through a is a plus a
-    mask of a, since for b in K - {a} the key of a's mask through b is a
-    key through ab, K itself.  So the t+1 keys through a are a with its
-    masks, and the keys are the lines of a partial linear space of order
-    (s, t) (s+1 points on a line, t+1 lines through a point, two points
-    on at most one line) whose collinearity graph is g, in which a point
-    off a line is collinear with at most one of its points.  It has
-    n(t+1)/(s+1) = (st+1)(t+1) lines, t+1 of them through a point p.
-    Each of the s(t+1) neighbors q of p lies on t lines other than pq,
-    none through p (it would share p and q with pq) and no two the same
-    (that line would hold two points collinear with p): st(t+1) lines,
-    which are all the (st+1)(t+1) - (t+1) lines that miss p.  So p is
-    collinear with exactly one point of each line that misses it,
-    axiom (iii), and the space is a GQ(s,t), whose collinearity graph g
-    is srg(derive_srg((s, t))) (Payne and Thas, Finite Generalized
-    Quadrangles, ch. 1).  The lines returned are its lines, each once,
-    as extract_gq returns them.
+    Each line is a key, so a clique of g, and no two lines are the same
+    (their lowest points differ, or at one x their masks do, as each
+    takes a vertex the ones before it did not cover).  So by the claim of
+    _gq_rows, g is the collinearity graph of a GQ(s,t), so
+    srg(derive_srg((s, t))), and the lines returned are its lines, each
+    once, as extract_gq returns them.
 
     They come out sorted, with no sort.  A line is x, then the vertices
     of a mask of x with none below x, ascending.  The lines come in
@@ -413,10 +440,7 @@ def _gq_walked(g: Graph, p: GQParams | None = None):
             return None, x
         below = (1 << x) - 1
         lines.extend((x, *_bits(mask)) for mask in masks if not mask & below)
-    cover = (s + 1) * (k - s + 1)
-    if len(lines) != len(known) or any(
-        len(line) != s + 1 or reduce(or_, [rows[z] for z in line]).bit_count() != cover for line in lines
-    ):
+    if _gq_rows(n, lines, s, t, rows) is None:
         return None, n
     return GQParams(s, t), lines
 

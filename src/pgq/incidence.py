@@ -7,8 +7,9 @@ exactly one point of L is collinear with p.
 
 The central operation here is extraction: a graph is the collinearity
 graph of a GQ(s,t) exactly when its local clique partitions succeed
-everywhere and pass the checks that graph._gq_walked proves sufficient,
-in which case the lines are the (s+1)-cliques obtained from those
+everywhere and the lines they give pass graph._gq_rows, the one check
+that lines form a GQ, which verify_axioms and collinearity_graph make
+too; then the lines are the (s+1)-cliques obtained from those
 partitions, and the srg parameters of g follow with no srg check.
 Otherwise, for an srg with PGQ-form parameters, a vertex has claw number
 t+1 exactly when its local partition succeeds (Caro-Wei), so the first
@@ -26,8 +27,8 @@ from collections import namedtuple
 from itertools import combinations, product
 from math import isqrt
 
-from .graph import (MAX_PGQGRAPH_VERTICES, Graph, _bits, _body_line, _coclique_claw, _gq_params, _gq_walked,
-                    _refused_field)
+from .graph import (MAX_PGQGRAPH_VERTICES, Graph, _bits, _body_line, _coclique_claw, _gq_params, _gq_rows,
+                    _gq_walked, _refused_field)
 from .params import GQParams, _check_int
 
 
@@ -88,6 +89,13 @@ def verify_axioms(inc: IncidenceStructure) -> AxiomCheck:
     """Check GQ axioms in order: line size / line pairs (i), point degree
     (ii), then the unique-collinear-point axiom (iii).
 
+    Where there are at least as many lines as points (for a GQ, s <= t),
+    graph._gq_rows decides first, and a GQ is accepted there: by its
+    claim it holds exactly where no axiom fails, so the search below runs
+    only to name the first violation.  With fewer lines than points its
+    n rows of n bits would cost more than the search's masks of one bit
+    per line, so the search alone decides.
+
     The checks are indexed by point: through[p] is the bitmask of the
     lines through p.  Line i meets another line twice exactly when that
     line is in the masks of two points of line i; met[i] is their union.
@@ -96,10 +104,13 @@ def verify_axioms(inc: IncidenceStructure) -> AxiomCheck:
     through p.  Each check reports the first violation of the pairwise
     loops (tests/oracles.py): the lowest line pair, then the lowest
     (point, line).  The work is bounded by the incidences, not by the
-    declared point count: the degree scan stops at the first point no
-    line mentions.
+    declared point count: the n rows of n bits are built only where
+    n <= |L|, so they hold no more bits than the |L| masks of met, and
+    the degree scan stops at the first point no line mentions.
     """
     s, t = inc.s, inc.t
+    if len(inc.lines) >= inc.points and _gq_rows(inc.points, inc.lines, s, t) is not None:
+        return AxiomCheck(True)
     for i, line in enumerate(inc.lines):
         if len(line) != s + 1:
             return AxiomCheck(False, "i", f"line #{i} has {len(line)} points, expected s+1={s + 1}")
@@ -159,18 +170,22 @@ def extract_gq(g: Graph, p: GQParams | None = None) -> ExtractionResult:
     Otherwise g must pass verify_srg with derive_srg(p), where p None
     stands for the (s, t) of g's srg parameters (ValueError otherwise,
     see graph._gq_params).  Then g passes the checks _gq_walked makes
-    before its walks, and where every walk succeeds it passes the last
-    one too: lam = s-1 makes each key K, an (s+1)-clique,
-    {a, b} + common(a, b) for any a != b in K, so no vertex outside K is
-    adjacent to two points of K, and as in the proof there the keys are
-    the lines, each gathered once.  So the walks stopped at a vertex x
-    whose walk failed, having walked each vertex up to x once.  Each
-    local graph is (s-1)-regular on s(t+1) vertices, so by Caro-Wei its
-    claw number is at least t+1, with equality iff it splits into t+1
-    disjoint s-cliques, which is when the walk succeeds.  So x is the
-    smallest vertex with claw number above t+1, with no check, and is
-    returned as the witness, with its claw number from one coclique
-    search over N(x), the only one.
+    before its walks, and where every walk succeeds it passes
+    graph._gq_rows too.  By lam = s-1, the one s-clique of N(a) through
+    a neighbor b is {b} + common(a, b), so it is the mask of a through b,
+    and an (s+1)-clique K through a is a with the mask of a through any
+    other point of K.  So the lines through a are a with its t+1 masks,
+    each line has s+1 points, and there are n(t+1)/(s+1) = (st+1)(t+1)
+    of them; and no vertex outside a line K is adjacent to two of its
+    points a, b, as common(a, b) = K - {a, b}, so the rows of K cover all
+    n.  So the walks stopped at a vertex x whose walk failed, having
+    walked each vertex up to x once.  Each local graph is (s-1)-regular
+    on s(t+1) vertices, so by Caro-Wei its claw number is at least t+1,
+    with equality iff it splits into t+1 disjoint s-cliques, which is
+    when the walk succeeds.  So x is the smallest vertex with claw
+    number above t+1, with no check, and is returned as the witness,
+    with its claw number from one coclique search over N(x), the only
+    one.
     """
     q, found = _gq_walked(g, p)
     if q is not None:
@@ -209,13 +224,12 @@ def dual(inc: IncidenceStructure) -> IncidenceStructure:
 
 def collinearity_graph(inc: IncidenceStructure) -> Graph:
     """Graph on the points, adjacent iff they share a line.  The input is
-    verified (ValueError otherwise)."""
-    _require_gq(inc, "collinearity graph")
-    rows = [0] * inc.points
-    for line in inc.lines:
-        mask = sum(1 << p for p in line)
-        for p in line:
-            rows[p] |= mask ^ 1 << p
+    verified (ValueError otherwise): the rows are those graph._gq_rows
+    builds and checks, and where it refuses them, so does verify_axioms,
+    by the claim of _gq_rows, and its first violation is the error."""
+    rows = _gq_rows(inc.points, inc.lines, inc.s, inc.t)
+    if rows is None:
+        _require_gq(inc, "collinearity graph")
     return Graph._from_rows(inc.points, rows)
 
 

@@ -2,6 +2,7 @@
 collinearity graphs, generators, and the pgqinc format."""
 
 import random
+import tracemalloc
 from functools import cache
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, strategies as st
 import pgq.graph
 from pgq.graph import (
     Graph,
+    _gq_rows,
     _gq_walked,
     _max_coclique_size,
     _partition_local,
@@ -134,10 +136,12 @@ def test_axiom_iii_disjoint_grids():
 def axiom_mutations(inc):
     """inc itself and deterministic breakages of it: a point moved to
     another line, two points swapped between lines, a point dropped, a
-    line duplicated or deleted, the lines reversed, the points relabelled."""
+    line duplicated or deleted, line 1 overwritten by a copy of line 0
+    (as many lines as before, so only the rows of graph._gq_rows catch
+    it), the lines reversed, the points relabelled."""
     lines = [list(line) for line in inc.lines]
     rng = random.Random(len(lines))
-    out = [lines, lines + [lines[1]], lines[1:], lines[::-1]]
+    out = [lines, lines + [lines[1]], lines[1:], lines[:1] * 2 + lines[2:], lines[::-1]]
     for k in range(4):
         i, j = rng.sample(range(len(lines)), 2)
         a = next(p for p in lines[i] if p not in lines[j])
@@ -158,13 +162,56 @@ AXIOM_BASES = {"gq22": GQ22, "w3": W3, "gq31": GQ31}
 AXIOM_BASES.update({f"dual-{name}": dual(inc) for name, inc in AXIOM_BASES.items()})
 
 
+def collinear_row(inc, p):
+    """The points other than p on a line through p, as a bitmask."""
+    return sum(1 << q for q in set().union(*(line for line in inc.lines if p in line)) - {p})
+
+
 @pytest.mark.parametrize("inc", AXIOM_BASES.values(), ids=AXIOM_BASES.keys())
 def test_axioms_match_pairwise_oracle(inc):
     # The point-indexed checks must name the same first violation as the
-    # loops over every line pair and every point-line pair.
+    # loops over every line pair and every point-line pair; and
+    # graph._gq_rows, the one GQ decision, must hold exactly where they
+    # find none, with the lines' collinearity rows.
     for mutated in axiom_mutations(inc):
         check = verify_axioms(mutated)
         assert (check.ok, check.axiom, check.witness) == axioms_oracle(mutated)
+        rows = _gq_rows(mutated.points, mutated.lines, mutated.s, mutated.t)
+        assert (rows is not None) == check.ok
+        if check.ok:
+            assert rows == [collinear_row(mutated, p) for p in range(mutated.points)]
+
+
+def grid_gq(m):
+    """The m x m grid GQ(m-1, 1), built from its lines directly."""
+    rows = [[i * m + j for j in range(m)] for i in range(m)]
+    return IncidenceStructure(m * m, rows + [list(column) for column in zip(*rows)], m - 1, 1)
+
+
+@pytest.mark.parametrize("run", [verify_axioms, dual], ids=["verify_axioms", "dual"])
+def test_fewer_lines_than_points_build_no_point_rows(run):
+    # The 128 x 128 grid GQ(127,1) has 256 lines and 16,384 points: the
+    # search's masks take about 1.4 MiB (2.5 with dual's output), where
+    # the rows of graph._gq_rows would take 34.5 MiB.
+    inc = grid_gq(128)
+    tracemalloc.start()
+    try:
+        run(inc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
+
+
+def test_counts_and_line_sizes_come_before_any_row():
+    # The counts of a GQ(10^6, 1), each line of one point: a row per point
+    # would be 10^12 rows, yet the line size refuses the input first.
+    inc = IncidenceStructure._make(((10**6 + 1) ** 2, ((0,),) * (2 * 10**6 + 2), 10**6, 1))
+    with pytest.raises(ValueError) as exc:
+        collinearity_graph(inc)
+    assert str(exc.value) == (
+        "collinearity graph requires a verified GQ; axiom (i): line #0 has 1 points, expected s+1=1000001"
+    )
 
 
 def test_axiom_mutations_reach_every_verdict():
@@ -318,10 +365,10 @@ def test_extraction_stays_lazy(g, p, witness, seed, monkeypatch):
 
 
 # A 4-regular graph on 9 vertices, the count of a GQ(2,1), whose cover
-# walks all succeed with masks of 2 vertices, and whose lines are as many
-# as its keys; yet a vertex outside one of its lines is adjacent to two
-# of its points, so it is no GQ, and only the last check of
-# graph._gq_walked refuses it.
+# walks all succeed with masks of 2 vertices, and whose 6 lines of 3 are
+# as many as a GQ(2,1) has; yet a vertex outside one of its lines is
+# adjacent to two of its points, so it is no GQ, and only the cover check
+# of graph._gq_rows refuses it.
 WALKS_WITHOUT_A_GQ = Graph(9, [(0, 2), (0, 4), (0, 5), (0, 8), (1, 2), (1, 6), (1, 7), (1, 8), (2, 5),
                                (2, 6), (3, 4), (3, 5), (3, 6), (3, 7), (4, 7), (4, 8), (5, 6), (7, 8)])
 # Two disjoint copies of W(3): each walk succeeds, but n = 80 is not
@@ -639,12 +686,32 @@ def test_dual_is_a_verified_involution(gq22, gq31):
         assert dual(d) == inc
 
 
+#: Structures with a line repeated, and the first pair of lines that
+#: share two points.  W(3) with line #5 repeated has every row and cover
+#: of W(3), so only the line count (41, not 40) of graph._gq_rows refuses
+#: it.  A star on 4 points with an edge doubled has the counts of a
+#: GQ(1,1), and point 0 sees every point, so every cover holds: only the
+#: rows' bit counts refuse it.
+REPEATED_LINES = {
+    "w3-line-5-twice": (IncidenceStructure(40, W3.lines + (W3.lines[5],), 3, 3), "lines #5 and #40"),
+    "star-edge-twice": (IncidenceStructure(4, [(0, 1), (0, 1), (0, 2), (0, 3)], 1, 1), "lines #0 and #1"),
+}
+
+
 def test_dual_rejects_broken_structure(gq22):
     broken = IncidenceStructure(gq22.points, gq22.lines[1:], 2, 2)
     with pytest.raises(ValueError):
         dual(broken)
     with pytest.raises(ValueError):
         collinearity_graph(broken)
+    for inc, pair in REPEATED_LINES.values():
+        witness = f"{pair} share more than one point"
+        assert _gq_rows(inc.points, inc.lines, inc.s, inc.t) is None
+        assert verify_axioms(inc) == (False, "i", witness)
+        for operation, run in (("dual", dual), ("collinearity graph", collinearity_graph)):
+            with pytest.raises(ValueError) as exc:
+                run(inc)
+            assert str(exc.value) == f"{operation} requires a verified GQ; axiom (i): {witness}"
 
 
 def test_collinearity_of_gq22(gq22):
