@@ -336,15 +336,26 @@ def claw_numbers(g: Graph) -> tuple[int, ...]:
     return tuple(_coclique_claw(g, x) if masks is None else len(masks) for x, masks in enumerate(walks))
 
 
+def _line_rows(n: int, lines) -> list[int]:
+    """The rows of the points 0..n-1 by the lines: the row of p is the
+    union of the lines through p, less p."""
+    rows = [0] * n
+    for line in lines:
+        mask = sum(1 << p for p in line)
+        for p in line:
+            rows[p] |= mask ^ 1 << p
+    return rows
+
+
 def _gq_rows(n: int, lines, s: int, t: int, rows=None):
     """The collinearity rows of lines where they are the lines of a
-    GQ(s,t) on the points 0..n-1, else None: pgq's one decision that
-    lines form a GQ, which _gq_walked, verify_axioms and
-    collinearity_graph all make here.  Each line holds distinct points
-    of 0..n-1.  rows, if given, are the rows of a graph of which every
-    line is a clique, and the lines are distinct; by default they are
-    built from the lines, the row of p being the union of the lines
-    through p, less p.  The checks, in order:
+    GQ(s,t) on the points 0..n-1, else None.  _gq_walked decides here,
+    and so does collinearity_graph where there are at least as many
+    lines as points; verify_axioms' search decides everything else and
+    names every violation.  Each line holds distinct points of 0..n-1.
+    rows, if given, are the rows of a graph of which every line is a
+    clique, and the lines are distinct; by default they are
+    _line_rows(n, lines).  The checks, in order:
 
     - n = (s+1)(st+1);
     - there are (st+1)(t+1) lines;
@@ -378,15 +389,9 @@ def _gq_rows(n: int, lines, s: int, t: int, rows=None):
     """
     if n != (s + 1) * (s * t + 1) or len(lines) != (s * t + 1) * (t + 1) or any(len(ln) != s + 1 for ln in lines):
         return None
-    if rows is None:
-        rows = [0] * n
-        for line in lines:
-            mask = sum(1 << p for p in line)
-            for p in line:
-                rows[p] |= mask ^ 1 << p
-    every = (1 << n) - 1
+    rows = _line_rows(n, lines) if rows is None else rows
     regular = set(map(int.bit_count, rows)) == {s * (t + 1)}
-    return rows if regular and all(reduce(or_, [rows[p] for p in ln]) == every for ln in lines) else None
+    return rows if regular and all(reduce(or_, [rows[p] for p in ln]).bit_count() == n for ln in lines) else None
 
 
 def _gq_walked(g: Graph, p: GQParams | None = None):

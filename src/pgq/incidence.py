@@ -7,10 +7,10 @@ exactly one point of L is collinear with p.
 
 The central operation here is extraction: a graph is the collinearity
 graph of a GQ(s,t) exactly when its local clique partitions succeed
-everywhere and the lines they give pass graph._gq_rows, the one check
-that lines form a GQ, which verify_axioms and collinearity_graph make
-too; then the lines are the (s+1)-cliques obtained from those
-partitions, and the srg parameters of g follow with no srg check.
+everywhere and the lines they give pass graph._gq_rows, the check
+that lines form a GQ that collinearity_graph makes too; then the lines
+are the (s+1)-cliques obtained from those partitions, and the srg
+parameters of g follow with no srg check.
 Otherwise, for an srg with PGQ-form parameters, a vertex has claw number
 t+1 exactly when its local partition succeeds (Caro-Wei), so the first
 vertex whose partition failed is the pseudo-GQ witness, and its claw
@@ -28,7 +28,7 @@ from itertools import combinations, product
 from math import isqrt
 
 from .graph import (MAX_PGQGRAPH_VERTICES, Graph, _bits, _body_line, _coclique_claw, _gq_params, _gq_rows,
-                    _gq_walked, _refused_field)
+                    _gq_walked, _line_rows, _refused_field)
 from .params import GQParams, _check_int
 
 
@@ -89,13 +89,6 @@ def verify_axioms(inc: IncidenceStructure) -> AxiomCheck:
     """Check GQ axioms in order: line size / line pairs (i), point degree
     (ii), then the unique-collinear-point axiom (iii).
 
-    Where there are at least as many lines as points (for a GQ, s <= t),
-    graph._gq_rows decides first, and a GQ is accepted there: by its
-    claim it holds exactly where no axiom fails, so the search below runs
-    only to name the first violation.  With fewer lines than points its
-    n rows of n bits would cost more than the search's masks of one bit
-    per line, so the search alone decides.
-
     The checks are indexed by point: through[p] is the bitmask of the
     lines through p.  Line i meets another line twice exactly when that
     line is in the masks of two points of line i; met[i] is their union.
@@ -104,13 +97,10 @@ def verify_axioms(inc: IncidenceStructure) -> AxiomCheck:
     through p.  Each check reports the first violation of the pairwise
     loops (tests/oracles.py): the lowest line pair, then the lowest
     (point, line).  The work is bounded by the incidences, not by the
-    declared point count: the n rows of n bits are built only where
-    n <= |L|, so they hold no more bits than the |L| masks of met, and
-    the degree scan stops at the first point no line mentions.
+    declared point count: the degree scan stops at the first point no
+    line mentions.
     """
     s, t = inc.s, inc.t
-    if len(inc.lines) >= inc.points and _gq_rows(inc.points, inc.lines, s, t) is not None:
-        return AxiomCheck(True)
     for i, line in enumerate(inc.lines):
         if len(line) != s + 1:
             return AxiomCheck(False, "i", f"line #{i} has {len(line)} points, expected s+1={s + 1}")
@@ -224,13 +214,19 @@ def dual(inc: IncidenceStructure) -> IncidenceStructure:
 
 def collinearity_graph(inc: IncidenceStructure) -> Graph:
     """Graph on the points, adjacent iff they share a line.  The input is
-    verified (ValueError otherwise): the rows are those graph._gq_rows
-    builds and checks, and where it refuses them, so does verify_axioms,
-    by the claim of _gq_rows, and its first violation is the error."""
-    rows = _gq_rows(inc.points, inc.lines, inc.s, inc.t)
+    verified (ValueError otherwise).  Where there are at least as many
+    lines as points (for a GQ, s <= t), graph._gq_rows accepts a GQ with
+    the rows it built; where it refuses, so does verify_axioms, by its
+    claim, and names the first violation.  With fewer lines than points,
+    n rows of n bits built only to be refused would cost more than
+    verify_axioms' masks of one bit per line, so it decides first, and
+    the rows are built after it accepts."""
+    n = inc.points
+    rows = _gq_rows(n, inc.lines, inc.s, inc.t) if len(inc.lines) >= n else None
     if rows is None:
         _require_gq(inc, "collinearity graph")
-    return Graph._from_rows(inc.points, rows)
+        rows = _line_rows(n, inc.lines)
+    return Graph._from_rows(n, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -192,7 +192,7 @@ def grid_gq(m):
 def test_fewer_lines_than_points_build_no_point_rows(run):
     # The 128 x 128 grid GQ(127,1) has 256 lines and 16,384 points: the
     # search's masks take about 1.4 MiB (2.5 with dual's output), where
-    # the rows of graph._gq_rows would take 34.5 MiB.
+    # n rows of n bits, as graph._gq_rows builds, would take 34.5 MiB.
     inc = grid_gq(128)
     tracemalloc.start()
     try:
@@ -203,10 +203,33 @@ def test_fewer_lines_than_points_build_no_point_rows(run):
     assert peak < 4 * 2**20, peak
 
 
+def test_collinearity_refuses_fewer_lines_than_points_before_any_row():
+    # The same grid with points 0 and 129 swapped between rows 0 and 1,
+    # so that row 0 shares points 1 and 129 with column 1: the search
+    # refuses it within the peak above, where building its rows first
+    # would take 32 MiB.
+    lines = [list(line) for line in grid_gq(128).lines]
+    lines[0][0], lines[1][1] = 129, 0
+    inc = IncidenceStructure(128 * 128, lines, 127, 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as exc:
+            collinearity_graph(inc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == (
+        "collinearity graph requires a verified GQ; axiom (i): lines #0 and #129 share more than one point"
+    )
+    assert peak < 4 * 2**20, peak
+
+
 def test_counts_and_line_sizes_come_before_any_row():
     # The counts of a GQ(10^6, 1), each line of one point: a row per point
-    # would be 10^12 rows, yet the line size refuses the input first.
+    # would be 10^12 rows, yet the line size refuses the input first, in
+    # graph._gq_rows itself and in collinearity_graph.
     inc = IncidenceStructure._make(((10**6 + 1) ** 2, ((0,),) * (2 * 10**6 + 2), 10**6, 1))
+    assert _gq_rows(inc.points, inc.lines, inc.s, inc.t) is None
     with pytest.raises(ValueError) as exc:
         collinearity_graph(inc)
     assert str(exc.value) == (
