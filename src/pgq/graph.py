@@ -165,7 +165,17 @@ def verify_srg(g: Graph) -> SrgCheck:
 
     A spread is built the first time a row needs it, so a pass that
     fails at row u holds the spreads of 0..u and their neighbors only;
-    one that succeeds holds n of n*w bytes each."""
+    one that succeeds holds n of n*w bytes each.
+
+    A pass that succeeds builds its SrgParams with _make, as it has
+    proved what the constructor checks.  n, k, lam and mu are ints, and
+    k < n-1.  lam counts the common neighbors of 0 and a neighbor y, all
+    in N(0) - {y}, so 0 <= lam <= k-1; mu counts common neighbors of 0
+    and a non-neighbor, all in N(0), so mu <= k.  And mu >= 1: a
+    shortest path between two non-adjacent vertices (the graph is
+    connected and not complete) starts u, w, v with u and v
+    non-adjacent, and that pair passed, with w among its mu common
+    neighbors."""
     n = g.n
     if n == 0:
         raise ValueError("empty graph")
@@ -210,7 +220,7 @@ def verify_srg(g: Graph) -> SrgCheck:
             c = counts >> bits * v & ((1 << bits) - 1)
             kind, expected = ("adjacent", lam) if ru >> v & 1 else ("non-adjacent", mu)
             return SrgCheck(None, f"{kind} pair ({u}, {v}) has {c} common neighbors, expected {expected}")
-    return SrgCheck(SrgParams(n, k, lam, mu))
+    return SrgCheck(SrgParams._make((n, k, lam, mu)))
 
 
 def _max_coclique_size(rows: tuple[int, ...], cand: int) -> int:
@@ -418,7 +428,8 @@ def _gq_walked(g: Graph, p: GQParams | None = None):
     takes a vertex the ones before it did not cover).  So by the claim of
     _gq_rows, g is the collinearity graph of a GQ(s,t), so
     srg(derive_srg((s, t))), and the lines returned are its lines, each
-    once, as extract_gq returns them.
+    once, as extract_gq returns them.  GQParams is built with _make, as
+    s >= 1 (one plus a count) and t >= 1 (checked) are ints.
 
     They come out sorted, with no sort.  A line is x, then the vertices
     of a mask of x with none below x, ascending.  The lines come in
@@ -447,7 +458,7 @@ def _gq_walked(g: Graph, p: GQParams | None = None):
         lines.extend((x, *_bits(mask)) for mask in masks if not mask & below)
     if _gq_rows(n, lines, s, t, rows) is None:
         return None, n
-    return GQParams(s, t), lines
+    return GQParams._make((s, t)), lines
 
 
 def _gq_params(g: Graph, p: GQParams | None = None) -> GQParams:

@@ -29,7 +29,7 @@ from math import isqrt
 
 from .graph import (MAX_PGQGRAPH_VERTICES, Graph, _bits, _body_line, _coclique_claw, _gq_params, _gq_rows,
                     _gq_walked, _line_rows, _refused_field)
-from .params import GQParams, _check_int
+from .params import GQParams
 
 
 class IncidenceStructure(namedtuple("IncidenceStructure", "points lines s t")):
@@ -45,10 +45,7 @@ class IncidenceStructure(namedtuple("IncidenceStructure", "points lines s t")):
     def __new__(cls, points: int, lines, s: int, t: int):
         if not isinstance(points, int) or isinstance(points, bool) or points < 1:
             raise ValueError(f"point count must be a positive integer, got {points!r}")
-        _check_int("s", s)
-        _check_int("t", t)
-        if s < 1 or t < 1:
-            raise ValueError(f"require s >= 1 and t >= 1, got ({s}, {t})")
+        GQParams(s, t)  # the one wording of the rule on (s, t)
         norm = []
         for i, line in enumerate(lines):
             pts = tuple(line)

@@ -55,7 +55,11 @@ CSV_HEADER = "s,t,v,k,lambda,mu"
 #: The largest t_max the CLI scans.  multiplicity_divisors factors t-1, t
 #: and t+1 by trial division, which is slowest when t-1 and t+1 are prime
 #: and t/6 is prime: about 0.35 s per t near 10^12 on a 2-vCPU Intel Xeon,
-#: growing as the square root of t.
+#: growing as the square root of t.  The limit bounds that alone: memory
+#: grows with one t's divisors and rows, which are held together.  The
+#: worst t known below it, 963761198400, has 6,823,440 divisors and
+#: 2,821,255 rows, and its CSV scan took about 25 s and 1.6 GB peak
+#: (3.5 s and 318 MB at t = 10^12), on the same machine.
 MAX_SCAN_T = 10**12
 
 

@@ -5,21 +5,36 @@ import hashlib
 import io
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import pgq
-from pgq.cli import _COMMANDS, UsageError, _build_parser, _decimal, _parse_plain, main, run as run_cli
-from pgq.graph import Graph, claw_numbers, parse_pgqgraph, write_pgqgraph
+from pgq.cli import (
+    _COMMANDS,
+    EXIT_INPUT,
+    EXIT_NEGATIVE,
+    EXIT_OK,
+    EXIT_USAGE,
+    UsageError,
+    _build_parser,
+    _decimal,
+    _parse_plain,
+    main,
+    run as run_cli,
+)
+from pgq.graph import PGQGRAPH_HEADER, Graph, claw_numbers, parse_pgqgraph, write_pgqgraph
 from pgq.incidence import (
+    PGQINC_HEADER,
     collinearity_graph,
     dual,
     extract_gq,
@@ -1218,3 +1233,35 @@ def test_help_does_not_depend_on_the_terminal_width(capsys, monkeypatch, argv, c
     monkeypatch.setenv("COLUMNS", columns)
     assert run(capsys, *argv) == at_80
 
+
+README = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+
+
+def _synopsis_words(command):
+    """The words of each README line that starts `pgq COMMAND`, with the
+    brackets of optional parts dropped."""
+    return [set(re.sub(r"[][]", " ", line).split()[2:])
+            for line in README.splitlines() if line.split()[:2] == ["pgq", command]]
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+def test_readme_synopsis_names_every_choice_and_option(command):
+    # A line `pgq COMMAND ...` of the README lists each positional (its
+    # choices as a|b|c, else its name in capitals) and each option, with
+    # the choices of an option that has them.
+    wanted = set()
+    for name, kw in _COMMANDS[command][1]:
+        if name[0] == "-":
+            wanted.add(name)
+        if "choices" in kw:
+            wanted.add("|".join(kw["choices"]))
+        elif name[0] != "-":
+            wanted.add(name.upper())
+    assert any(wanted <= words for words in _synopsis_words(command)), sorted(wanted)
+
+
+def test_readme_states_the_exit_codes_and_the_file_headers():
+    codes = [int(c) for c in re.findall(r"^\| `(\d+)` \|", README, re.MULTILINE)]
+    assert codes == [EXIT_OK, EXIT_USAGE, EXIT_INPUT, EXIT_NEGATIVE] == [0, 1, 2, 3]
+    for header in (PGQGRAPH_HEADER, PGQINC_HEADER):
+        assert re.search(rf"^{re.escape(header)}$", README, re.MULTILINE), header

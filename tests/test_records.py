@@ -5,7 +5,7 @@ import pickle
 
 import pytest
 
-from pgq.graph import SrgCheck, verify_srg
+from pgq.graph import Graph, SrgCheck, _gq_walked, verify_srg
 from pgq.incidence import (
     AxiomCheck,
     ExtractionResult,
@@ -17,6 +17,9 @@ from pgq.incidence import (
 )
 from pgq.params import GQParams, SrgParams
 from pgq.scan import ScanRange
+
+from oracles import paley_graph
+from test_cli import PGQ_FORM_CORPUS
 
 #: The value records of pgq.
 RECORD_CLASSES = (
@@ -137,3 +140,22 @@ def test_validating_record_raises_its_message(cls, args, message):
     with pytest.raises(ValueError) as info:
         cls(*args)
     assert str(info.value) == message
+
+
+#: Strongly regular graphs: the PGQ-form corpus, with lam = 0 and mu = k
+#: among the bipartite ones, and two not of PGQ form.
+SRG_CORPUS = {
+    **{name: g for name, (g, _, _) in PGQ_FORM_CORPUS.items()},
+    "c5": Graph(5, [(i, (i + 1) % 5) for i in range(5)]),
+    "paley13": paley_graph(13),
+}
+
+
+@pytest.mark.parametrize("g", SRG_CORPUS.values(), ids=SRG_CORPUS.keys())
+def test_proved_records_equal_their_validated_rebuild(g):
+    # verify_srg and _gq_walked build their records with _make, on proofs
+    # that the constructor's checks hold; the constructors accept them.
+    q = verify_srg(g).params
+    assert type(q) is SrgParams and SrgParams(*q) == q
+    p = _gq_walked(g)[0]
+    assert p is None or (type(p) is GQParams and GQParams(*p) == p)
