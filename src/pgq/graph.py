@@ -270,14 +270,7 @@ def _max_coclique_size(rows: tuple[int, ...], cand: int) -> int:
             return best
 
 
-def _is_clique(rows: tuple[int, ...], mask: int) -> bool:
-    for v in _bits(mask):
-        if mask & ~(rows[v] | (1 << v)):
-            return False
-    return True
-
-
-def _partition_local(g: Graph, x: int, known: set):
+def _partition_local(g: Graph, x: int, known: dict):
     """Cover the local graph at x by cliques, one candidate set
     {y} + common(x, y) at a time, always for the lowest neighbor y not yet
     covered.  Returns the masks, or None at the first y whose candidate
@@ -302,11 +295,12 @@ def _partition_local(g: Graph, x: int, known: set):
       a clique, and on success the masks are t+1 disjoint s-cliques
       covering the k = s(t+1) neighbors.
 
-    known is the set of vertex masks that the walks of one operation on g
+    known is the dict of cliques that the walks of one operation on g
     share.  The walk adds each {x} + cand that passes, keyed by that exact
-    vertex set: cand is a clique iff it is, as x is adjacent to all of
-    cand.  In a GQ it is a line, tested once instead of once from each of
-    its points.
+    vertex set, to its points, x first and then cand ascending, from the
+    one scan of cand's bits that tests it: cand is a clique iff {x} + cand
+    is, as x is adjacent to all of cand.  In a GQ it is a line, tested and
+    scanned once instead of once from each of its points.
     """
     rows = g._rows
     rx = rows[x]
@@ -317,9 +311,11 @@ def _partition_local(g: Graph, x: int, known: set):
         cand = (rx & rows[y]) | (1 << y)
         key = cand | 1 << x
         if key not in known:
-            if not _is_clique(rows, cand):
-                return None
-            known.add(key)
+            points = (x, *_bits(cand))
+            for v in points[1:]:
+                if cand & ~(rows[v] | 1 << v):
+                    return None
+            known[key] = points
         masks.append(cand)
         uncovered &= ~cand
     return masks
@@ -336,12 +332,12 @@ def claw_numbers(g: Graph) -> tuple[int, ...]:
     r such that x centers an induced r-claw, i.e. the maximum coclique
     size among the neighbors of x.  ValueError for the empty graph.
 
-    The walks of all vertices share one set of known cliques, created
+    The walks of all vertices share one dict of known cliques, created
     here and dropped on return; the claw number of x is the number of
     masks of its walk, or where the walk fails one coclique search."""
     if g.n == 0:
         raise ValueError("empty graph")
-    known: set[int] = set()
+    known: dict[int, tuple[int, ...]] = {}
     walks = (_partition_local(g, x, known) for x in range(g.n))
     return tuple(_coclique_claw(g, x) if masks is None else len(masks) for x, masks in enumerate(walks))
 
@@ -418,26 +414,27 @@ def _gq_walked(g: Graph, p: GQParams | None = None):
     - s is 1 + |common(0, y)| for the lowest neighbor y of vertex 0 (the
       size of vertex 0's first mask), t = k/s - 1 is an integer >= 1,
       n = (s+1)(st+1), and p, if given, is (s, t);
-    - the walk at every vertex succeeds, all walks sharing one set of
-      known cliques, whose members {x} + mask are the keys;
-    - _gq_rows holds for g's rows and the lines, x with each mask of x
-      that has no vertex below x.
+    - the walk at every vertex succeeds, all walks sharing one dict of
+      known cliques (see _partition_local);
+    - _gq_rows holds for g's rows and the lines, the values of that dict.
 
-    Each line is a key, so a clique of g, and no two lines are the same
-    (their lowest points differ, or at one x their masks do, as each
-    takes a vertex the ones before it did not cover).  So by the claim of
-    _gq_rows, g is the collinearity graph of a GQ(s,t), so
-    srg(derive_srg((s, t))), and the lines returned are its lines, each
-    once, as extract_gq returns them.  GQParams is built with _make, as
-    s >= 1 (one plus a count) and t >= 1 (checked) are ints.
+    Each line is the points of a key, so a clique of g, and no two lines
+    are the same, as no two keys are.  So by the claim of _gq_rows, g is
+    the collinearity graph of a GQ(s,t), so srg(derive_srg((s, t))), and
+    the lines returned are its lines, each once, as extract_gq returns
+    them.  GQParams is built with _make, as s >= 1 (one plus a count) and
+    t >= 1 (checked) are ints.
 
-    They come out sorted, with no sort.  A line is x, then the vertices
-    of a mask of x with none below x, ascending.  The lines come in
-    order of x, and at one x in the order their masks were taken, which
-    is the order of the y that opened each: y is the lowest vertex of
-    its mask, as the masks of x are disjoint and each y is the lowest
-    vertex not covered before.  So two lines differ first at x, or at
-    one x at their second points, the ys, in order.
+    They come out sorted, with no sort.  In the GQ the masks of x are the
+    lines through x, less x, so a line is first verified by the walk of
+    its lowest point x, as no walk before it meets the line: it is stored
+    as x, then its other points ascending.  The walk of x takes its masks
+    in the order of the y that opened each, which is the line's second
+    point: y is the lowest vertex of its mask, as the masks of x are
+    disjoint and each y is the lowest vertex not covered before.  A dict
+    keeps the order in which its keys were first stored, so two lines
+    differ first at their lowest points, in order, or at one lowest point
+    at their second points, in order.
     """
     n, rows = g.n, g._rows
     k = rows[0].bit_count() if n else 0
@@ -448,14 +445,11 @@ def _gq_walked(g: Graph, p: GQParams | None = None):
     t = k // s - 1
     if k % s or t < 1 or n != (s + 1) * (s * t + 1) or p is not None and p != (s, t):
         return None, 0
-    known: set[int] = set()
-    lines: list[tuple[int, ...]] = []
+    known: dict[int, tuple[int, ...]] = {}
     for x in range(n):
-        masks = _partition_local(g, x, known)
-        if masks is None:
+        if _partition_local(g, x, known) is None:
             return None, x
-        below = (1 << x) - 1
-        lines.extend((x, *_bits(mask)) for mask in masks if not mask & below)
+    lines = list(known.values())
     if _gq_rows(n, lines, s, t, rows) is None:
         return None, n
     return GQParams._make((s, t)), lines

@@ -147,12 +147,14 @@ def extract_gq(g: Graph, p: GQParams | None = None) -> ExtractionResult:
     """Extract the GQ underlying g, or report pseudo-GQ evidence.
 
     The cover walks are tried first (graph._gq_walked): where they prove
-    g a GQ(s,t), with (s, t) = p if p is given, its lines are returned,
-    each gathered once at its lowest point, with no srg check.  The
-    result is a GQ by that proof, so it is not checked, and its record
-    is built with _make: the lines are tuples of points 0..n-1 with no
-    repeat, each ascending and all in sorted order (see _gq_walked);
-    n = (s+1)(st+1) >= 1; and s and t are ints >= 1.
+    g a GQ(s,t), with (s, t) = p if p is given, its lines are returned
+    as the walks verified them, with no srg check.  The result is a GQ
+    by that proof, so it is not checked, and its record is built with
+    _make: the lines are tuples of points 0..n-1 with no repeat; each is
+    first verified at its lowest point, so it is ascending, and in the
+    order of its lowest and then its second point, so they are all in
+    sorted order with no sort (see _gq_walked); n = (s+1)(st+1) >= 1;
+    and s and t are ints >= 1.
 
     Otherwise g must pass verify_srg with derive_srg(p), where p None
     stands for the (s, t) of g's srg parameters (ValueError otherwise,

@@ -393,6 +393,60 @@ def symplectic_graph(q):
     return Graph(len(points), edges)
 
 
+#: Multiplication in GF(4) = GF(2)[w]/(w^2 + w + 1), element a + 2b
+#: standing for a + bw; addition is XOR.
+GF4_MUL = ((0, 0, 0, 0), (0, 1, 2, 3), (0, 2, 3, 1), (0, 3, 1, 2))
+
+
+def payne_w4_graph():
+    """Collinearity graph of Payne's GQ P(W(4), x), a GQ(3,5), with x the
+    point (1, 0, 0, 0) of W(4) (Payne and Thas, Finite Generalized
+    Quadrangles, 3.2.6).  Its points are those of PG(3,4), first nonzero
+    coordinate 1, in lexicographic order, that are not collinear with x
+    in W(4); two are adjacent iff they are collinear in W(4), under the
+    form u0*v1 + u1*v0 + u2*v3 + u3*v2, or x lies on the line through
+    them.  It is srg(64, 18, 2, 6)."""
+    x = (1, 0, 0, 0)
+
+    def form(u, v):
+        m = GF4_MUL
+        return m[u[0]][v[1]] ^ m[u[1]][v[0]] ^ m[u[2]][v[3]] ^ m[u[3]][v[2]]
+
+    def on_line(u, v):
+        # Some a*u + b*v, with a, b in GF(4), is a nonzero multiple of x.
+        return any(
+            w[0] and not any(w[1:])
+            for a, b in product(range(4), repeat=2)
+            for w in [tuple(GF4_MUL[a][c] ^ GF4_MUL[b][d] for c, d in zip(u, v))]
+        )
+
+    points = [
+        v for v in product(range(4), repeat=4) if next((c for c in v if c), 0) == 1 and form(x, v)
+    ]
+    edges = [
+        (i, j)
+        for (i, u), (j, v) in combinations(enumerate(points), 2)
+        if form(u, v) == 0 or on_line(u, v)
+    ]
+    return Graph(len(points), edges)
+
+
+def even_cocliques(graph):
+    """The 4-cocliques (a, b, c, d), a < b < c < d, whose neighborhoods
+    add to 0 over GF(2): every vertex is adjacent to an even number of
+    them, so to none, half or all, and godsil_mckay_switch accepts each,
+    as a coclique induces a regular graph.  Lexicographic order."""
+    nbrs = [frozenset(w for w in range(graph.n) if graph.has_edge(v, w)) for v in range(graph.n)]
+    having = {}
+    for v, nv in enumerate(nbrs):
+        having.setdefault(nv, []).append(v)
+    for a, b, c in combinations(range(graph.n), 3):
+        if not {b, c} & nbrs[a] and c not in nbrs[b]:
+            for d in having.get(nbrs[a] ^ nbrs[b] ^ nbrs[c], ()):
+                if d > c and not {a, b, c} & nbrs[d]:
+                    yield a, b, c, d
+
+
 def cameron_graph():
     """The Cameron graph: srg(231, 30, 9, 3), the parameters of a GQ(10, 2),
     which cannot exist as s > t^2, so the graph is a pseudo-GQ.

@@ -49,7 +49,8 @@ from pgq.incidence import (
 from pgq.params import GQParams
 from pgq.scan import CSV_HEADER, MAX_SCAN_T, ScanRange, candidates, check_one
 
-from oracles import cameron_graph, csv_oracle, decimal_oracle, exhaustive_scan, godsil_mckay_switch, symplectic_graph
+from oracles import (cameron_graph, csv_oracle, decimal_oracle, even_cocliques, exhaustive_scan, godsil_mckay_switch,
+                     payne_w4_graph, symplectic_graph)
 
 
 def json_reports(pairs):
@@ -451,8 +452,10 @@ def test_graph_claw_runs_branch_and_bound_only_where_the_walk_fails(
     assert json.loads(out) == {"histogram": histogram, "min": 4, "max": 4}
 
 
+PAYNE_W4 = payne_w4_graph()
+
 #: Graphs with srg parameters of PGQ(s, t) form: the GQ corpus, then the
-#: pseudo-GQs Shrikhande, switched Q(4,3) and Cameron.
+#: pseudo-GQs Shrikhande, switched Q(4,3), Cameron and switched P(W(4), x).
 PGQ_FORM_CORPUS = {
     "kneser": (gen_kneser_6_2(), 2, 2),
     "rook3": (gen_rook(3), 2, 1),
@@ -465,9 +468,11 @@ PGQ_FORM_CORPUS = {
     "q43": (Q43_GRAPH, 3, 3),
     "w5": (symplectic_graph(5), 5, 5),
     "w7": (symplectic_graph(7), 7, 7),
+    "payne-w4": (PAYNE_W4, 3, 5),
     "shrikhande": (gen_shrikhande(), 3, 1),
     "switched-q43": (godsil_mckay_switch(Q43_GRAPH, (0, 5, 10, 15)), 3, 3),
     "cameron": (cameron_graph(), 10, 2),
+    "switched-payne-w4": (godsil_mckay_switch(PAYNE_W4, next(even_cocliques(PAYNE_W4))), 3, 5),
 }
 
 
@@ -668,7 +673,7 @@ def test_inc_verify(capsys, gq22_file):
 
 
 def test_inc_verify_negative(capsys, tmp_path, gq22_file):
-    inc = parse_pgqinc(open(gq22_file, encoding="ascii").read())
+    inc = parse_pgqinc(Path(gq22_file).read_text(encoding="ascii"))
     from pgq.incidence import IncidenceStructure
     broken = IncidenceStructure(inc.points, inc.lines[1:], 2, 2)
     path = tmp_path / "broken.pgqinc"

@@ -497,7 +497,7 @@ def test_claw_number_matches_brute_force_random(g):
 
 @given(graphs(), st.randoms())
 def test_claw_numbers_do_not_depend_on_visit_order(g, rng):
-    # The walks of a census share one set of known cliques and run in
+    # The walks of a census share one dict of known cliques and run in
     # ascending order; relabelled, the same graph is walked in another
     # order, and every vertex must keep its claw number.
     perm = rng.sample(range(g.n), g.n)
@@ -530,18 +530,18 @@ def members(mask):
 
 
 def test_partition_kneser():
-    masks = _partition_local(gen_kneser_6_2(), 0, set())
+    masks = _partition_local(gen_kneser_6_2(), 0, {})
     assert [m.bit_count() for m in masks] == [2, 2, 2]
 
 
 def test_partition_rook():
-    masks = _partition_local(gen_rook(4), 0, set())
+    masks = _partition_local(gen_rook(4), 0, {})
     assert [members(m) for m in masks] == [(1, 2, 3), (4, 8, 12)]  # row and column of cell 0
 
 
 def test_partition_shrikhande_fails_with_witness():
     g = gen_shrikhande()
-    assert _partition_local(g, 0, set()) is None
+    assert _partition_local(g, 0, {}) is None
     assert local_partition_oracle(g, 0)[0] is not None
 
 
@@ -558,7 +558,7 @@ def test_partition_succeeds_exactly_at_minimum_claw(name, g, p):
     # phi(x) = t+1 is equivalent to the local graph splitting into t+1
     # disjoint s-cliques; by Caro-Wei phi(x) is never below t+1.
     for x, phi in enumerate(claw_numbers(g)):
-        masks = _partition_local(g, x, set())
+        masks = _partition_local(g, x, {})
         assert phi >= p.t + 1
         assert (masks is not None) == (phi == p.t + 1)
         if masks is not None:
@@ -601,7 +601,7 @@ def test_cover_structural_errors_are_distinct():
 
 def test_cover_uniqueness_by_direct_count():
     g = gen_kneser_6_2()
-    lines = sorted({tuple(sorted((x, *members(m)))) for x in range(g.n) for m in _partition_local(g, x, set())})
+    lines = sorted({tuple(sorted((x, *members(m)))) for x in range(g.n) for m in _partition_local(g, x, {})})
     ok, diagonal, _ = clique_cover_oracle(g.n, edge_set(g), lines)
     assert ok
     assert set(diagonal) == {3}

@@ -13,7 +13,7 @@ import pytest
 
 import pgq
 from pgq.graph import write_pgqgraph
-from pgq.incidence import gen_symplectic_w3
+from pgq.incidence import extract_gq, gen_symplectic_w3, write_pgqinc
 
 CHILD = """
 import sys
@@ -73,6 +73,30 @@ def test_cli_call_loads_only_its_modules(tmp_path, argv, absent):
     modules = loaded_modules(tmp_path, *[str(w3) if a == "W3" else a for a in argv])
     assert "pgq.cli" in modules
     assert modules & (absent | {"dataclasses"}) == set()
+
+
+#: What no inc or gen call loads: the bounds, the scan, Fraction, argparse.
+NOT_INC = {"pgq.bounds", "pgq.scan", "fractions", *ARGPARSE}
+
+
+@pytest.mark.parametrize(
+    "argv,present,absent",
+    [
+        # Only the axiom verdict is JSON; dual and collinearity write pgqinc
+        # and pgqgraph text, and the generators pgqgraph.
+        (["inc", "verify", "W3INC"], {"json", "pgq.graph", "pgq.incidence"}, NOT_INC),
+        (["inc", "dual", "W3INC"], {"pgq.graph", "pgq.incidence"}, {"json", *NOT_INC}),
+        (["inc", "collinearity", "W3INC"], {"pgq.graph", "pgq.incidence"}, {"json", *NOT_INC}),
+        (["gen", "w3"], {"pgq.graph", "pgq.incidence"}, {"json", *NOT_INC}),
+    ],
+    ids=["inc-verify", "inc-dual", "inc-collinearity", "gen-w3"],
+)
+def test_inc_and_gen_calls_load_only_their_modules(tmp_path, argv, present, absent):
+    w3 = tmp_path / "w3.pgqinc"
+    w3.write_text(write_pgqinc(extract_gq(gen_symplectic_w3()).structure), encoding="ascii")
+    modules = loaded_modules(tmp_path, *[str(w3) if a == "W3INC" else a for a in argv])
+    assert present <= modules
+    assert modules & absent == set()
 
 
 def test_help_loads_no_pgq_module_but_the_cli(tmp_path):

@@ -3,6 +3,7 @@ collinearity graphs, generators, and the pgqinc format."""
 
 import random
 import tracemalloc
+from collections import Counter
 from functools import cache
 
 import pytest
@@ -42,12 +43,14 @@ from oracles import (
     census_witness,
     clique_cover_oracle,
     edge_set,
+    even_cocliques,
     gathered_lines,
     godsil_mckay_switch,
     gq_oracle,
     local_coclique_oracle,
     local_partition_oracle,
     paley_graph,
+    payne_w4_graph,
     relabel,
     rook_edges,
     srg_oracle,
@@ -65,6 +68,11 @@ SWITCHED_Q43 = godsil_mckay_switch(Q43, (0, 5, 10, 15))
 # The Cameron graph, srg(231,30,9,3): a pseudo-GQ(10,2) with every claw
 # number 5 > t+1 = 3.
 CAMERON = cameron_graph()
+# Payne's GQ P(W(4), x), a GQ(3,5), and its Godsil-McKay switch on the
+# first 4-coclique whose rows add to 0: srg(64,18,2,6), the parameters of
+# a GQ(3,5), but with claw numbers up to 9 > t+1 = 6.
+PAYNE_W4 = payne_w4_graph()
+SWITCHED_PAYNE_W4 = godsil_mckay_switch(PAYNE_W4, next(even_cocliques(PAYNE_W4)))
 W5_GRAPH = symplectic_graph(5)
 W7_GRAPH = symplectic_graph(7)
 GQ22 = extract_gq(gen_kneser_6_2(), GQParams(2, 2)).structure
@@ -323,18 +331,21 @@ def test_extraction_is_a_gq_by_proof(g, p, seed, monkeypatch):
 
 
 def test_census_tests_each_line_once(monkeypatch):
-    # Each operation shares one set of known cliques over its walks, so in
-    # a GQ each line passes the clique test once per operation, not once
-    # from each of its s+1 points; the set is dropped when it returns.
-    tested = []
-    is_clique = pgq.graph._is_clique
-    monkeypatch.setattr("pgq.graph._is_clique", lambda rows, m: tested.append(m) or is_clique(rows, m))
+    # Each operation shares one dict of known cliques over its walks, so in
+    # a GQ each line is tested, by one scan of its bits, once per operation,
+    # not once from each of its s+1 points.  _gq_walked takes its lines
+    # from that dict and scans no line again; the dict is dropped when the
+    # operation returns.
+    scanned = []
+    bits = pgq.graph._bits
+    monkeypatch.setattr("pgq.graph._bits", lambda m: scanned.append(m) or bits(m))
     lines = (5 * 5 + 1) * (5 + 1)
     for run in (lambda: claw_numbers(W5_GRAPH) == (6,) * 156,
+                lambda: _gq_walked(W5_GRAPH)[0] == GQParams(5, 5),
                 lambda: extract_gq(W5_GRAPH, GQParams(5, 5)).ok,
                 lambda: claw_numbers(W5_GRAPH) == (6,) * 156):
-        tested.clear()
-        assert run() and len(tested) == len(set(tested)) == lines
+        scanned.clear()
+        assert run() and len(scanned) == len(set(scanned)) == lines
 
 
 @pytest.mark.parametrize("seed", [None, 0, 1])
@@ -415,6 +426,8 @@ WALKED = {
     "shrikhande": gen_shrikhande(),
     "switched-q43": SWITCHED_Q43,
     "cameron": CAMERON,
+    "payne-w4": PAYNE_W4,
+    "switched-payne-w4": SWITCHED_PAYNE_W4,
     "one-vertex": Graph(1, []),
     "k4": Graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)]),
     "c5": Graph(5, [(i, (i + 1) % 5) for i in range(5)]),
@@ -498,6 +511,8 @@ CLAW_GRAPHS = {
     "switched-q43": SWITCHED_Q43,
     "shrikhande": gen_shrikhande(),
     "w5": W5_GRAPH,
+    "payne-w4": PAYNE_W4,
+    "switched-payne-w4": SWITCHED_PAYNE_W4,
 }
 
 
@@ -510,7 +525,7 @@ def oracle_claws(name):
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("name", CLAW_GRAPHS)
 def test_claw_numbers_in_random_order_match_oracle(name, seed):
-    # The walks of one census share a set of known cliques; relabelled at
+    # The walks of one census share a dict of known cliques; relabelled at
     # random, the graph fills it in another order, and every claw number
     # must still equal the exhaustive one.
     g = CLAW_GRAPHS[name]
@@ -548,10 +563,38 @@ def test_cameron_graph_is_a_pseudo_gq():
     assert result.reason == "pseudo-GQ evidence: claw number 5 > t+1 = 3 at vertex 0"
 
 
+def test_switches_of_payne_w4_are_pseudo_gqs():
+    # P(W(4), x) is a GQ(3,5).  Every 4-coclique whose rows add to 0 is a
+    # switching set; the first 20 switch it into an srg with its
+    # parameters that no walk proves a GQ, as claw numbers exceed t+1 = 6.
+    assert _gq_walked(PAYNE_W4)[0] == GQParams(3, 5)
+    assert srg_oracle(SWITCHED_PAYNE_W4.n, edge_set(SWITCHED_PAYNE_W4)) == ((64, 18, 2, 6), None)
+    sets = list(even_cocliques(PAYNE_W4))
+    assert len(sets) == 240
+    for d in sets[:20]:
+        g = godsil_mckay_switch(PAYNE_W4, d)
+        assert verify_srg(g).params == derive_srg(GQParams(3, 5))
+        assert Counter(claw_numbers(g)) == {6: 24, 7: 36, 9: 4}
+        assert extract_gq(g).reason.startswith("pseudo-GQ evidence: claw number ")
+
+
+@pytest.mark.parametrize(
+    "seed,witness",
+    [(None, (0, 9)), (0, (0, 7)), (1, (0, 7)), (2, (2, 7)), (3, (0, 7)), (4, (0, 7)), (5, (1, 7))],
+)
+def test_switched_payne_w4_witness(seed, witness):
+    g = SWITCHED_PAYNE_W4
+    if seed is not None:
+        g = relabel(g, random.Random(seed).sample(range(g.n), g.n))
+    vertex, claw = witness
+    assert extract_gq(g).reason == f"pseudo-GQ evidence: claw number {claw} > t+1 = 6 at vertex {vertex}"
+
+
 @pytest.mark.parametrize("seed", range(10))
 @pytest.mark.parametrize(
-    "g,p", [(SWITCHED_Q43, GQParams(3, 3)), (gen_shrikhande(), GQParams(3, 1))],
-    ids=["switched-q43", "shrikhande"],
+    "g,p",
+    [(SWITCHED_Q43, GQParams(3, 3)), (gen_shrikhande(), GQParams(3, 1)), (SWITCHED_PAYNE_W4, GQParams(3, 5))],
+    ids=["switched-q43", "shrikhande", "switched-payne-w4"],
 )
 def test_extract_witness_matches_claw_census(g, p, seed):
     # Partition-first extraction must name the same vertex as a census of
@@ -568,7 +611,7 @@ def test_partition_succeeds_iff_claw_is_t_plus_1(g):
     # Caro-Wei: the local graph is (s-1)-regular on s(t+1) vertices, so its
     # claw number is at least t+1, with equality iff it is (t+1) K_s.
     for x, phi in enumerate(claw_numbers(g)):
-        masks = _partition_local(g, x, set())
+        masks = _partition_local(g, x, {})
         assert phi >= 4
         assert (masks is not None) == (phi == 4)
 
@@ -587,7 +630,7 @@ def test_partition_witness_matches_oracle(g, seed):
         g = relabel(g, random.Random(seed).sample(range(g.n), g.n))
     for x in range(g.n):
         witness, cliques = local_partition_oracle(g, x)
-        masks = _partition_local(g, x, set())
+        masks = _partition_local(g, x, {})
         assert (masks is None) == (witness is not None)
         if witness is None:
             assert tuple(sorted(tuple(v for v in range(g.n) if m >> v & 1) for m in masks)) == cliques
@@ -616,7 +659,7 @@ def test_walk_claw_number_matches_branch_and_bound(g, walks, seed):
     succeeded = set()
     for x, phi in enumerate(claw_numbers(g)):
         exact = _max_coclique_size(g._rows, g.row(x))
-        masks = _partition_local(g, x, set())
+        masks = _partition_local(g, x, {})
         if masks is not None:
             assert len(masks) == exact
         succeeded.add(masks is not None)
@@ -638,6 +681,7 @@ UNCHECKED = {
     "q43": (Q43, GQParams(3, 3)),
     "rook4": (gen_rook(4), GQParams(3, 1)),
     "k33": (gen_complete_bipartite(3), GQParams(1, 2)),
+    "payne-w4": (PAYNE_W4, GQParams(3, 5)),
 }
 
 
